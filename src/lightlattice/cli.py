@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 invalid input, 3 numerical failure (partial
 outputs are written and flagged where the run produced any). Output is
 deterministic: fixed float formatting (17 significant digits), fixed row
 order, headers carrying only the tool version, scenario hash, and command
-name. Sweep cells fan out to a process pool sized by LIGHTLATTICE_THREADS;
-results are always assembled in grid order.
+name. Sweep cells fan out to a process pool sized by LIGHTLATTICE_THREADS
+(default 1: cells run in this process); results are always assembled in
+grid order.
 """
 
 from __future__ import annotations
@@ -440,8 +441,6 @@ def _sweep_cell(payload):
         }
     except LightLatticeError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
-    except Exception as exc:  # pragma: no cover - defensive
-        return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 def _thread_count() -> int:
@@ -456,7 +455,7 @@ def _thread_count() -> int:
         if n < 1:
             raise ScenarioError("LIGHTLATTICE_THREADS must be >= 1")
         return n
-    return os.cpu_count() or 1
+    return 1
 
 
 def cmd_sweep(args) -> int:

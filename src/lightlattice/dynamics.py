@@ -87,12 +87,14 @@ def _check_order(positions: tuple[float, ...], min_sep: float) -> str | None:
     return None
 
 
-def _rk4_overdamped(x, force, mu, dt):
-    def rhs(y):
-        f = force(y)
+def _rk4_overdamped(x, force, mu, dt, f0=None):
+    """One RK4 step; f0, when given, is force(x) already evaluated."""
+    def rhs(y, f=None):
+        if f is None:
+            f = force(y)
         return tuple(fi / mu for fi in f)
 
-    k1 = rhs(x)
+    k1 = rhs(x, f0)
     k2 = rhs(tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, k1)))
     k3 = rhs(tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, k2)))
     k4 = rhs(tuple(xi + dt * ki for xi, ki in zip(x, k3)))
@@ -190,6 +192,8 @@ def evolve(
 
     n_steps = max(1, math.ceil(params.t_end / params.dt - 1e-12))
     capture(0.0)
+    # overdamped: the force behind the sup|F| check is the next step's k1
+    f = None
     for step in range(1, n_steps + 1):
         try:
             if newtonian:
@@ -197,7 +201,7 @@ def evolve(
                     x, v, force, params.mass, params.friction, params.dt
                 )
             else:
-                x = _rk4_overdamped(x, force, params.friction, params.dt)
+                x = _rk4_overdamped(x, force, params.friction, params.dt, f)
         except SeparationViolation as exc:
             traj.termination = "separation_violation"
             traj.diagnostic = str(exc)

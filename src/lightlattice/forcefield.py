@@ -11,7 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import WavenumberMismatch
+from .errors import SingularBoundary, WavenumberMismatch
 from .wavecore import FieldSolution, Mode, ScattererChain, solve_fields
 
 
@@ -29,16 +29,21 @@ class ForceProfile:
 
 def forces_from_solution(solution: FieldSolution) -> ForceProfile:
     """F_mode(j) = (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2, summed over modes."""
-    n = solution.chain.n
     per_mode = {}
     for mf in solution.fields:
-        per_mode[mf.label] = tuple(
-            0.5 * (abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
-            for (a, b, c, d) in mf.quads
-        )
-    total = tuple(
-        sum(per_mode[lab][j] for lab in per_mode) for j in range(n)
-    )
+        try:
+            per_mode[mf.label] = tuple([
+                0.5 * (abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
+                for (a, b, c, d) in mf.quads
+            ])
+        except OverflowError:
+            raise SingularBoundary(
+                f"|amplitude|^2 overflows in mode {mf.label!r}"
+            ) from None
+    if per_mode:
+        total = tuple(map(sum, zip(*per_mode.values())))
+    else:
+        total = (0,) * solution.chain.n
     return ForceProfile(total, per_mode)
 
 

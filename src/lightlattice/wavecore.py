@@ -111,6 +111,14 @@ class Mode:
         return self.k / K_REF if self.zeta_scale is None else self.zeta_scale
 
 
+def _increasing_floats(positions) -> tuple[float, ...]:
+    positions = tuple(map(float, positions))
+    for a, b in zip(positions, positions[1:]):
+        if not (b > a):
+            raise ValueError(f"positions not strictly increasing: {a} !< {b}")
+    return positions
+
+
 @dataclass(frozen=True)
 class ScattererChain:
     """Ordered scatterer positions with per-scatterer base coupling.
@@ -125,10 +133,7 @@ class ScattererChain:
     allow_gain: bool = False
 
     def __init__(self, positions, zeta_base, allow_gain: bool = False):
-        positions = tuple(float(x) for x in positions)
-        for a, b in zip(positions, positions[1:]):
-            if not (b > a):
-                raise ValueError(f"positions not strictly increasing: {a} !< {b}")
+        positions = _increasing_floats(positions)
         try:
             zetas = (complex(zeta_base),) * len(positions)
         except TypeError:
@@ -156,7 +161,21 @@ class ScattererChain:
         return tuple(b - a for a, b in zip(self.positions, self.positions[1:]))
 
     def with_positions(self, positions) -> "ScattererChain":
-        return ScattererChain(positions, self.zeta_base, self.allow_gain)
+        """The same scatterers moved to new positions.
+
+        Only the positions are checked: the couplings were validated when
+        this chain was built.
+        """
+        positions = _increasing_floats(positions)
+        if len(positions) != len(self.zeta_base):
+            raise ValueError(
+                f"got {len(self.zeta_base)} couplings for {len(positions)} scatterers"
+            )
+        moved = object.__new__(ScattererChain)
+        object.__setattr__(moved, "positions", positions)
+        object.__setattr__(moved, "zeta_base", self.zeta_base)
+        object.__setattr__(moved, "allow_gain", self.allow_gain)
+        return moved
 
 
 def mode_zetas(chain: ScattererChain, mode: Mode) -> tuple[complex, ...]:
@@ -167,20 +186,89 @@ def mode_zetas(chain: ScattererChain, mode: Mode) -> tuple[complex, ...]:
     return tuple(z * s for z in chain.zeta_base)
 
 
+def _transfer(chain: ScattererChain, mode: Mode):
+    """Total-matrix entries of one non-empty chain, with the per-step factors.
+
+    The products of beam_splitter_matrix, propagation_matrix and `@` are
+    written out in the same operation order, so every entry is bit for bit
+    the one the helpers build. That includes the 0j terms of the diagonal
+    propagation matrix: they can turn a -0.0 into +0.0. Returns
+    (m11, m12, m21, m22), the splitter entries per scatterer and the
+    (e^{ikd}, e^{-ikd}) pair per gap.
+    """
+    positions = chain.positions
+    splitters = [(1.0 + iz, iz, -iz, 1.0 - iz)
+                 for iz in [1j * z for z in mode_zetas(chain, mode)]]
+    phases = []
+    m11, m12, m21, m22 = splitters[0]
+    ik = 1j * mode.k
+    x0 = positions[0]
+    for x1, (s11, s12, s21, s22) in zip(positions[1:], splitters[1:]):
+        ph = cmath.exp(ik * (x1 - x0))
+        inv = 1.0 / ph
+        phases.append((ph, inv))
+        p11 = ph * m11 + 0j * m21
+        p12 = ph * m12 + 0j * m22
+        p21 = 0j * m11 + inv * m21
+        p22 = 0j * m12 + inv * m22
+        m11 = s11 * p11 + s12 * p21
+        m12 = s11 * p12 + s12 * p22
+        m21 = s21 * p11 + s22 * p21
+        m22 = s21 * p12 + s22 * p22
+        x0 = x1
+    return (m11, m12, m21, m22), splitters, phases
+
+
+def _solve_mode(chain: ScattererChain, mode: Mode, with_quads: bool):
+    """r_tot, t_tot and (when with_quads is set) the quadruples of one mode.
+
+    The sweep keeps the operation order of TransferMatrix.apply.
+    """
+    positions = chain.positions
+    if not positions:
+        m21, m22 = IDENTITY.m21, IDENTITY.m22
+    else:
+        (_, _, m21, m22), splitters, phases = _transfer(chain, mode)
+    try:
+        singular = abs(m22) < _SINGULAR_M22
+    except OverflowError:
+        raise SingularBoundary(f"|m22| overflows for mode {mode.label!r}") from None
+    if singular:
+        raise SingularBoundary(
+            f"|m22| = {abs(m22):.3e} below {_SINGULAR_M22} for mode {mode.label!r}"
+        )
+    r_tot = -m21 / m22
+    t_tot = 1.0 / m22
+    if not with_quads or not positions:
+        return r_tot, t_tot, ()
+    a = complex(mode.drive_left) * cmath.exp(1j * mode.k * positions[0])
+    dn = complex(mode.drive_right) * cmath.exp(-1j * mode.k * positions[-1])
+    b = (dn - m21 * a) / m22
+    quads = []
+    phases.append((None, None))  # nothing propagates past the last scatterer
+    for (s11, s12, s21, s22), (ph, inv) in zip(splitters, phases):
+        c = s11 * a + s12 * b
+        d = s21 * a + s22 * b
+        quads.append((a, b, c, d))
+        if ph is not None:
+            a = ph * c + 0j * d
+            b = 0j * c + inv * d
+    # a non-finite amplitude stays non-finite through every later product
+    # and sum, so the last quadruple carries any that appeared in the sweep
+    if not (cmath.isfinite(c) and cmath.isfinite(d)):
+        raise SingularBoundary(f"non-finite amplitude in mode {mode.label!r}")
+    return r_tot, t_tot, tuple(quads)
+
+
 def total_transfer_matrix(chain: ScattererChain, mode: Mode) -> TransferMatrix:
     """Ordered product mapping (A_1, B_1) to (C_N, D_N).
 
     M = M_BS(z_N) . M_p(d_{N-1}) ... M_p(d_1) . M_BS(z_1); identity for an
     empty chain.
     """
-    zetas = mode_zetas(chain, mode)
     if chain.n == 0:
         return IDENTITY
-    m = beam_splitter_matrix(zetas[0])
-    for j in range(1, chain.n):
-        d = chain.positions[j] - chain.positions[j - 1]
-        m = beam_splitter_matrix(zetas[j]) @ (propagation_matrix(mode.k, d) @ m)
-    return m
+    return TransferMatrix(*_transfer(chain, mode)[0])
 
 
 def reflection_transmission(chain: ScattererChain, mode: Mode) -> tuple[complex, complex]:
@@ -189,12 +277,8 @@ def reflection_transmission(chain: ScattererChain, mode: Mode) -> tuple[complex,
     t = 1/m22 is direction independent (det = 1), r = -m21/m22 for left
     incidence on the chain as given.
     """
-    m = total_transfer_matrix(chain, mode)
-    if abs(m.m22) < _SINGULAR_M22:
-        raise SingularBoundary(
-            f"|m22| = {abs(m.m22):.3e} below {_SINGULAR_M22} for mode {mode.label!r}"
-        )
-    return -m.m21 / m.m22, 1.0 / m.m22
+    r, t, _ = _solve_mode(chain, mode, with_quads=False)
+    return r, t
 
 
 @dataclass(frozen=True)
@@ -231,39 +315,9 @@ def solve_fields(chain: ScattererChain, modes: list[Mode]) -> FieldSolution:
     """
     solved = []
     for mode in modes:
-        m = total_transfer_matrix(chain, mode)
-        if abs(m.m22) < _SINGULAR_M22:
-            raise SingularBoundary(
-                f"|m22| = {abs(m.m22):.3e} below {_SINGULAR_M22} for mode {mode.label!r}"
-            )
-        r_tot = -m.m21 / m.m22
-        t_tot = 1.0 / m.m22
-        if chain.n == 0:
-            solved.append(
-                ModeFields(mode.label, mode.k, (), r_tot, t_tot,
-                           complex(mode.drive_left), complex(mode.drive_right))
-            )
-            continue
-        zetas = mode_zetas(chain, mode)
-        a1 = complex(mode.drive_left) * cmath.exp(1j * mode.k * chain.positions[0])
-        dn = complex(mode.drive_right) * cmath.exp(-1j * mode.k * chain.positions[-1])
-        b1 = (dn - m.m21 * a1) / m.m22
-        quads = []
-        a, b = a1, b1
-        for j in range(chain.n):
-            c, d = beam_splitter_matrix(zetas[j]).apply(a, b)
-            quads.append((a, b, c, d))
-            if j + 1 < chain.n:
-                gap = chain.positions[j + 1] - chain.positions[j]
-                a, b = propagation_matrix(mode.k, gap).apply(c, d)
-        for q in quads:
-            for amp in q:
-                if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-                    raise SingularBoundary(
-                        f"non-finite amplitude in mode {mode.label!r}"
-                    )
+        r_tot, t_tot, quads = _solve_mode(chain, mode, with_quads=True)
         solved.append(
-            ModeFields(mode.label, mode.k, tuple(quads), r_tot, t_tot,
+            ModeFields(mode.label, mode.k, quads, r_tot, t_tot,
                        complex(mode.drive_left), complex(mode.drive_right))
         )
     return FieldSolution(chain, tuple(solved))

@@ -209,6 +209,24 @@ def test_sweep_records_cell_failures_in_row(tmp_path, monkeypatch):
     assert rows[-1][state_col] != "failed"
 
 
+def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
+    import lightlattice.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the integrator")
+
+    monkeypatch.setenv("LIGHTLATTICE_THREADS", "1")
+    monkeypatch.setattr(cli, "evolve", broken)
+    doc = pair_doc(
+        dynamics={"regime": "overdamped", "dt": 1.0, "t_end": 10.0},
+        sweep={"axes": [{"path": "modes.z.intensity_right",
+                         "start": 1.0, "stop": 1.1, "steps": 2}]},
+    )
+    path = write_doc(tmp_path, doc)
+    with pytest.raises(RuntimeError, match="bug in the integrator"):
+        main(["sweep", "--scenario", path, "--out", str(tmp_path / "out")])
+
+
 def test_sweep_requires_axes_and_dynamics(tmp_path):
     path = write_doc(tmp_path, pair_doc(
         dynamics={"regime": "overdamped", "dt": 1.0, "t_end": 10.0}))
@@ -231,6 +249,13 @@ def test_threads_env_validation(tmp_path, monkeypatch):
     assert main(["sweep", "--scenario", path, "--out", str(tmp_path)]) == 2
     monkeypatch.setenv("LIGHTLATTICE_THREADS", "0")
     assert main(["sweep", "--scenario", path, "--out", str(tmp_path)]) == 2
+
+
+def test_threads_default_to_one(monkeypatch):
+    from lightlattice.cli import _thread_count
+
+    monkeypatch.delenv("LIGHTLATTICE_THREADS", raising=False)
+    assert _thread_count() == 1
 
 
 def test_design_table(tmp_path):

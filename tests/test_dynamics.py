@@ -195,3 +195,33 @@ def test_initial_velocities_validated():
         evolve(chain, symmetric_modes(), params, initial_velocities=(0.1,))
     with pytest.raises(ValueError):
         evolve(chain, symmetric_modes(), params, capture_every=0)
+
+
+def test_overdamped_evolve_reuses_the_tolerance_force(monkeypatch):
+    import lightlattice.dynamics as dynamics
+
+    calls = []
+
+    def counted(chain, modes):
+        calls.append(chain.positions)
+        return forces_exact(chain, modes)
+
+    monkeypatch.setattr(dynamics, "forces_exact", counted)
+    chain = ScattererChain((0.0, 0.36), 0.01)
+    modes = symmetric_modes(i_z=1.2)  # drifts, so force_tol never fires
+    steps = 7
+    params = DynamicsParams(regime="overdamped", dt=1.0, t_end=float(steps))
+    traj = evolve(chain, modes, params)
+    assert traj.termination == "t_end"
+    assert len(calls) == 4 * steps + 1
+
+    stepped = [chain.positions]
+    for _ in range(steps):
+        moved = chain.with_positions(stepped[-1])
+        stepped.append(step_overdamped(moved, modes, params))
+    assert traj.positions == stepped
+
+    calls.clear()
+    params_n = DynamicsParams(regime="newtonian", dt=1.0, t_end=float(steps))
+    evolve(chain, modes, params_n)
+    assert len(calls) == 4 * steps

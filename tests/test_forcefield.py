@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from lightlattice.errors import WavenumberMismatch
+from lightlattice.errors import LightLatticeError, WavenumberMismatch
 from lightlattice.forcefield import (
     PairForceParams,
     forces_exact,
@@ -207,3 +207,10 @@ def test_params_validation():
         pair_zero_force_distances(
             PairForceParams(p=1.0, k_y=K_REF, k_z=K_REF, zeta=0.01), branch=0
         )
+
+
+def test_overflowing_chain_raises_library_error():
+    # lossless, inside the band gap: the forward sweep overflows at N = 1000
+    chain = ScattererChain([0.45 * j for j in range(1000)], 1.0)
+    with pytest.raises(LightLatticeError, match="mode 'y'"):
+        forces_exact(chain, symmetric_modes())

@@ -116,6 +116,17 @@ def test_chain_validation():
     assert ScattererChain((0.0, 0.25, 0.75), 0.1).gaps() == (0.25, 0.5)
 
 
+def test_with_positions_matches_the_constructor():
+    chain = ScattererChain((0.0, 0.5), (0.1, -0.2j), allow_gain=True)
+    moved = chain.with_positions([1, 2.5])
+    assert moved == ScattererChain((1.0, 2.5), (0.1, -0.2j), allow_gain=True)
+    assert moved.positions == (1.0, 2.5)
+    assert all(type(x) is float for x in moved.positions)
+    for bad in ((0.5, 0.5), (0.5, 0.1), (0.0, float("nan")), (0.0, 0.1, 0.2)):
+        with pytest.raises(ValueError):
+            chain.with_positions(bad)
+
+
 def test_single_splitter_coefficients():
     z = 0.2
     chain = ScattererChain((0.3,), z)
@@ -270,4 +281,88 @@ def test_two_sided_drive_pins_the_standing_wave():
     after = solve_fields(ScattererChain((0.2,), 0.1), [mode])["y"].quads[0]
     assert abs(before[0] + before[1]) != pytest.approx(
         abs(after[0] + after[1]), rel=1e-3
+    )
+
+
+def reference_sweep(chain, mode):
+    """Total matrix, r, t and quadruples built from the public helpers."""
+    zs = mode_zetas(chain, mode)
+    m = beam_splitter_matrix(zs[0])
+    for j in range(1, chain.n):
+        d = chain.positions[j] - chain.positions[j - 1]
+        m = beam_splitter_matrix(zs[j]) @ (propagation_matrix(mode.k, d) @ m)
+    a = complex(mode.drive_left) * cmath.exp(1j * mode.k * chain.positions[0])
+    dn = complex(mode.drive_right) * cmath.exp(-1j * mode.k * chain.positions[-1])
+    b = (dn - m.m21 * a) / m.m22
+    quads = []
+    for j in range(chain.n):
+        c, d = beam_splitter_matrix(zs[j]).apply(a, b)
+        quads.append((a, b, c, d))
+        if j + 1 < chain.n:
+            gap = chain.positions[j + 1] - chain.positions[j]
+            a, b = propagation_matrix(mode.k, gap).apply(c, d)
+    return m, -m.m21 / m.m22, 1.0 / m.m22, tuple(quads)
+
+
+# exact zeros (zero coupling, undriven sides) are where signed zeros show
+wide_zetas = st.one_of(
+    st.just(0j), st.builds(complex, st.floats(-1.0, 1.0), st.floats(0.0, 0.3))
+)
+
+
+@st.composite
+def varied_chains(draw):
+    n = draw(st.integers(1, 50))
+    gaps = draw(st.lists(st.floats(1e-3, 1.2), min_size=n - 1, max_size=n - 1))
+    positions = [draw(st.floats(-2.0, 2.0))]
+    for g in gaps:
+        positions.append(positions[-1] + g)
+    couplings = draw(st.lists(wide_zetas, min_size=n, max_size=n))
+    return ScattererChain(tuple(positions), couplings)
+
+
+@st.composite
+def varied_modes(draw):
+    modes = []
+    for i in range(draw(st.integers(1, 3))):
+        coupling = draw(st.sampled_from(["default", "scale", "override"]))
+        sides = draw(st.sampled_from(["left", "right", "both", "none"]))
+        modes.append(Mode(
+            f"m{i}",
+            draw(st.floats(0.5, 2.0)) * K_REF,
+            drive_left=draw(drives) if sides in ("left", "both") else 0.0j,
+            drive_right=draw(drives) if sides in ("right", "both") else 0.0j,
+            zeta_scale=draw(st.floats(0.5, 2.0)) if coupling == "scale" else None,
+            zeta_override=draw(wide_zetas) if coupling == "override" else None,
+        ))
+    return modes
+
+
+def bits(*values):
+    """repr of every real and imaginary part, so -0.0 differs from 0.0."""
+    return [(repr(z.real), repr(z.imag)) for z in values]
+
+
+@given(varied_chains(), varied_modes())
+def test_kernel_matches_public_helpers_exactly(chain, modes):
+    sol = solve_fields(chain, modes)
+    for mode, mf in zip(modes, sol.fields):
+        m, r, t, quads = reference_sweep(chain, mode)
+        k = total_transfer_matrix(chain, mode)
+        assert bits(k.m11, k.m12, k.m21, k.m22) == bits(m.m11, m.m12, m.m21, m.m22)
+        assert bits(*reflection_transmission(chain, mode)) == bits(r, t)
+        assert bits(mf.r_tot, mf.t_tot) == bits(r, t)
+        assert bits(*(a for q in mf.quads for a in q)) == bits(
+            *(a for q in quads for a in q)
+        )
+
+
+def test_kernel_keeps_signed_zeros_of_a_zero_coupling_chain():
+    chain = ScattererChain((0.0, 0.37, 0.74), 0j)
+    mode = Mode("a", K_REF, drive_right=1.0 + 0j)
+    m, r, t, quads = reference_sweep(chain, mode)
+    mf = solve_fields(chain, [mode]).fields[0]
+    assert bits(mf.r_tot, mf.t_tot) == bits(r, t)
+    assert bits(*(a for q in mf.quads for a in q)) == bits(
+        *(a for q in quads for a in q)
     )
