@@ -25,14 +25,13 @@ import numpy as np
 from . import __version__
 from .dynamics import com_velocity, evolve
 from .equilibria import (
+    classify_stability,
     design_wavenumber,
     find_equilibrium,
     force_jacobian,
     linearize_pair_in_lattice,
     normal_modes,
     zero_force_grid,
-    _classify,
-    _translation_complement,
 )
 from .errors import (
     LightLatticeError,
@@ -428,15 +427,13 @@ def _sweep_cell(payload):
         final = traj.final_positions()
         chain = scn.chain.with_positions(final)
         forces = forces_exact(chain, scn.mode_list()).total
-        jac = force_jacobian(chain, scn.mode_list())
-        q = _translation_complement(chain.n)
-        eigs = np.linalg.eigvals(q.T @ jac @ q)
+        _, stability = classify_stability(force_jacobian(chain, scn.mode_list()), True)
         gaps = [final[j + 1] - final[j] for j in range(len(final) - 1)]
         return {
             "gaps": gaps,
             "com_velocity": com_velocity(traj),
             "residual": max(abs(f) for f in forces),
-            "stability": _classify(eigs),
+            "stability": stability,
             "error": "",
         }
     except LightLatticeError as exc:

@@ -38,44 +38,69 @@ class EquilibriumReport:
     iterations: int
 
 
-def _classify(eigenvalues: np.ndarray) -> str:
-    reals = eigenvalues.real
-    if reals.size == 0:
-        return "marginal"
-    if np.max(reals) < -_EIG_TOL:
-        return "stable"
-    if np.max(reals) > _EIG_TOL:
-        return "unstable"
-    return "marginal"
+def _central_difference(f, x, h, directions=None) -> np.ndarray:
+    """Central-difference derivatives of f at x, one column per direction.
+
+    f maps a list of coordinates to one value per coordinate. Column j is
+    (f(x + h_j e_j) - f(x - h_j e_j)) / (2 h_j). A direction e_j lists the
+    (coordinate, sign) pairs it moves, with sign +1 or -1; by default the
+    directions are the coordinate axes. h is one step or one step per
+    direction. Only the moved coordinates are displaced, so every other
+    coordinate reaches f with its exact bits.
+    """
+    x = list(x)
+    if directions is None:
+        directions = [((j, 1),) for j in range(len(x))]
+    steps = h if np.ndim(h) else [h] * len(directions)
+    jac = np.empty((len(x), len(directions)))
+    for j, (direction, step) in enumerate(zip(directions, steps)):
+        xp, xm = list(x), list(x)
+        for i, sign in direction:
+            xp[i] += sign * step
+            xm[i] -= sign * step
+        jac[:, j] = np.subtract(f(xp), f(xm)) / (2.0 * step)
+    return jac
 
 
 def force_jacobian(
     chain: ScattererChain, modes: list[Mode], h: float = 1e-7
 ) -> np.ndarray:
     """Central-difference Jacobian dF_i/dx_j of the exact forces."""
-    x = list(chain.positions)
-    n = len(x)
-    jac = np.empty((n, n))
-    for j in range(n):
-        xp = list(x)
-        xm = list(x)
-        xp[j] += h
-        xm[j] -= h
-        fp = forces_exact(chain.with_positions(tuple(xp)), modes).total
-        fm = forces_exact(chain.with_positions(tuple(xm)), modes).total
-        jac[:, j] = [(a - b) / (2.0 * h) for a, b in zip(fp, fm)]
-    return jac
+    return _central_difference(
+        lambda x: forces_exact(chain.with_positions(x), modes).total,
+        chain.positions,
+        h,
+    )
 
 
-def _translation_complement(n: int) -> np.ndarray:
-    # orthonormal basis of the hyperplane orthogonal to the uniform shift
-    shift = np.ones((n, 1)) / math.sqrt(n)
-    q, _ = np.linalg.qr(np.eye(n) - shift @ shift.T)
-    # drop the column aligned with the shift (numerically near-zero norm in
-    # the projected matrix); keep the n-1 best-conditioned columns
-    proj = q.T @ shift
-    order = np.argsort(np.abs(proj[:, 0]))
-    return q[:, order[: n - 1]]
+def classify_stability(
+    jacobian: np.ndarray, translation_projected: bool
+) -> tuple[np.ndarray, str]:
+    """Eigenvalues of a force Jacobian and the stability they imply.
+
+    With translation_projected the Jacobian is first restricted to the
+    orthonormal complement of the uniform shift. Eigenvalues come back
+    sorted by descending real part; the classification is "stable" when all
+    real parts are below -1e-9, "unstable" when any is above +1e-9, and
+    "marginal" otherwise (also when no eigenvalue is left).
+    """
+    if translation_projected:
+        n = len(jacobian)
+        shift = np.ones((n, 1)) / math.sqrt(n)
+        q, _ = np.linalg.qr(np.eye(n) - shift @ shift.T)
+        # drop the column aligned with the shift (numerically near-zero norm
+        # in the projected matrix); keep the n-1 best-conditioned columns
+        order = np.argsort(np.abs((q.T @ shift)[:, 0]))
+        q = q[:, order[: n - 1]]
+        jacobian = q.T @ jacobian @ q
+    eigs = np.linalg.eigvals(jacobian)
+    eigs = eigs[np.argsort(eigs.real)[::-1]]
+    top = eigs.real[0] if eigs.size else 0.0
+    if top < -_EIG_TOL:
+        return eigs, "stable"
+    if top > _EIG_TOL:
+        return eigs, "unstable"
+    return eigs, "marginal"
 
 
 def find_equilibrium(
@@ -137,14 +162,7 @@ def find_equilibrium(
                 best_residual=best_merit,
             )
         iterations += 1
-        m = len(u)
-        jac = np.empty((m, m))
-        for j in range(m):
-            up = u.copy()
-            um = u.copy()
-            up[j] += fd_step
-            um[j] -= fd_step
-            jac[:, j] = (residual_vec(up) - residual_vec(um)) / (2.0 * fd_step)
+        jac = _central_difference(residual_vec, u, fd_step)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -175,20 +193,13 @@ def find_equilibrium(
     forces = forces_exact(solution, modes).total
     com_force = sum(forces) / n
     jac_full = force_jacobian(solution, modes, h=fd_step)
-    if relative_only:
-        q = _translation_complement(n)
-        reduced = q.T @ jac_full @ q
-        eigs = np.linalg.eigvals(reduced)
-    else:
-        eigs = np.linalg.eigvals(jac_full)
-    order = np.argsort(eigs.real)[::-1]
-    eigs = eigs[order]
+    eigs, classification = classify_stability(jac_full, relative_only)
     return EquilibriumReport(
         positions=positions,
         residual=merit,
         jacobian=jac_full,
         eigenvalues=eigs,
-        classification=_classify(eigs),
+        classification=classification,
         com_force=com_force,
         translation_projected=relative_only,
         iterations=iterations,
@@ -253,48 +264,17 @@ class DesignCandidate:
     refined: bool
 
 
-def _pair_design_forces(
+def _pair_design(
     d: float, k_y: float, k_z: float, zeta: float, p: float, i_y: float
-) -> tuple[float, float]:
+) -> tuple[ScattererChain, list[Mode]]:
+    # the pair at (0, d), beam y from the left and beam z = p * y from the right
     chain = ScattererChain((0.0, d), zeta)
     i_z = p * i_y
     modes = [
         Mode("y", k_y, drive_left=math.sqrt(2.0 * i_y), zeta_scale=1.0),
         Mode("z", k_z, drive_right=math.sqrt(2.0 * abs(i_z)), zeta_scale=k_z / k_y),
     ]
-    f = forces_exact(chain, modes).total
-    return f[0], f[1]
-
-
-def _pair_design_stability(d, k_y, k_z, zeta, p, i_y) -> str:
-    h = 1e-7
-    jac = np.empty((2, 2))
-    for j in range(2):
-        dp = [0.0, 0.0]
-        dp[j] = h
-        fp = _pair_design_forces_at(d, k_y, k_z, zeta, p, i_y, dp)
-        dp[j] = -h
-        fm = _pair_design_forces_at(d, k_y, k_z, zeta, p, i_y, dp)
-        jac[:, j] = [(a - b) / (2.0 * h) for a, b in zip(fp, fm)]
-    # counter-propagating single-sided drives: rigid translation is a
-    # symmetry, classify the gap coordinate only
-    q = np.array([[-1.0], [1.0]]) / math.sqrt(2.0)
-    lam = float((q.T @ jac @ q)[0, 0])
-    if lam < -_EIG_TOL:
-        return "stable"
-    if lam > _EIG_TOL:
-        return "unstable"
-    return "marginal"
-
-
-def _pair_design_forces_at(d, k_y, k_z, zeta, p, i_y, offsets):
-    chain = ScattererChain((0.0 + offsets[0], d + offsets[1]), zeta)
-    modes = [
-        Mode("y", k_y, drive_left=math.sqrt(2.0 * i_y), zeta_scale=1.0),
-        Mode("z", k_z, drive_right=math.sqrt(2.0 * p * i_y), zeta_scale=k_z / k_y),
-    ]
-    f = forces_exact(chain, modes).total
-    return f[0], f[1]
+    return chain, modes
 
 
 def design_wavenumber(
@@ -357,8 +337,11 @@ def design_wavenumber(
         if physical and refine:
             p, k_z, refined = _refine_design(d, k_y, k_z, zeta, p, i_y, band)
         if physical:
-            f1, f2 = _pair_design_forces(d, k_y, k_z, zeta, p, i_y)
-            stab = _pair_design_stability(d, k_y, k_z, zeta, p, i_y)
+            chain, modes = _pair_design(d, k_y, k_z, zeta, p, i_y)
+            f1, f2 = forces_exact(chain, modes).total
+            # counter-propagating single-sided drives: rigid translation is
+            # a symmetry, classify the gap coordinate only
+            stab = classify_stability(force_jacobian(chain, modes), True)[1]
         else:
             f1 = f2 = math.nan
             stab = "n/a"
@@ -383,20 +366,15 @@ def _refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
     p, k_z = p0, k_z0
     h_p = 1e-7 * max(1.0, abs(p0))
     h_k = 1e-7 * k_y
+
+    def forces(v):
+        return forces_exact(*_pair_design(d, k_y, v[1], zeta, v[0], i_y)).total
+
     for _ in range(25):
-        f1, f2 = _pair_design_forces(d, k_y, k_z, zeta, p, i_y)
+        f1, f2 = forces((p, k_z))
         if max(abs(f1), abs(f2)) < 1e-13 * i_y:
             return p, k_z, True
-        f1p, f2p = _pair_design_forces(d, k_y, k_z, zeta, p + h_p, i_y)
-        f1m, f2m = _pair_design_forces(d, k_y, k_z, zeta, p - h_p, i_y)
-        f1k, f2k = _pair_design_forces(d, k_y, k_z + h_k, zeta, p, i_y)
-        f1l, f2l = _pair_design_forces(d, k_y, k_z - h_k, zeta, p, i_y)
-        jac = np.array(
-            [
-                [(f1p - f1m) / (2 * h_p), (f1k - f1l) / (2 * h_k)],
-                [(f2p - f2m) / (2 * h_p), (f2k - f2l) / (2 * h_k)],
-            ]
-        )
+        jac = _central_difference(forces, (p, k_z), (h_p, h_k))
         try:
             step = np.linalg.solve(jac, [-f1, -f2])
         except np.linalg.LinAlgError:
@@ -406,7 +384,7 @@ def _refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
         if p_new <= 0 or not (band[0] <= k_new <= band[1]):
             return p0, k_z0, False
         p, k_z = p_new, k_new
-    f1, f2 = _pair_design_forces(d, k_y, k_z, zeta, p, i_y)
+    f1, f2 = forces((p, k_z))
     if max(abs(f1), abs(f2)) < 1e-10 * i_y:
         return p, k_z, True
     return p0, k_z0, False
@@ -461,33 +439,24 @@ def linearize_pair_in_lattice(scenario, mass: float = 1.0, h: float = 1e-6) -> L
         raise ValueError("linearization is defined for exactly two scatterers")
     lat_modes = scenario.lattice_modes()
     pert_modes = scenario.perturbation_modes()
-    x1, x2 = chain.positions
 
-    def f_lat(dx1, dx2):
-        return forces_exact(
-            chain.with_positions((x1 + dx1, x2 + dx2)), lat_modes
-        ).total
+    def forces(modes):
+        return lambda x: forces_exact(chain.with_positions(x), modes).total
 
-    def f_pert(dx1, dx2):
-        if not pert_modes:
-            return (0.0, 0.0)
-        return forces_exact(
-            chain.with_positions((x1 + dx1, x2 + dx2)), pert_modes
-        ).total
-
-    # F1 in (dx1, Delta): dx1 moves both (Delta fixed), Delta moves x2 only
-    a = f_lat(0.0, 0.0)[0]
-    u = f_lat(0.0, 0.0)[1]
-    b = (f_lat(h, h)[0] - f_lat(-h, -h)[0]) / (2.0 * h)
-    c = (f_lat(0.0, h)[0] - f_lat(0.0, -h)[0]) / (2.0 * h)
+    # F1 in (dx1, Delta): dx1 moves both (Delta fixed), Delta moves x2 only;
     # F2 in (dx2, Delta): dx2 moves both, Delta moves x1 by -Delta
-    v = (f_lat(h, h)[1] - f_lat(-h, -h)[1]) / (2.0 * h)
-    w = (f_lat(-h, 0.0)[1] - f_lat(h, 0.0)[1]) / (2.0 * h)
-
-    k1p = f_pert(0.0, 0.0)[0]
-    k3p = f_pert(0.0, 0.0)[1]
-    k2p = (f_pert(0.0, h)[0] - f_pert(0.0, -h)[0]) / (2.0 * h)
-    k4p = (f_pert(-h, 0.0)[1] - f_pert(h, 0.0)[1]) / (2.0 * h)
+    both, x2_alone, x1_back = ((0, 1), (1, 1)), ((1, 1),), ((0, -1),)
+    a, u = forces_exact(chain, lat_modes).total
+    (b, c, _), (v, _, w) = _central_difference(
+        forces(lat_modes), chain.positions, h, [both, x2_alone, x1_back]
+    ).tolist()
+    if pert_modes:
+        k1p, k3p = forces_exact(chain, pert_modes).total
+        (k2p, _), (_, k4p) = _central_difference(
+            forces(pert_modes), chain.positions, h, [x2_alone, x1_back]
+        ).tolist()
+    else:
+        k1p = k2p = k3p = k4p = 0.0
 
     i_total = sum(
         (abs(m.drive_left) ** 2 + abs(m.drive_right) ** 2) / 2.0 for m in lat_modes

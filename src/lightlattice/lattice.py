@@ -83,14 +83,10 @@ def stable_com_position(
     imrt = (r * t.conjugate()).imag
     if imrt == 0.0:
         raise NoTrap("Im(r t*) = 0: no position dependence to trap on")
-    arg = (i_r - i_l) * (1.0 + abs(r) ** 2 - abs(t) ** 2) / (
-        2.0 * abs(imrt) * math.sqrt(i_l * i_r)
-    )
+    arg = _trap_cosine(i_l, i_r, r, t, imrt)
     if abs(arg) > 1.0 + 1e-12:
         raise NoTrap(f"arccos argument {arg:.6g} outside [-1, 1]")
-    arg = min(1.0, max(-1.0, arg))
-    u = 1.0 if imrt > 0 else -1.0
-    return (math.acos(arg) - 0.5 * math.pi * u) / (2.0 * k) + n * math.pi / k
+    return _com_seed(i_l, i_r, r, t, k, n)
 
 
 @dataclass(frozen=True)
@@ -146,16 +142,20 @@ class LatticeScenario:
         return replace(self, positions=tuple(float(x) for x in positions))
 
 
+def _trap_cosine(i_l, i_r, r, t, imrt) -> float:
+    return (i_r - i_l) * (1.0 + abs(r) ** 2 - abs(t) ** 2) / (
+        2.0 * abs(imrt) * math.sqrt(i_l * i_r)
+    )
+
+
 def _com_seed(i_l, i_r, r, t, k, n=0) -> float:
-    # clamped variant of the trap-position form, seed quality only: far from
-    # symmetric drives the argument can leave [-1, 1] although a trap exists
+    # the trap-position form with the arccos argument clamped, so it seeds
+    # the polish also far from symmetric drives, where the argument can
+    # leave [-1, 1] although a trap exists
     imrt = (r * t.conjugate()).imag
     if imrt == 0.0:
         return 0.25 * math.pi / k
-    arg = (i_r - i_l) * (1.0 + abs(r) ** 2 - abs(t) ** 2) / (
-        2.0 * abs(imrt) * math.sqrt(i_l * i_r)
-    )
-    arg = min(1.0, max(-1.0, arg))
+    arg = min(1.0, max(-1.0, _trap_cosine(i_l, i_r, r, t, imrt)))
     u = 1.0 if imrt > 0 else -1.0
     return (math.acos(arg) - 0.5 * math.pi * u) / (2.0 * k) + n * math.pi / k
 
@@ -192,15 +192,10 @@ def build_lattice(
     asym = (i_l - i_r) / math.sqrt(i_l * i_r)
     d_sw = lattice_constant(zeta, asym, k)
     r, t = pair_rt_closed_form(d_sw, k, zeta)
-    try:
-        x0 = stable_com_position(i_l, i_r, r, t, k, n=n_branch)
-    except NoTrap:
-        x0 = _com_seed(i_l, i_r, r, t, k, n=n_branch)
+    x0 = _com_seed(i_l, i_r, r, t, k, n=n_branch)
     seed = tuple(x0 + (j - 0.5 * (n - 1)) * d_sw for j in range(n))
     if k_p is not None and zeta_p is None:
         zeta_p = _default_zeta_p(zeta, k, k_p)
-        # scaling law sanity: doubling k_p must halve the coupling
-        assert abs(_default_zeta_p(zeta, k, 2.0 * k_p) - 0.5 * zeta_p) < 1e-15
     scenario = LatticeScenario(
         i_l=i_l,
         i_r=i_r,

@@ -246,3 +246,226 @@ def test_zero_coupling_grid_is_flat():
                            np.linspace(0.2, 0.4, 3), np.linspace(0.2, 0.4, 3))
     assert np.max(np.abs(grid.f1)) == 0.0
     assert np.max(np.abs(grid.f2)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Bit identity of the shared central-difference helper. The references below
+# are the hand-written loops the helper replaced; results compare by bytes or
+# repr, so signed zeros and the last bit count.
+
+def _ref_force_jacobian(chain, modes, h=1e-7):
+    x = list(chain.positions)
+    n = len(x)
+    jac = np.empty((n, n))
+    for j in range(n):
+        xp = list(x)
+        xm = list(x)
+        xp[j] += h
+        xm[j] -= h
+        fp = forces_exact(chain.with_positions(tuple(xp)), modes).total
+        fm = forces_exact(chain.with_positions(tuple(xm)), modes).total
+        jac[:, j] = [(a - b) / (2.0 * h) for a, b in zip(fp, fm)]
+    return jac
+
+
+def _ref_eigenvalues(jac, relative_only):
+    if relative_only:
+        n = len(jac)
+        shift = np.ones((n, 1)) / math.sqrt(n)
+        q, _ = np.linalg.qr(np.eye(n) - shift @ shift.T)
+        order = np.argsort(np.abs((q.T @ shift)[:, 0]))
+        q = q[:, order[: n - 1]]
+        jac = q.T @ jac @ q
+    eigs = np.linalg.eigvals(jac)
+    return eigs[np.argsort(eigs.real)[::-1]]
+
+
+def _ref_newton_positions(chain, modes, relative_only, tol=1e-12, fd_step=1e-7):
+    n = chain.n
+    x1 = chain.positions[0]
+
+    def positions_from(u):
+        if not relative_only:
+            return tuple(u)
+        out = [x1]
+        for g in u:
+            out.append(out[-1] + g)
+        return tuple(out)
+
+    def residual_vec(u):
+        f = forces_exact(chain.with_positions(positions_from(u)), modes).total
+        if relative_only:
+            return np.array([f[j + 1] - f[j] for j in range(n - 1)])
+        return np.array(f)
+
+    if relative_only:
+        u = np.array([chain.positions[j + 1] - chain.positions[j] for j in range(n - 1)])
+    else:
+        u = np.array(chain.positions)
+    r = residual_vec(u)
+    merit = float(np.max(np.abs(r)))
+    while merit >= tol:
+        m = len(u)
+        jac = np.empty((m, m))
+        for j in range(m):
+            up = u.copy()
+            um = u.copy()
+            up[j] += fd_step
+            um[j] -= fd_step
+            jac[:, j] = (residual_vec(up) - residual_vec(um)) / (2.0 * fd_step)
+        step = np.linalg.solve(jac, -r)
+        lam = 1.0
+        for _ in range(10):
+            u_try = u + lam * step
+            r_try = residual_vec(u_try)
+            merit_try = float(np.max(np.abs(r_try)))
+            if merit_try < merit * (1.0 - 1e-4 * lam) or merit_try < tol:
+                u, r, merit = u_try, r_try, merit_try
+                break
+            lam *= 0.5
+        else:
+            raise AssertionError("reference Newton stalled")
+    return positions_from(u)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_force_jacobian_matches_hand_loop_bytes(n):
+    chain = ScattererChain(tuple(0.1 + 0.37 * j for j in range(n)), 0.05)
+    modes = symmetric_modes(i_y=0.72, k_z=1.1 * K_REF)
+    assert force_jacobian(chain, modes).tobytes() == _ref_force_jacobian(chain, modes).tobytes()
+
+
+@pytest.mark.parametrize(
+    "relative_only, positions, modes",
+    [
+        (True, (0.0, 0.36, 0.74), symmetric_modes(i_z=1.2)),
+        (False, (0.01, 0.49), [Mode("sw", K_REF, drive_left=1.0, drive_right=1.1)]),
+    ],
+    ids=["relative", "absolute"],
+)
+def test_find_equilibrium_matches_hand_loops_bytes(relative_only, positions, modes):
+    chain = ScattererChain(positions, 0.05)
+    report = find_equilibrium(chain, modes, relative_only=relative_only)
+    ref_positions = _ref_newton_positions(chain, modes, relative_only)
+    assert repr(report.positions) == repr(ref_positions)
+    ref_jac = _ref_force_jacobian(chain.with_positions(ref_positions), modes)
+    assert report.jacobian.tobytes() == ref_jac.tobytes()
+    assert report.eigenvalues.tobytes() == _ref_eigenvalues(ref_jac, relative_only).tobytes()
+
+
+def _ref_linearization(scenario, h=1e-6):
+    chain = scenario.chain()
+    lat_modes = scenario.lattice_modes()
+    pert_modes = scenario.perturbation_modes()
+    x1, x2 = chain.positions
+
+    def f_lat(dx1, dx2):
+        return forces_exact(chain.with_positions((x1 + dx1, x2 + dx2)), lat_modes).total
+
+    def f_pert(dx1, dx2):
+        if not pert_modes:
+            return (0.0, 0.0)
+        return forces_exact(chain.with_positions((x1 + dx1, x2 + dx2)), pert_modes).total
+
+    return {
+        "a": f_lat(0.0, 0.0)[0],
+        "u": f_lat(0.0, 0.0)[1],
+        "b": (f_lat(h, h)[0] - f_lat(-h, -h)[0]) / (2.0 * h),
+        "c": (f_lat(0.0, h)[0] - f_lat(0.0, -h)[0]) / (2.0 * h),
+        "v": (f_lat(h, h)[1] - f_lat(-h, -h)[1]) / (2.0 * h),
+        "w": (f_lat(-h, 0.0)[1] - f_lat(h, 0.0)[1]) / (2.0 * h),
+        "k1p": f_pert(0.0, 0.0)[0],
+        "k3p": f_pert(0.0, 0.0)[1],
+        "k2p": (f_pert(0.0, h)[0] - f_pert(0.0, -h)[0]) / (2.0 * h),
+        "k4p": (f_pert(-h, 0.0)[1] - f_pert(h, 0.0)[1]) / (2.0 * h),
+    }
+
+
+@pytest.mark.parametrize("i_p", [0.0, 0.5])
+def test_linearization_matches_hand_loop_bytes(i_p):
+    scenario = build_lattice(2, 1.0, 1.0, 0.1, i_p=i_p, k_p=K_REF / 0.99, zeta_p=0.1)
+    model = linearize_pair_in_lattice(scenario)
+    ref = _ref_linearization(scenario)
+    assert {k: repr(v) for k, v in model.constants.items()} == {
+        k: repr(v) for k, v in ref.items()
+    }
+    assert all(type(v) is float for v in model.constants.values())
+    for value in (model.k_spring, model.kappa1, model.kappa2, model.f_ext):
+        assert type(value) is float
+    if i_p == 0.0:
+        # no perturbation mode: the slopes are +0.0, not -0.0
+        assert math.copysign(1.0, model.constants["k2p"]) == 1.0
+        assert math.copysign(1.0, model.constants["k4p"]) == 1.0
+
+
+def _ref_pair_design_forces(d, k_y, k_z, zeta, p, i_y, offsets=(0.0, 0.0)):
+    chain = ScattererChain((0.0 + offsets[0], d + offsets[1]), zeta)
+    modes = [
+        Mode("y", k_y, drive_left=math.sqrt(2.0 * i_y), zeta_scale=1.0),
+        Mode("z", k_z, drive_right=math.sqrt(2.0 * abs(p * i_y)), zeta_scale=k_z / k_y),
+    ]
+    f = forces_exact(chain, modes).total
+    return f[0], f[1]
+
+
+def _ref_pair_design_stability(d, k_y, k_z, zeta, p, i_y):
+    h = 1e-7
+    jac = np.empty((2, 2))
+    for j in range(2):
+        dp = [0.0, 0.0]
+        dp[j] = h
+        fp = _ref_pair_design_forces(d, k_y, k_z, zeta, p, i_y, dp)
+        dp[j] = -h
+        fm = _ref_pair_design_forces(d, k_y, k_z, zeta, p, i_y, dp)
+        jac[:, j] = [(a - b) / (2.0 * h) for a, b in zip(fp, fm)]
+    q = np.array([[-1.0], [1.0]]) / math.sqrt(2.0)
+    lam = float((q.T @ jac @ q)[0, 0])
+    return "stable" if lam < -1e-9 else "unstable" if lam > 1e-9 else "marginal"
+
+
+def _ref_refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
+    p, k_z = p0, k_z0
+    h_p = 1e-7 * max(1.0, abs(p0))
+    h_k = 1e-7 * k_y
+    for _ in range(25):
+        f1, f2 = _ref_pair_design_forces(d, k_y, k_z, zeta, p, i_y)
+        if max(abs(f1), abs(f2)) < 1e-13 * i_y:
+            return p, k_z, True
+        f1p, f2p = _ref_pair_design_forces(d, k_y, k_z, zeta, p + h_p, i_y)
+        f1m, f2m = _ref_pair_design_forces(d, k_y, k_z, zeta, p - h_p, i_y)
+        f1k, f2k = _ref_pair_design_forces(d, k_y, k_z + h_k, zeta, p, i_y)
+        f1l, f2l = _ref_pair_design_forces(d, k_y, k_z - h_k, zeta, p, i_y)
+        jac = np.array(
+            [
+                [(f1p - f1m) / (2 * h_p), (f1k - f1l) / (2 * h_k)],
+                [(f2p - f2m) / (2 * h_p), (f2k - f2l) / (2 * h_k)],
+            ]
+        )
+        step = np.linalg.solve(jac, [-f1, -f2])
+        p_new = p + step[0]
+        k_new = k_z + step[1]
+        if p_new <= 0 or not (band[0] <= k_new <= band[1]):
+            return p0, k_z0, False
+        p, k_z = p_new, k_new
+    f1, f2 = _ref_pair_design_forces(d, k_y, k_z, zeta, p, i_y)
+    if max(abs(f1), abs(f2)) < 1e-10 * i_y:
+        return p, k_z, True
+    return p0, k_z0, False
+
+
+@pytest.mark.parametrize("d", [0.06, 0.1, 0.13])
+def test_design_candidates_match_hand_loops(d):
+    zeta, band = 0.01, (1e-9, 4.0 * K_REF)
+    seeds = design_wavenumber(d, K_REF, zeta=zeta, refine=False)
+    cands = design_wavenumber(d, K_REF, zeta=zeta)
+    assert len(cands) == len(seeds) and any(c.physical for c in cands)
+    for seed, cand in zip(seeds, cands):
+        if not seed.physical:
+            assert repr(cand) == repr(seed)
+            continue
+        p, k_z, refined = _ref_refine_design(d, K_REF, seed.k_z, zeta, seed.p, 1.0, band)
+        f1, f2 = _ref_pair_design_forces(d, K_REF, k_z, zeta, p, 1.0)
+        stab = _ref_pair_design_stability(d, K_REF, k_z, zeta, p, 1.0)
+        assert repr((cand.p, cand.k_z, cand.refined)) == repr((p, k_z, refined))
+        assert repr((cand.residual_f1, cand.residual_f2)) == repr((abs(f1), abs(f2)))
+        assert cand.stability == stab
