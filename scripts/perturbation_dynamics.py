@@ -54,7 +54,7 @@ def main() -> int:
     try:
         traj = run("correlated_oscillation", 1.0)
     except SeparationViolation as exc:
-        print(f"  chain buckled at step {exc.step}: {exc}")
+        print(f"  chain buckled at {exc}")
         n = exc.trajectory.n_snapshots
         print(f"  partial trajectory kept {n} snapshots before the collision")
     else:

@@ -35,7 +35,6 @@ from .equilibria import (
 )
 from .errors import (
     LightLatticeError,
-    NoConvergence,
     NoSolution,
     ScenarioError,
     SeparationViolation,
@@ -95,6 +94,13 @@ def _write_json(path, command, sha, name, payload):
 def _out_path(args, filename) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, filename)
+
+
+def _grid(lo, hi, steps, what) -> list[float]:
+    """steps evenly spaced values from lo to hi, both included."""
+    if steps < 2 or hi <= lo:
+        raise ScenarioError(f"bad {what} grid")
+    return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
 
 
 def _prefix(scn: Scenario) -> str:
@@ -227,11 +233,19 @@ def _load(args) -> Scenario:
     has_preset = getattr(args, "preset", None) is not None
     if has_file == has_preset:
         raise ScenarioError("give exactly one of --scenario or --preset")
-    if has_file:
-        return load_scenario(args.scenario)
     name = args.preset
     scale = getattr(args, "ip_scale", 1.0)
-    if name in perturbation_scenario_kinds():
+    scaled = name in perturbation_scenario_kinds()
+    if scale != 1.0 and not scaled:
+        raise ScenarioError(
+            "--ip-scale applies only to the presets "
+            + ", ".join(perturbation_scenario_kinds())
+        )
+    if has_file:
+        return load_scenario(args.scenario)
+    if scaled:
+        if not (math.isfinite(scale) and scale >= 0):
+            raise ScenarioError("--ip-scale must be finite and non-negative")
         doc = build_perturbation_scenarios(name, i_p_scale=scale)
     elif name in _PRESETS:
         doc = _PRESETS[name]()
@@ -253,9 +267,7 @@ def cmd_fields(args) -> int:
         lo, hi = chain.positions[0] - 1.0, chain.positions[-1] + 1.0
     else:
         lo, hi = -1.0, 1.0
-    if hi <= lo:
-        raise ScenarioError("x range must be increasing")
-    xs = [lo + i * (hi - lo) / (args.samples - 1) for i in range(args.samples)]
+    xs = _grid(lo, hi, args.samples, "x")
     solution = solve_fields(chain, modes)
     profile = intensity_profile(solution, xs)
     labels = [m.label for m in modes]
@@ -304,8 +316,7 @@ def cmd_forces(args) -> int:
     chain, modes = scn.chain, scn.mode_list()
     if chain.n != 2:
         raise ScenarioError("forces table needs a two-scatterer chain")
-    if args.steps < 2 or args.d_max <= args.d_min:
-        raise ScenarioError("bad distance grid")
+    d_values = _grid(args.d_min, args.d_max, args.steps, "distance")
     x1 = chain.positions[0]
     zeta = chain.zeta_base[0]
     zeta_r = zeta.real
@@ -321,8 +332,7 @@ def cmd_forces(args) -> int:
             i_y=iy,
         )
     rows = []
-    for i in range(args.steps):
-        d = args.d_min + i * (args.d_max - args.d_min) / (args.steps - 1)
+    for d in d_values:
         f = forces_exact(chain.with_positions((x1, x1 + d)), modes).total
         if approx_ok:
             fa1, fa2 = pair_forces_approx(d, params)
@@ -502,14 +512,7 @@ def cmd_design(args) -> int:
     if args.d is not None:
         d_values = list(args.d)
     else:
-        if args.steps < 2 or args.d_max <= args.d_min:
-            raise ScenarioError("bad distance grid")
-        d_values = [
-            args.d_min + i * (args.d_max - args.d_min) / (args.steps - 1)
-            for i in range(args.steps)
-        ]
-    if not d_values:
-        raise ScenarioError("no target distances given")
+        d_values = _grid(args.d_min, args.d_max, args.steps, "distance")
     k_y = args.k_y * K_REF
     params_doc = {
         "command": "design",
@@ -547,9 +550,8 @@ def cmd_design(args) -> int:
                 d, c.k_z / k_y, c.k_z / K_REF, c.p, c.p1, c.p2, c.physical,
                 c.residual_f1, c.residual_f2, c.stability, c.refined, "",
             ])
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(
-        os.path.join(args.out, "design.csv"),
+        _out_path(args, "design.csv"),
         "design", sha, "design-parameters", columns, rows,
     )
     return 0
@@ -648,14 +650,8 @@ def cmd_zerolines(args) -> int:
     chain, modes = scn.chain, scn.mode_list()
     if chain.n != 3:
         raise ScenarioError("zero-force map needs a three-scatterer chain")
-    for lo, hi, steps in ((args.d1_min, args.d1_max, args.d1_steps),
-                          (args.d2_min, args.d2_max, args.d2_steps)):
-        if steps < 2 or hi <= lo:
-            raise ScenarioError("bad separation grid")
-    d1 = [args.d1_min + i * (args.d1_max - args.d1_min) / (args.d1_steps - 1)
-          for i in range(args.d1_steps)]
-    d2 = [args.d2_min + i * (args.d2_max - args.d2_min) / (args.d2_steps - 1)
-          for i in range(args.d2_steps)]
+    d1 = _grid(args.d1_min, args.d1_max, args.d1_steps, "separation")
+    d2 = _grid(args.d2_min, args.d2_max, args.d2_steps, "separation")
     grid = zero_force_grid(chain, modes, d1, d2)
     rows = []
     for i, a in enumerate(grid.d1):
@@ -766,9 +762,6 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergence, SeparationViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except LightLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,9 +1,9 @@
 """Motional integration of the chain under optical forces.
 
-Two regimes share a fixed-step RK4 integrator:
+Two regimes share one fixed-step RK4 step over a flat state:
 
-  overdamped   mu * dx/dt = F(x)
-  newtonian    m * d2x/dt2 = F(x) - mu * dx/dt
+  overdamped   mu * dx/dt = F(x)                  state x
+  newtonian    m * d2x/dt2 = F(x) - mu * dx/dt    state x followed by v
 
 Scatterer order is enforced after every step; a violation aborts the run
 with the partial trajectory attached to the exception.
@@ -76,68 +76,51 @@ def _force_fn(chain: ScattererChain, modes: list[Mode]):
     return fn
 
 
-def _check_order(positions: tuple[float, ...], min_sep: float) -> str | None:
-    for j in range(len(positions) - 1):
-        gap = positions[j + 1] - positions[j]
-        if gap < min_sep:
-            return (
-                f"separation {gap:.6g} between scatterers {j + 1} and {j + 2} "
-                f"fell below {min_sep:.6g}"
-            )
-    return None
+def _rhs(force, params: DynamicsParams, n: int, newtonian: bool):
+    """Time derivative of the flat state: x (overdamped) or x then v."""
+    mu = params.friction
+    if not newtonian:
+        return lambda x: tuple(fi / mu for fi in force(x))
+    mass = params.mass
+
+    def rhs(state):
+        v = state[n:]
+        f = force(state[:n])
+        return v + tuple((fi - mu * vi) / mass for fi, vi in zip(f, v))
+
+    return rhs
 
 
-def _rk4_overdamped(x, force, mu, dt, f0=None):
-    """One RK4 step; f0, when given, is force(x) already evaluated."""
-    def rhs(y, f=None):
-        if f is None:
-            f = force(y)
-        return tuple(fi / mu for fi in f)
-
-    k1 = rhs(x, f0)
-    k2 = rhs(tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, k1)))
-    k3 = rhs(tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, k2)))
-    k4 = rhs(tuple(xi + dt * ki for xi, ki in zip(x, k3)))
+def _rk4(state, rhs, dt, k1=None):
+    """One classical RK4 step; k1, when given, is rhs(state) already evaluated."""
+    if k1 is None:
+        k1 = rhs(state)
+    k2 = rhs(tuple(s + 0.5 * dt * k for s, k in zip(state, k1)))
+    k3 = rhs(tuple(s + 0.5 * dt * k for s, k in zip(state, k2)))
+    k4 = rhs(tuple(s + dt * k for s, k in zip(state, k3)))
     return tuple(
-        xi + dt / 6.0 * (a + 2 * b + 2 * c + d)
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+        s + dt / 6.0 * (a + 2 * b + 2 * c + d)
+        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
     )
 
 
-def _rk4_newtonian(x, v, force, mass, mu, dt):
-    def rhs(y, w):
-        f = force(y)
-        return w, tuple((fi - mu * wi) / mass for fi, wi in zip(f, w))
-
-    ax1, av1 = rhs(x, v)
-    x2 = tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, ax1))
-    v2 = tuple(vi + 0.5 * dt * ki for vi, ki in zip(v, av1))
-    ax2, av2 = rhs(x2, v2)
-    x3 = tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, ax2))
-    v3 = tuple(vi + 0.5 * dt * ki for vi, ki in zip(v, av2))
-    ax3, av3 = rhs(x3, v3)
-    x4 = tuple(xi + dt * ki for xi, ki in zip(x, ax3))
-    v4 = tuple(vi + dt * ki for vi, ki in zip(v, av3))
-    ax4, av4 = rhs(x4, v4)
-    xn = tuple(
-        xi + dt / 6.0 * (a + 2 * b + 2 * c + d)
-        for xi, a, b, c, d in zip(x, ax1, ax2, ax3, ax4)
-    )
-    vn = tuple(
-        vi + dt / 6.0 * (a + 2 * b + 2 * c + d)
-        for vi, a, b, c, d in zip(v, av1, av2, av3, av4)
-    )
-    return xn, vn
+def _advance(state, rhs, params: DynamicsParams, n: int, k1=None):
+    """One RK4 step, then the order check on the n positions leading the state."""
+    new = _rk4(state, rhs, params.dt, k1)
+    for j in range(n - 1):
+        gap = new[j + 1] - new[j]
+        if gap < params.min_separation:
+            raise SeparationViolation(
+                f"separation {gap:.6g} between scatterers {j + 1} and {j + 2} "
+                f"fell below {params.min_separation:.6g}"
+            )
+    return new
 
 
 def step_overdamped(chain: ScattererChain, modes: list[Mode], params: DynamicsParams) -> tuple[float, ...]:
     """One RK4 step of mu dx/dt = F; returns the new positions."""
-    force = _force_fn(chain, modes)
-    new = _rk4_overdamped(chain.positions, force, params.friction, params.dt)
-    msg = _check_order(new, params.min_separation)
-    if msg is not None:
-        raise SeparationViolation(msg)
-    return new
+    rhs = _rhs(_force_fn(chain, modes), params, chain.n, False)
+    return _advance(chain.positions, rhs, params, chain.n)
 
 
 def step_newtonian(
@@ -147,14 +130,10 @@ def step_newtonian(
     params: DynamicsParams,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """One RK4 step of m x'' = F - mu x'; returns (positions, velocities)."""
-    force = _force_fn(chain, modes)
-    new_x, new_v = _rk4_newtonian(
-        chain.positions, velocities, force, params.mass, params.friction, params.dt
-    )
-    msg = _check_order(new_x, params.min_separation)
-    if msg is not None:
-        raise SeparationViolation(msg)
-    return new_x, new_v
+    n = chain.n
+    rhs = _rhs(_force_fn(chain, modes), params, n, True)
+    new = _advance(chain.positions + tuple(velocities), rhs, params, n)
+    return new[:n], new[n:]
 
 
 def evolve(
@@ -174,58 +153,50 @@ def evolve(
     if capture_every < 1:
         raise ValueError("capture_every must be >= 1")
     newtonian = params.regime == "newtonian"
-    x = chain.positions
-    v = initial_velocities if initial_velocities is not None else (0.0,) * chain.n
-    if newtonian and len(v) != chain.n:
+    n = chain.n
+    v = initial_velocities if initial_velocities is not None else (0.0,) * n
+    if newtonian and len(v) != n:
         raise ValueError("initial_velocities length must match chain size")
     force = _force_fn(chain, modes)
+    rhs = _rhs(force, params, n, newtonian)
+    state = chain.positions + tuple(v) if newtonian else chain.positions
     traj = Trajectory(velocities=[] if newtonian else None,
                       forces=[] if capture_forces else None)
 
     def capture(t):
+        x = state[:n]
         traj.times.append(t)
         traj.positions.append(x)
         if newtonian:
-            traj.velocities.append(v)
+            traj.velocities.append(state[n:])
         if capture_forces:
             traj.forces.append(force(x))
 
     n_steps = max(1, math.ceil(params.t_end / params.dt - 1e-12))
     capture(0.0)
-    # overdamped: the force behind the sup|F| check is the next step's k1
-    f = None
+    # overdamped: the force behind the sup|F| check gives the next step's k1
+    k1 = None
     for step in range(1, n_steps + 1):
         try:
-            if newtonian:
-                x, v = _rk4_newtonian(
-                    x, v, force, params.mass, params.friction, params.dt
-                )
-            else:
-                x = _rk4_overdamped(x, force, params.friction, params.dt, f)
+            state = _advance(state, rhs, params, n, k1)
         except SeparationViolation as exc:
             traj.termination = "separation_violation"
             traj.diagnostic = str(exc)
             raise SeparationViolation(
                 f"step {step}: {exc}", trajectory=traj, step=step
             ) from exc
-        msg = _check_order(x, params.min_separation)
-        if msg is not None:
-            traj.termination = "separation_violation"
-            traj.diagnostic = msg
-            raise SeparationViolation(
-                f"step {step}: {msg}", trajectory=traj, step=step
-            )
         t = step * params.dt
         if step % capture_every == 0:
             capture(t)
         if not newtonian:
-            f = force(x)
+            f = force(state)
             if max(abs(fi) for fi in f) < params.force_tol:
                 if step % capture_every != 0:
                     capture(t)
                 traj.termination = "force_tol"
                 traj.diagnostic = f"sup|F| below {params.force_tol:g} at t={t:g}"
                 return traj
+            k1 = tuple(fi / params.friction for fi in f)
     if n_steps % capture_every != 0:
         capture(n_steps * params.dt)
     traj.termination = "t_end"

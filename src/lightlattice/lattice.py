@@ -356,9 +356,10 @@ def perturbation_scenario_kinds() -> tuple[str, ...]:
 def build_perturbation_scenarios(kind: str, i_p_scale: float = 1.0) -> dict:
     """Canned perturbation-response scenarios as plain scenario documents.
 
-    i_p_scale rescales the perturbation intensity only; the chain positions
-    are always those of the fully driven construction, so a zero-scale
-    document is the matched unperturbed baseline.
+    i_p_scale rescales the perturbation intensity. correlated_oscillation
+    keeps its prescribed positions at every scale; resonant_transfer
+    relaxes to the equilibrium of the scaled drive before its kick, so its
+    zero-scale document starts from the undriven equilibrium.
     """
     try:
         builder = _PERTURBATION_KINDS[kind]

@@ -206,6 +206,8 @@ def _semantic_checks(doc: dict) -> None:
     if len(set(labels)) != len(labels):
         raise ScenarioError("mode labels must be unique")
     dyn = doc.get("dynamics")
+    if dyn is not None and _chain_size(chain) == 0:
+        raise ScenarioError("a dynamics block needs at least one scatterer")
     if dyn and "initial_velocities" in dyn:
         n = _chain_size(chain)
         if len(dyn["initial_velocities"]) != n:

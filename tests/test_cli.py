@@ -338,3 +338,53 @@ def test_preset_runs_fields(tmp_path):
                  "--out", str(out)]) == 0
     files = {p.name for p in out.iterdir()}
     assert "fields.csv" in files  # presets carry no output prefix
+
+
+@pytest.mark.parametrize("argv", [
+    ["fields", "--samples", "1"],
+    ["fields", "--samples", "0"],
+    ["fields", "--x-min", "1.0", "--x-max", "0.0"],
+    ["forces", "--steps", "1"],
+    ["zerolines", "--d2-steps", "1"],
+    ["design", "--steps", "1"],
+])
+def test_grids_need_two_points_on_an_increasing_range(tmp_path, argv):
+    doc = pair_doc()
+    if argv[0] == "zerolines":
+        doc["chain"]["positions"] = [0.0, 0.3, 0.6]
+    if argv[0] != "design":
+        argv = argv + ["--scenario", write_doc(tmp_path, doc)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_ip_scale_needs_a_perturbation_preset(tmp_path):
+    out = str(tmp_path / "out")
+    path = write_doc(tmp_path, pair_doc())
+    for bad in ("-1", "nan", "inf"):
+        assert main(["fields", "--preset", "correlated_oscillation",
+                     "--ip-scale", bad, "--out", out]) == 2
+    assert main(["fields", "--scenario", path, "--ip-scale", "7",
+                 "--out", out]) == 2
+    assert main(["fields", "--preset", "self_ordering", "--ip-scale", "7",
+                 "--out", out]) == 2
+    assert main(["fields", "--preset", "correlated_oscillation",
+                 "--ip-scale", "0.5", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("command,regime", [
+    ("relax", "overdamped"),
+    ("sweep", "overdamped"),
+    ("evolve", "newtonian"),
+])
+def test_dynamics_on_an_empty_chain_is_rejected(tmp_path, command, regime):
+    doc = pair_doc(dynamics={"regime": regime, "dt": 1.0, "t_end": 2.0})
+    doc["chain"]["positions"] = []
+    if command == "sweep":
+        doc["sweep"] = {"axes": [{"path": "modes.z.intensity_right",
+                                  "start": 0.5, "stop": 1.0, "steps": 2}]}
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", path, "--out", str(out)]) == 2
+    assert not out.exists() or not list(out.iterdir())

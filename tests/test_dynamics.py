@@ -225,3 +225,92 @@ def test_overdamped_evolve_reuses_the_tolerance_force(monkeypatch):
     params_n = DynamicsParams(regime="newtonian", dt=1.0, t_end=float(steps))
     evolve(chain, modes, params_n)
     assert len(calls) == 4 * steps
+
+
+# Reference RK4 steps, one per regime, as they stood before the two regimes
+# shared one tableau; the shared step must reproduce them bit for bit.
+def _reference_rk4_overdamped(x, force, mu, dt, f0=None):
+    def rhs(y, f=None):
+        if f is None:
+            f = force(y)
+        return tuple(fi / mu for fi in f)
+
+    k1 = rhs(x, f0)
+    k2 = rhs(tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, k1)))
+    k3 = rhs(tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, k2)))
+    k4 = rhs(tuple(xi + dt * ki for xi, ki in zip(x, k3)))
+    return tuple(
+        xi + dt / 6.0 * (a + 2 * b + 2 * c + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    )
+
+
+def _reference_rk4_newtonian(x, v, force, mass, mu, dt):
+    def rhs(y, w):
+        f = force(y)
+        return w, tuple((fi - mu * wi) / mass for fi, wi in zip(f, w))
+
+    ax1, av1 = rhs(x, v)
+    x2 = tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, ax1))
+    v2 = tuple(vi + 0.5 * dt * ki for vi, ki in zip(v, av1))
+    ax2, av2 = rhs(x2, v2)
+    x3 = tuple(xi + 0.5 * dt * ki for xi, ki in zip(x, ax2))
+    v3 = tuple(vi + 0.5 * dt * ki for vi, ki in zip(v, av2))
+    ax3, av3 = rhs(x3, v3)
+    x4 = tuple(xi + dt * ki for xi, ki in zip(x, ax3))
+    v4 = tuple(vi + dt * ki for vi, ki in zip(v, av3))
+    ax4, av4 = rhs(x4, v4)
+    xn = tuple(
+        xi + dt / 6.0 * (a + 2 * b + 2 * c + d)
+        for xi, a, b, c, d in zip(x, ax1, ax2, ax3, ax4)
+    )
+    vn = tuple(
+        vi + dt / 6.0 * (a + 2 * b + 2 * c + d)
+        for vi, a, b, c, d in zip(v, av1, av2, av3, av4)
+    )
+    return xn, vn
+
+
+def _reference_force(chain, modes):
+    return lambda x: forces_exact(chain.with_positions(x), modes).total
+
+
+def test_shared_rk4_step_is_bit_identical_to_the_reference():
+    chain = ScattererChain((0.0, 0.45, 0.9, 1.35, 1.8), 0.02)
+    modes = symmetric_modes(i_z=1.2)
+    force = _reference_force(chain, modes)
+    v0 = (0.01, -0.02, 0.0, 0.015, -0.005)
+    params = DynamicsParams(
+        regime="newtonian", dt=0.5, t_end=10.0, friction=0.1, mass=1.5
+    )
+    traj = evolve(chain, modes, params, initial_velocities=v0)
+    x, v = chain.positions, v0
+    ref_x, ref_v = [x], [v]
+    for _ in range(20):
+        x, v = _reference_rk4_newtonian(x, v, force, 1.5, 0.1, 0.5)
+        ref_x.append(x)
+        ref_v.append(v)
+    assert traj.termination == "t_end"
+    assert repr(traj.positions) == repr(ref_x)
+    assert repr(traj.velocities) == repr(ref_v)
+    assert ref_v[-1] != v0
+
+    moved = chain.with_positions(ref_x[3])
+    stepped = step_newtonian(moved, ref_v[3], modes, params)
+    assert repr(stepped) == repr((ref_x[4], ref_v[4]))
+
+    pair = ScattererChain((0.0, 0.36), 0.05)
+    force = _reference_force(pair, symmetric_modes())
+    params = DynamicsParams(
+        regime="overdamped", dt=5.0, t_end=1.0e6, friction=1.3, force_tol=1e-9
+    )
+    traj = evolve(pair, symmetric_modes(), params)
+    assert traj.termination == "force_tol"
+    ref_x, f = [pair.positions], None
+    while True:
+        ref_x.append(_reference_rk4_overdamped(ref_x[-1], force, 1.3, 5.0, f))
+        f = force(ref_x[-1])
+        if max(abs(fi) for fi in f) < 1e-9:
+            break
+    assert repr(traj.positions) == repr(ref_x)
+    assert repr(step_overdamped(pair, symmetric_modes(), params)) == repr(ref_x[1])
