@@ -27,7 +27,6 @@ from .dynamics import com_velocity, evolve
 from .equilibria import (
     classify_stability,
     design_wavenumber,
-    find_equilibrium,
     force_jacobian,
     linearize_pair_in_lattice,
     normal_modes,
@@ -53,7 +52,7 @@ from .scenario import (
     scenario_from_document,
     scenario_hash,
 )
-from .wavecore import K_REF, intensity_profile, reflection_transmission, solve_fields
+from .wavecore import K_REF, intensity_profile, solve_fields
 
 
 def _fmt(x) -> str:
@@ -184,35 +183,16 @@ def _preset_stationary_distance_map() -> dict:
 
 
 def _preset_gap_vs_intensity() -> dict:
-    return {
-        "version": "1",
-        "chain": {
-            "zeta": [0.01, 0.0],
-            "n": 4,
-            "generator": {"kind": "equidistant", "spacing": 0.5, "start": 0.0},
-        },
-        "modes": [
-            {"label": "y", "k": 1.0, "intensity_left": 1.0},
-            {"label": "z", "k": 1.0, "intensity_right": 1.0},
-        ],
-        "dynamics": {
-            "regime": "overdamped",
-            "friction": 1.0,
-            "dt": 5.0,
-            "t_end": 200000.0,
-            "force_tol": 1e-10,
-        },
-        "sweep": {
-            "axes": [
-                {
-                    "path": "modes.z.intensity_right",
-                    "start": 0.5,
-                    "stop": 2.0,
-                    "steps": 16,
-                }
-            ]
-        },
+    doc = _preset_self_ordering()
+    doc["chain"]["n"] = 4
+    doc["dynamics"]["t_end"] = 200000.0
+    del doc["output"]
+    doc["sweep"] = {
+        "axes": [
+            {"path": "modes.z.intensity_right", "start": 0.5, "stop": 2.0, "steps": 16}
+        ]
     }
+    return doc
 
 
 _PRESETS = {
@@ -244,9 +224,10 @@ def _load(args) -> Scenario:
     if has_file:
         return load_scenario(args.scenario)
     if scaled:
-        if not (math.isfinite(scale) and scale >= 0):
-            raise ScenarioError("--ip-scale must be finite and non-negative")
-        doc = build_perturbation_scenarios(name, i_p_scale=scale)
+        try:
+            doc = build_perturbation_scenarios(name, i_p_scale=scale)
+        except ValueError as exc:
+            raise ScenarioError(f"--ip-scale: {exc}") from exc
     elif name in _PRESETS:
         doc = _PRESETS[name]()
     else:
@@ -261,12 +242,14 @@ def _load(args) -> Scenario:
 def cmd_fields(args) -> int:
     scn = _load(args)
     chain, modes = scn.chain, scn.mode_list()
-    if args.x_min is not None and args.x_max is not None:
-        lo, hi = args.x_min, args.x_max
-    elif chain.n > 0:
+    if chain.n > 0:
         lo, hi = chain.positions[0] - 1.0, chain.positions[-1] + 1.0
     else:
         lo, hi = -1.0, 1.0
+    if args.x_min is not None:
+        lo = args.x_min
+    if args.x_max is not None:
+        hi = args.x_max
     xs = _grid(lo, hi, args.samples, "x")
     solution = solve_fields(chain, modes)
     profile = intensity_profile(solution, xs)
@@ -296,9 +279,9 @@ def cmd_fields(args) -> int:
     )
     summary = {}
     if chain.n > 0:
-        for mode in modes:
-            r, t = reflection_transmission(chain, mode)
-            summary[mode.label] = {
+        for mf in solution.fields:
+            r, t = mf.r_tot, mf.t_tot
+            summary[mf.label] = {
                 "r": [r.real, r.imag],
                 "t": [t.real, t.imag],
                 "reflectance": abs(r) ** 2,
@@ -431,7 +414,7 @@ def _sweep_cell(payload):
             scn.chain,
             scn.mode_list(),
             scn.dynamics,
-            capture_every=max(1, scn.capture_every),
+            capture_every=scn.capture_every,
             initial_velocities=scn.initial_velocities,
         )
         final = traj.final_positions()

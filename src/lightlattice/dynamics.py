@@ -49,7 +49,6 @@ class Trajectory:
     times: list[float] = field(default_factory=list)
     positions: list[tuple[float, ...]] = field(default_factory=list)
     velocities: list[tuple[float, ...]] | None = None
-    forces: list[tuple[float, ...]] | None = None
     termination: str = "incomplete"
     diagnostic: str | None = None
 
@@ -141,7 +140,6 @@ def evolve(
     modes: list[Mode],
     params: DynamicsParams,
     capture_every: int = 1,
-    capture_forces: bool = False,
     initial_velocities: tuple[float, ...] | None = None,
 ) -> Trajectory:
     """Integrate to t_end (or, overdamped, until sup|F| < force_tol).
@@ -152,6 +150,8 @@ def evolve(
     """
     if capture_every < 1:
         raise ValueError("capture_every must be >= 1")
+    if chain.n == 0:
+        raise ValueError("cannot evolve an empty chain")
     newtonian = params.regime == "newtonian"
     n = chain.n
     v = initial_velocities if initial_velocities is not None else (0.0,) * n
@@ -160,17 +160,13 @@ def evolve(
     force = _force_fn(chain, modes)
     rhs = _rhs(force, params, n, newtonian)
     state = chain.positions + tuple(v) if newtonian else chain.positions
-    traj = Trajectory(velocities=[] if newtonian else None,
-                      forces=[] if capture_forces else None)
+    traj = Trajectory(velocities=[] if newtonian else None)
 
     def capture(t):
-        x = state[:n]
         traj.times.append(t)
-        traj.positions.append(x)
+        traj.positions.append(state[:n])
         if newtonian:
             traj.velocities.append(state[n:])
-        if capture_forces:
-            traj.forces.append(force(x))
 
     n_steps = max(1, math.ceil(params.t_end / params.dt - 1e-12))
     capture(0.0)

@@ -24,6 +24,10 @@ from .forcefield import forces_exact
 from .wavecore import Mode, ScattererChain
 
 _EIG_TOL = 1e-9
+_NEWTON_TOL = 1e-12
+_NEWTON_MAX_ITER = 80
+_FD_STEP = 1e-7
+_LINEARIZE_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,14 +66,12 @@ def _central_difference(f, x, h, directions=None) -> np.ndarray:
     return jac
 
 
-def force_jacobian(
-    chain: ScattererChain, modes: list[Mode], h: float = 1e-7
-) -> np.ndarray:
+def force_jacobian(chain: ScattererChain, modes: list[Mode]) -> np.ndarray:
     """Central-difference Jacobian dF_i/dx_j of the exact forces."""
     return _central_difference(
         lambda x: forces_exact(chain.with_positions(x), modes).total,
         chain.positions,
-        h,
+        _FD_STEP,
     )
 
 
@@ -107,9 +109,6 @@ def find_equilibrium(
     chain: ScattererChain,
     modes: list[Mode],
     relative_only: bool = False,
-    tol: float = 1e-12,
-    max_iter: int = 80,
-    fd_step: float = 1e-7,
 ) -> EquilibriumReport:
     """Damped Newton search starting from the chain's positions.
 
@@ -153,16 +152,16 @@ def find_equilibrium(
     merit = float(np.max(np.abs(r))) if r.size else 0.0
     best_u, best_merit = u.copy(), merit
     iterations = 0
-    while merit >= tol:
-        if iterations >= max_iter:
+    while merit >= _NEWTON_TOL:
+        if iterations >= _NEWTON_MAX_ITER:
             raise NoConvergence(
-                f"no convergence below {tol:g} in {max_iter} iterations "
+                f"no convergence below {_NEWTON_TOL:g} in {_NEWTON_MAX_ITER} iterations "
                 f"(best sup-residual {best_merit:.3e})",
                 best_positions=positions_from(best_u),
                 best_residual=best_merit,
             )
         iterations += 1
-        jac = _central_difference(residual_vec, u, fd_step)
+        jac = _central_difference(residual_vec, u, _FD_STEP)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -174,7 +173,7 @@ def find_equilibrium(
             if ordered(u_try):
                 r_try = residual_vec(u_try)
                 merit_try = float(np.max(np.abs(r_try)))
-                if merit_try < merit * (1.0 - 1e-4 * lam) or merit_try < tol:
+                if merit_try < merit * (1.0 - 1e-4 * lam) or merit_try < _NEWTON_TOL:
                     u, r, merit = u_try, r_try, merit_try
                     accepted = True
                     break
@@ -192,7 +191,7 @@ def find_equilibrium(
     solution = chain.with_positions(positions)
     forces = forces_exact(solution, modes).total
     com_force = sum(forces) / n
-    jac_full = force_jacobian(solution, modes, h=fd_step)
+    jac_full = force_jacobian(solution, modes)
     eigs, classification = classify_stability(jac_full, relative_only)
     return EquilibriumReport(
         positions=positions,
@@ -405,7 +404,6 @@ class LinearizedModel:
     kappa2: float
     f_ext: float
     mass: float
-    h: float
     constants: dict = field(default_factory=dict)
     identities: dict = field(default_factory=dict)
 
@@ -423,7 +421,7 @@ class LinearizedModel:
         return math.sqrt(arg / self.mass)
 
 
-def linearize_pair_in_lattice(scenario, mass: float = 1.0, h: float = 1e-6) -> LinearizedModel:
+def linearize_pair_in_lattice(scenario, mass: float = 1.0) -> LinearizedModel:
     """Expand the pair forces to first order about the lattice equilibrium.
 
     The scenario must expose chain() at the lattice-only equilibrium plus
@@ -448,12 +446,12 @@ def linearize_pair_in_lattice(scenario, mass: float = 1.0, h: float = 1e-6) -> L
     both, x2_alone, x1_back = ((0, 1), (1, 1)), ((1, 1),), ((0, -1),)
     a, u = forces_exact(chain, lat_modes).total
     (b, c, _), (v, _, w) = _central_difference(
-        forces(lat_modes), chain.positions, h, [both, x2_alone, x1_back]
+        forces(lat_modes), chain.positions, _LINEARIZE_STEP, [both, x2_alone, x1_back]
     ).tolist()
     if pert_modes:
         k1p, k3p = forces_exact(chain, pert_modes).total
         (k2p, _), (_, k4p) = _central_difference(
-            forces(pert_modes), chain.positions, h, [x2_alone, x1_back]
+            forces(pert_modes), chain.positions, _LINEARIZE_STEP, [x2_alone, x1_back]
         ).tolist()
     else:
         k1p = k2p = k3p = k4p = 0.0
@@ -461,7 +459,7 @@ def linearize_pair_in_lattice(scenario, mass: float = 1.0, h: float = 1e-6) -> L
     i_total = sum(
         (abs(m.drive_left) ** 2 + abs(m.drive_right) ** 2) / 2.0 for m in lat_modes
     )
-    tol = max(1e-8 * i_total, 100.0 * h * h)
+    tol = max(1e-8 * i_total, 100.0 * _LINEARIZE_STEP * _LINEARIZE_STEP)
     if abs(a) > tol or abs(u) > tol:
         raise InconsistentLinearization(
             f"constant lattice forces a={a:.3e}, u={u:.3e} exceed {tol:.1e}; "
@@ -491,7 +489,6 @@ def linearize_pair_in_lattice(scenario, mass: float = 1.0, h: float = 1e-6) -> L
         kappa2=kappa2,
         f_ext=f_ext,
         mass=mass,
-        h=h,
         constants=constants,
         identities=identities,
     )

@@ -69,14 +69,12 @@ def stable_com_position(
     r: complex,
     t: complex,
     k: float = K_REF,
-    n: int = 0,
 ) -> float:
     """Trapped center position of the pair in the asymmetric standing wave.
 
     Exact for i_l = i_r; for asymmetric drives it is a seed the equilibrium
-    polish tightens. The branch index n shifts by half a wavelength. Raises
-    NoTrap when the interference term vanishes or the argument leaves the
-    arccos domain.
+    polish tightens. Raises NoTrap when the interference term vanishes or
+    the argument leaves the arccos domain.
     """
     if i_l <= 0 or i_r <= 0:
         raise NoTrap("both drives must be positive to form a trap")
@@ -86,7 +84,7 @@ def stable_com_position(
     arg = _trap_cosine(i_l, i_r, r, t, imrt)
     if abs(arg) > 1.0 + 1e-12:
         raise NoTrap(f"arccos argument {arg:.6g} outside [-1, 1]")
-    return _com_seed(i_l, i_r, r, t, k, n)
+    return _com_seed(i_l, i_r, r, t, k)
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,7 @@ def _trap_cosine(i_l, i_r, r, t, imrt) -> float:
     )
 
 
-def _com_seed(i_l, i_r, r, t, k, n=0) -> float:
+def _com_seed(i_l, i_r, r, t, k) -> float:
     # the trap-position form with the arccos argument clamped, so it seeds
     # the polish also far from symmetric drives, where the argument can
     # leave [-1, 1] although a trap exists
@@ -157,7 +155,7 @@ def _com_seed(i_l, i_r, r, t, k, n=0) -> float:
         return 0.25 * math.pi / k
     arg = min(1.0, max(-1.0, _trap_cosine(i_l, i_r, r, t, imrt)))
     u = 1.0 if imrt > 0 else -1.0
-    return (math.acos(arg) - 0.5 * math.pi * u) / (2.0 * k) + n * math.pi / k
+    return (math.acos(arg) - 0.5 * math.pi * u) / (2.0 * k)
 
 
 def _default_zeta_p(zeta: float, k: float, k_p: float) -> float:
@@ -175,8 +173,6 @@ def build_lattice(
     i_p: float = 0.0,
     k_p: float | None = None,
     zeta_p: float | None = None,
-    n_branch: int = 0,
-    refine: bool = True,
 ) -> LatticeScenario:
     """Build an n-scatterer lattice at its standing-wave equilibrium.
 
@@ -192,7 +188,7 @@ def build_lattice(
     asym = (i_l - i_r) / math.sqrt(i_l * i_r)
     d_sw = lattice_constant(zeta, asym, k)
     r, t = pair_rt_closed_form(d_sw, k, zeta)
-    x0 = _com_seed(i_l, i_r, r, t, k, n=n_branch)
+    x0 = _com_seed(i_l, i_r, r, t, k)
     seed = tuple(x0 + (j - 0.5 * (n - 1)) * d_sw for j in range(n))
     if k_p is not None and zeta_p is None:
         zeta_p = _default_zeta_p(zeta, k, k_p)
@@ -209,8 +205,6 @@ def build_lattice(
         k_p=k_p,
         zeta_p=zeta_p,
     )
-    if not refine:
-        return scenario
     modes = scenario.lattice_modes()
     lam = 2.0 * math.pi / k
     report = None
@@ -219,14 +213,14 @@ def build_lattice(
     for shift in (0.0, 0.25 * lam, 0.5 * lam, 0.75 * lam):
         chain = scenario.chain().with_positions(tuple(x + shift for x in seed))
         try:
-            cand = find_equilibrium(chain, modes, tol=1e-12)
+            cand = find_equilibrium(chain, modes)
         except NoConvergence as exc:
             try:
                 relaxed = _relax_seed(
                     chain.with_positions(exc.best_positions), modes,
                     zeta, i_l + i_r, k,
                 )
-                cand = find_equilibrium(relaxed, modes, tol=1e-12)
+                cand = find_equilibrium(relaxed, modes)
             except (NoConvergence, SeparationViolation):
                 continue
         if report is None:
@@ -315,7 +309,7 @@ def _resonant_transfer(i_p_scale: float) -> dict:
     i_p = 0.05 * i_p_scale
     scenario = build_lattice(3, 1.0, 1.0, zeta, k=k, i_p=i_p, k_p=k_p, zeta_p=0.1)
     chain = scenario.chain()
-    report = find_equilibrium(chain, scenario.modes(), tol=1e-12)
+    report = find_equilibrium(chain, scenario.modes())
     pos = list(report.positions)
     pos[2] += 0.02
     return {
@@ -367,6 +361,6 @@ def build_perturbation_scenarios(kind: str, i_p_scale: float = 1.0) -> dict:
         raise ValueError(
             f"unknown scenario kind {kind!r}; known: {', '.join(perturbation_scenario_kinds())}"
         ) from None
-    if i_p_scale < 0:
-        raise ValueError("i_p_scale must be non-negative")
+    if not (math.isfinite(i_p_scale) and i_p_scale >= 0):
+        raise ValueError("i_p_scale must be finite and non-negative")
     return builder(i_p_scale)

@@ -160,9 +160,7 @@ class Scenario:
     dynamics: DynamicsParams | None
     initial_velocities: tuple[float, ...] | None
     sweep_axes: tuple[SweepAxis, ...] | None
-    output_format: str
     capture_every: int
-    units: dict
 
     def mode_list(self) -> list[Mode]:
         return list(self.modes)
@@ -311,7 +309,6 @@ def scenario_from_document(doc: dict, name: str = "inline") -> Scenario:
             SweepAxis(ax["path"], ax["start"], ax["stop"], ax["steps"])
             for ax in sweep_doc["axes"]
         )
-    out = doc.get("output", {})
     return Scenario(
         doc=doc,
         name=name,
@@ -321,9 +318,7 @@ def scenario_from_document(doc: dict, name: str = "inline") -> Scenario:
         dynamics=dynamics,
         initial_velocities=init_v,
         sweep_axes=axes,
-        output_format=out.get("format", "both"),
-        capture_every=out.get("capture_every", 1),
-        units=doc.get("units", {"lambda_ref": 1.0}),
+        capture_every=doc.get("output", {}).get("capture_every", 1),
     )
 
 

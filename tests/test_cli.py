@@ -6,6 +6,13 @@ import pytest
 from lightlattice.cli import main, preset_names
 
 EXACT_CROSSING_HIGH = 0.373400547
+PLAIN_PRESET_HASHES = {
+    "drift_intensity": "2c90997b6ef6",
+    "drift_wavenumber": "eba4795f64e2",
+    "gap_vs_intensity": "6fd637700d5b",
+    "self_ordering": "e5c032f26f11",
+    "stationary_distance_map": "acbf15444f30",
+}
 
 
 def write_doc(tmp_path, doc, name="case.json"):
@@ -332,6 +339,29 @@ def test_presets_cover_perturbation_kinds():
     assert "resonant_transfer" in names
 
 
+def test_plain_presets_keep_their_scenario_hashes(tmp_path):
+    assert set(preset_names()) == set(PLAIN_PRESET_HASHES) | {
+        "correlated_oscillation", "resonant_transfer",
+    }
+    for name, sha in PLAIN_PRESET_HASHES.items():
+        out = tmp_path / name
+        assert main(["fields", "--preset", name, "--samples", "2",
+                     "--out", str(out)]) == 0
+        header, _, _ = read_csv(out / "fields.csv")
+        assert f"# scenario {sha} preset:{name}" in header
+
+
+def test_fields_honours_a_lone_x_bound(tmp_path):
+    # drift_intensity spans x = 0 .. 4.5, so the default range is -1 .. 5.5
+    for bound, xs in ((["--x-min", "5"], [5.0, 5.25, 5.5]),
+                      (["--x-max", "0"], [-1.0, -0.5, 0.0])):
+        out = tmp_path / bound[0]
+        assert main(["fields", "--preset", "drift_intensity", *bound,
+                     "--samples", "3", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out / "fields.csv")
+        assert [float(r[0]) for r in rows] == xs
+
+
 def test_preset_runs_fields(tmp_path):
     out = tmp_path / "out"
     assert main(["fields", "--preset", "drift_intensity",
@@ -347,6 +377,8 @@ def test_preset_runs_fields(tmp_path):
     ["forces", "--steps", "1"],
     ["zerolines", "--d2-steps", "1"],
     ["design", "--steps", "1"],
+    ["fields", "--x-min", "7"],
+    ["fields", "--x-max", "-2"],
 ])
 def test_grids_need_two_points_on_an_increasing_range(tmp_path, argv):
     doc = pair_doc()

@@ -153,16 +153,6 @@ def test_capture_cadence():
     assert traj.times == [0.0, 4.0, 8.0, 10.0]  # final state always kept
 
 
-def test_capture_forces():
-    chain = ScattererChain((0.0, 0.3), 0.01)
-    params = DynamicsParams(regime="overdamped", dt=1.0, t_end=2.0, friction=1.0)
-    traj = evolve(chain, symmetric_modes(), params, capture_forces=True)
-    assert traj.forces is not None
-    assert len(traj.forces) == traj.n_snapshots
-    f0 = forces_exact(chain, symmetric_modes()).total
-    assert traj.forces[0] == pytest.approx(f0)
-
-
 def test_com_velocity_of_driven_pair():
     # asymmetric intensities leave a net force; in steady drift the center
     # of mass moves at (mean force)/friction
@@ -186,6 +176,13 @@ def test_com_velocity_needs_snapshots():
         DynamicsParams(regime="overdamped", dt=1.0, t_end=1.0, friction=1.0),
     )
     assert com_velocity(traj_like) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("regime", ["overdamped", "newtonian"])
+def test_evolve_rejects_an_empty_chain(regime):
+    params = DynamicsParams(regime=regime, dt=1.0, t_end=2.0)
+    with pytest.raises(ValueError, match="empty chain"):
+        evolve(ScattererChain((), 0.01), [Mode("y", K_REF, drive_left=1.0)], params)
 
 
 def test_initial_velocities_validated():

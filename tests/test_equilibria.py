@@ -204,7 +204,7 @@ def test_linearization_rejects_off_equilibrium_state():
 def _model(k_spring, kappa1, kappa2, f_ext=0.0, mass=1.0):
     return LinearizedModel(
         k_spring=k_spring, kappa1=kappa1, kappa2=kappa2, f_ext=f_ext,
-        mass=mass, h=1e-6, constants={}, identities={},
+        mass=mass, constants={}, identities={},
     )
 
 

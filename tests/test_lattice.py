@@ -243,6 +243,13 @@ def test_scenario_positions_track_the_scaled_drive():
         build_perturbation_scenarios("unknown_kind")
 
 
+@pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
+def test_scenario_scale_must_be_finite_and_non_negative(scale):
+    for kind in perturbation_scenario_kinds():
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            build_perturbation_scenarios(kind, i_p_scale=scale)
+
+
 def test_lattice_scenario_with_positions():
     scenario = build_lattice(2, 1.0, 1.0, 0.1)
     moved = scenario.with_positions((0.0, 0.5))
