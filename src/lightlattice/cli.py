@@ -95,6 +95,25 @@ def _out_path(args, filename) -> str:
     return os.path.join(args.out, filename)
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite float above zero."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
 def _grid(lo, hi, steps, what) -> list[float]:
     """steps evenly spaced values from lo to hi, both included."""
     if steps < 2 or hi <= lo:
@@ -302,16 +321,15 @@ def cmd_forces(args) -> int:
     d_values = _grid(args.d_min, args.d_max, args.steps, "distance")
     x1 = chain.positions[0]
     zeta = chain.zeta_base[0]
-    zeta_r = zeta.real
     iy = (abs(modes[0].drive_left) ** 2 + abs(modes[0].drive_right) ** 2) / 2.0
     approx_ok = len(modes) == 2 and zeta.imag == 0.0 and iy > 0
     if approx_ok:
         iz = (abs(modes[1].drive_left) ** 2 + abs(modes[1].drive_right) ** 2) / 2.0
         params = PairForceParams(
-            p=iz / iy if iy > 0 else 0.0,
+            p=iz / iy,
             k_y=modes[0].k,
             k_z=modes[1].k,
-            zeta=zeta_r * modes[0].effective_scale,
+            zeta=zeta.real * modes[0].effective_scale,
             i_y=iy,
         )
     rows = []
@@ -345,44 +363,50 @@ def _trajectory_rows(traj, n):
     return cols, rows
 
 
+def _evolve_to_end(scn: Scenario, keep_partial: bool):
+    """(trajectory, collision message or None, final chain, gaps, sup|F|).
+
+    With keep_partial a collision's partial trajectory is measured, not raised.
+    """
+    collision = None
+    try:
+        traj = evolve(
+            scn.chain,
+            scn.mode_list(),
+            scn.dynamics,
+            capture_every=scn.capture_every,
+            initial_velocities=scn.initial_velocities,
+        )
+    except SeparationViolation as exc:
+        if not keep_partial or exc.trajectory is None:
+            raise
+        traj, collision = exc.trajectory, str(exc)
+    final = traj.final_positions()
+    chain = scn.chain.with_positions(final)
+    gaps = [final[j + 1] - final[j] for j in range(len(final) - 1)]
+    return traj, collision, chain, gaps, forces_exact(chain, scn.mode_list()).sup
+
+
 def _run_dynamics(args, command) -> int:
     scn = _load(args)
     if scn.dynamics is None:
         raise ScenarioError(f"{command} needs a dynamics block")
     if command == "relax" and scn.dynamics.regime != "overdamped":
         raise ScenarioError("relax requires the overdamped regime")
-    chain, modes = scn.chain, scn.mode_list()
+    traj, collision, chain, gaps, residual = _evolve_to_end(scn, keep_partial=True)
     pre = _prefix(scn)
-    partial = False
-    diagnostic = None
-    try:
-        traj = evolve(
-            chain,
-            modes,
-            scn.dynamics,
-            capture_every=scn.capture_every,
-            initial_velocities=scn.initial_velocities,
-        )
-    except SeparationViolation as exc:
-        traj = exc.trajectory
-        partial = True
-        diagnostic = str(exc)
-        if traj is None:
-            raise
     cols, rows = _trajectory_rows(traj, chain.n)
     _write_csv(
         _out_path(args, f"{pre}trajectory.csv"),
         command, scn.sha, scn.name, cols, rows,
     )
-    final = traj.final_positions()
-    forces = forces_exact(chain.with_positions(final), modes).total
     summary = {
         "termination": traj.termination,
-        "diagnostic": diagnostic or traj.diagnostic,
-        "partial": partial,
-        "final_positions": list(final),
-        "final_gaps": [final[j + 1] - final[j] for j in range(len(final) - 1)],
-        "residual_force_sup": max((abs(f) for f in forces), default=0.0),
+        "diagnostic": collision or traj.diagnostic,
+        "partial": collision is not None,
+        "final_positions": list(chain.positions),
+        "final_gaps": gaps,
+        "residual_force_sup": residual,
         "com_velocity": com_velocity(traj) if len(traj.times) >= 2 else 0.0,
         "snapshots": traj.n_snapshots,
     }
@@ -390,7 +414,7 @@ def _run_dynamics(args, command) -> int:
         _out_path(args, f"{pre}summary.json"),
         command, scn.sha, scn.name, summary,
     )
-    return 3 if partial else 0
+    return 3 if collision is not None else 0
 
 
 def cmd_relax(args) -> int:
@@ -408,24 +432,12 @@ def _sweep_cell(payload):
         doc = apply_axis_values(base, assignments)
         doc.pop("sweep", None)
         scn = scenario_from_document(doc, name="sweep-cell")
-        if scn.dynamics is None:
-            raise ScenarioError("sweep needs a dynamics block")
-        traj = evolve(
-            scn.chain,
-            scn.mode_list(),
-            scn.dynamics,
-            capture_every=scn.capture_every,
-            initial_velocities=scn.initial_velocities,
-        )
-        final = traj.final_positions()
-        chain = scn.chain.with_positions(final)
-        forces = forces_exact(chain, scn.mode_list()).total
+        traj, _, chain, gaps, residual = _evolve_to_end(scn, keep_partial=False)
         _, stability = classify_stability(force_jacobian(chain, scn.mode_list()), True)
-        gaps = [final[j + 1] - final[j] for j in range(len(final) - 1)]
         return {
             "gaps": gaps,
             "com_velocity": com_velocity(traj),
-            "residual": max(abs(f) for f in forces),
+            "residual": residual,
             "stability": stability,
             "error": "",
         }
@@ -522,6 +534,8 @@ def cmd_design(args) -> int:
                 i_y=args.i_y,
                 refine=not args.no_refine,
             )
+        except ValueError as exc:
+            raise ScenarioError(f"design: {exc}") from exc
         except NoSolution as exc:
             rows.append(
                 [d] + [math.nan] * 5 + [False, math.nan, math.nan, "n/a", False,
@@ -570,6 +584,8 @@ def cmd_modes(args) -> int:
             zeta_p = zeta.real * p.effective_scale
         if abs(p.drive_right) > 0:
             raise ScenarioError("the perturbation mode must drive from the left")
+    ip_max = args.ip_max if args.ip_max is not None else (2.0 * i_p if i_p > 0 else 1.0)
+    ip_values = _grid(0.0, ip_max, args.ip_steps, "i_p")
     mass = scn.dynamics.mass if scn.dynamics is not None else args.mass
     lattice = build_lattice(
         2, i_l, i_r, zeta_eff, k=sw.k, i_p=i_p, k_p=k_p, zeta_p=zeta_p
@@ -609,10 +625,6 @@ def cmd_modes(args) -> int:
         _out_path(args, f"{pre}modes.json"),
         "modes", scn.sha, scn.name, payload,
     )
-    ip_max = args.ip_max if args.ip_max is not None else (2.0 * i_p if i_p > 0 else 1.0)
-    ip_values = [
-        ip_max * i / (args.ip_steps - 1) for i in range(args.ip_steps)
-    ] if args.ip_steps > 1 else [ip_max]
     rows = []
     for ip in ip_values:
         lat = dataclasses.replace(lattice, i_p=ip)
@@ -656,7 +668,7 @@ def _add_common(sub):
     sub.add_argument("--preset", help=f"built-in scenario ({', '.join(preset_names())})")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument(
-        "--ip-scale", type=float, default=1.0,
+        "--ip-scale", type=_finite, default=1.0,
         help="scale factor on the perturbation intensity of a preset",
     )
 
@@ -672,15 +684,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fields", help="intensity profile and mode amplitudes")
     _add_common(p)
-    p.add_argument("--x-min", type=float, default=None)
-    p.add_argument("--x-max", type=float, default=None)
+    p.add_argument("--x-min", type=_finite, default=None)
+    p.add_argument("--x-max", type=_finite, default=None)
     p.add_argument("--samples", type=int, default=801)
     p.set_defaults(func=cmd_fields)
 
     p = subs.add_parser("forces", help="pair force-vs-distance table")
     _add_common(p)
-    p.add_argument("--d-min", type=float, default=0.02)
-    p.add_argument("--d-max", type=float, default=0.98)
+    p.add_argument("--d-min", type=_positive, default=0.02)
+    p.add_argument("--d-max", type=_finite, default=0.98)
     p.add_argument("--steps", type=int, default=193)
     p.set_defaults(func=cmd_forces)
 
@@ -698,35 +710,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("design", help="wavenumber/intensity design table")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--d", type=float, action="append",
+    p.add_argument("--d", type=_finite, action="append",
                    help="target distance (repeatable, reference wavelengths)")
-    p.add_argument("--d-min", type=float, default=0.05)
-    p.add_argument("--d-max", type=float, default=0.45)
+    p.add_argument("--d-min", type=_finite, default=0.05)
+    p.add_argument("--d-max", type=_finite, default=0.45)
     p.add_argument("--steps", type=int, default=9)
-    p.add_argument("--k-y", type=float, default=1.0,
+    p.add_argument("--k-y", type=_finite, default=1.0,
                    help="first-beam wavenumber in reference units")
-    p.add_argument("--zeta", type=float, default=0.01)
-    p.add_argument("--band-max", type=float, default=4.0,
+    p.add_argument("--zeta", type=_finite, default=0.01)
+    p.add_argument("--band-max", type=_finite, default=4.0,
                    help="largest k_z/k_y candidate kept")
-    p.add_argument("--i-y", type=float, default=1.0)
+    p.add_argument("--i-y", type=_finite, default=1.0)
     p.add_argument("--no-refine", action="store_true",
                    help="skip Newton refinement against the exact forces")
     p.set_defaults(func=cmd_design)
 
     p = subs.add_parser("modes", help="linearized pair model and couplings")
     _add_common(p)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--ip-max", type=float, default=None)
+    p.add_argument("--mass", type=_positive, default=1.0)
+    p.add_argument("--ip-max", type=_finite, default=None)
     p.add_argument("--ip-steps", type=int, default=21)
     p.set_defaults(func=cmd_modes)
 
     p = subs.add_parser("zerolines", help="three-splitter force map over (d1, d2)")
     _add_common(p)
-    p.add_argument("--d1-min", type=float, default=0.05)
-    p.add_argument("--d1-max", type=float, default=0.95)
+    p.add_argument("--d1-min", type=_positive, default=0.05)
+    p.add_argument("--d1-max", type=_finite, default=0.95)
     p.add_argument("--d1-steps", type=int, default=41)
-    p.add_argument("--d2-min", type=float, default=0.05)
-    p.add_argument("--d2-max", type=float, default=0.95)
+    p.add_argument("--d2-min", type=_positive, default=0.05)
+    p.add_argument("--d2-max", type=_finite, default=0.95)
     p.add_argument("--d2-steps", type=int, default=41)
     p.set_defaults(func=cmd_zerolines)
 

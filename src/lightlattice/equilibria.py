@@ -292,10 +292,14 @@ def design_wavenumber(
     is polished against the exact forces (Newton in (p, k_z) at fixed d).
     Requires cos(2dk_y) >= -1/3; otherwise NoSolution carries the radicand.
     """
-    if d <= 0 or k_y <= 0:
-        raise ValueError("d and k_y must be positive")
+    if not (0.0 < d < math.inf and 0.0 < k_y < math.inf):
+        raise ValueError("d and k_y must be positive and finite")
+    if not 0.0 <= i_y < math.inf:
+        raise ValueError("i_y must be finite and non-negative")
     if band is None:
         band = (1e-9, 4.0 * k_y)
+    if not all(map(math.isfinite, band)):
+        raise ValueError("band edges must be finite")
     c2 = math.cos(2.0 * d * k_y)
     lead = 1.0 + 2.0 * c2
     if lead <= 0.0:
@@ -406,19 +410,6 @@ class LinearizedModel:
     mass: float
     constants: dict = field(default_factory=dict)
     identities: dict = field(default_factory=dict)
-
-    @property
-    def omega1(self) -> float | None:
-        if self.k_spring <= 0:
-            return None
-        return math.sqrt(self.k_spring / self.mass)
-
-    @property
-    def omega2(self) -> float | None:
-        arg = self.k_spring + self.kappa1 + self.kappa2
-        if arg <= 0:
-            return None
-        return math.sqrt(arg / self.mass)
 
 
 def linearize_pair_in_lattice(scenario, mass: float = 1.0) -> LinearizedModel:

@@ -103,10 +103,6 @@ class LatticeScenario:
     k_p: float | None = None
     zeta_p: float | None = None
 
-    @property
-    def n(self) -> int:
-        return len(self.positions)
-
     def chain(self) -> ScattererChain:
         return ScattererChain(self.positions, self.zeta)
 

@@ -177,24 +177,6 @@ def test_separation_violation_writes_partial_and_exits_3(tmp_path):
     assert (out / "pair_trajectory.csv").exists()
 
 
-def test_sweep_is_deterministic_across_worker_counts(tmp_path, monkeypatch):
-    doc = pair_doc(
-        dynamics={"regime": "overdamped", "dt": 10.0, "t_end": 100000.0,
-                  "force_tol": 1e-9},
-        sweep={"axes": [{"path": "modes.z.intensity_right",
-                         "start": 0.8, "stop": 1.2, "steps": 5}]},
-    )
-    path = write_doc(tmp_path, doc)
-
-    def run(threads, sub):
-        monkeypatch.setenv("LIGHTLATTICE_THREADS", threads)
-        out = tmp_path / sub
-        assert main(["sweep", "--scenario", path, "--out", str(out)]) == 0
-        return (out / "pair_sweep.csv").read_bytes()
-
-    assert run("1", "a") == run("3", "b")
-
-
 def test_sweep_records_cell_failures_in_row(tmp_path, monkeypatch):
     monkeypatch.setenv("LIGHTLATTICE_THREADS", "1")
     doc = pair_doc(
@@ -379,11 +361,37 @@ def test_preset_runs_fields(tmp_path):
     ["design", "--steps", "1"],
     ["fields", "--x-min", "7"],
     ["fields", "--x-max", "-2"],
+    ["design", "--d", "nan"],
+    ["design", "--d-min", "nan"],
+    ["design", "--band-max", "nan"],
+    ["design", "--band-max", "inf"],
+    ["design", "--d", "0"],
+    ["design", "--d", "-0.1"],
+    ["design", "--k-y", "0"],
+    ["design", "--k-y", "inf"],
+    ["design", "--i-y", "-1"],
+    ["design", "--i-y", "nan"],
+    ["design", "--zeta", "nan"],
+    ["modes", "--ip-steps", "0"],
+    ["modes", "--ip-steps", "1"],
+    ["modes", "--ip-max", "0"],
+    ["modes", "--ip-max", "-1"],
+    ["modes", "--ip-max", "nan"],
+    ["modes", "--mass", "0"],
+    ["modes", "--mass", "-1"],
+    ["fields", "--x-min", "nan"],
+    ["fields", "--x-max", "inf"],
+    ["forces", "--d-min", "0"],
+    ["forces", "--d-min", "-0.1"],
+    ["zerolines", "--d1-min", "-0.1"],
 ])
 def test_grids_need_two_points_on_an_increasing_range(tmp_path, argv):
     doc = pair_doc()
     if argv[0] == "zerolines":
         doc["chain"]["positions"] = [0.0, 0.3, 0.6]
+    if argv[0] == "modes":
+        doc["modes"] = [{"label": "sw", "k": 1.0, "intensity_left": 1.0,
+                         "intensity_right": 1.0}]
     if argv[0] != "design":
         argv = argv + ["--scenario", write_doc(tmp_path, doc)]
     out = tmp_path / "out"

@@ -157,6 +157,25 @@ def test_design_out_of_domain_reports_radicand():
         design_wavenumber(-0.1, K_REF)
 
 
+@pytest.mark.parametrize("d,k_y,band,i_y", [
+    (math.nan, K_REF, None, 1.0),
+    (math.inf, K_REF, None, 1.0),
+    (0.1, 0.0, None, 1.0),
+    (0.1, math.inf, None, 1.0),
+    (0.1, math.nan, None, 1.0),
+    (0.1, K_REF, (1e-9, math.nan), 1.0),
+    (0.1, K_REF, (1e-9, math.inf), 1.0),
+    (0.1, K_REF, (math.nan, 4.0 * K_REF), 1.0),
+    (0.1, K_REF, None, -1.0),
+    (0.1, K_REF, None, math.nan),
+    (0.1, K_REF, None, math.inf),
+])
+def test_design_rejects_inputs_outside_its_domain(d, k_y, band, i_y):
+    # a NaN distance or band edge used to spin forever in the branch search
+    with pytest.raises(ValueError):
+        design_wavenumber(d, k_y, zeta=0.01, band=band, i_y=i_y)
+
+
 def test_linearization_identities_with_perturbation():
     scenario = build_lattice(2, 1.0, 1.0, 0.1, i_p=0.5, k_p=K_REF / 0.99,
                              zeta_p=0.1)
