@@ -39,7 +39,7 @@ from .errors import (
     SeparationViolation,
     UnstableMode,
 )
-from .forcefield import PairForceParams, forces_exact, pair_forces_approx
+from .forcefield import PairForceParams, forces_batch, forces_exact, pair_forces_approx
 from .lattice import (
     build_lattice,
     build_perturbation_scenarios,
@@ -332,9 +332,9 @@ def cmd_forces(args) -> int:
             zeta=zeta.real * modes[0].effective_scale,
             i_y=iy,
         )
+    exact = forces_batch(chain, modes, [(x1, x1 + d) for d in d_values])
     rows = []
-    for d in d_values:
-        f = forces_exact(chain.with_positions((x1, x1 + d)), modes).total
+    for d, f in zip(d_values, exact):
         if approx_ok:
             fa1, fa2 = pair_forces_approx(d, params)
         else:
@@ -557,6 +557,8 @@ def cmd_design(args) -> int:
 def cmd_modes(args) -> int:
     scn = _load(args)
     chain, modes = scn.chain, scn.mode_list()
+    if args.mass is not None and scn.dynamics is not None:
+        raise ScenarioError("--mass applies only to a scenario without a dynamics block")
     if chain.n != 2:
         raise ScenarioError("mode analysis needs a two-scatterer lattice")
     if not modes:
@@ -586,7 +588,10 @@ def cmd_modes(args) -> int:
             raise ScenarioError("the perturbation mode must drive from the left")
     ip_max = args.ip_max if args.ip_max is not None else (2.0 * i_p if i_p > 0 else 1.0)
     ip_values = _grid(0.0, ip_max, args.ip_steps, "i_p")
-    mass = scn.dynamics.mass if scn.dynamics is not None else args.mass
+    if scn.dynamics is not None:
+        mass = scn.dynamics.mass
+    else:
+        mass = 1.0 if args.mass is None else args.mass
     lattice = build_lattice(
         2, i_l, i_r, zeta_eff, k=sw.k, i_p=i_p, k_p=k_p, zeta_p=zeta_p
     )
@@ -727,7 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("modes", help="linearized pair model and couplings")
     _add_common(p)
-    p.add_argument("--mass", type=_positive, default=1.0)
+    p.add_argument("--mass", type=_positive, default=None,
+                   help="scatterer mass (default 1) when the scenario has no dynamics block")
     p.add_argument("--ip-max", type=_finite, default=None)
     p.add_argument("--ip-steps", type=int, default=21)
     p.set_defaults(func=cmd_modes)

@@ -20,7 +20,7 @@ from .errors import (
     NoSolution,
     UnstableMode,
 )
-from .forcefield import forces_exact
+from .forcefield import forces_batch, forces_exact
 from .wavecore import Mode, ScattererChain
 
 _EIG_TOL = 1e-9
@@ -547,13 +547,8 @@ def zero_force_grid(
     x1 = chain_template.positions[0]
     d1_arr = np.asarray(list(d1_values), dtype=float)
     d2_arr = np.asarray(list(d2_values), dtype=float)
-    shape = (d1_arr.size, d2_arr.size)
-    f1 = np.empty(shape)
-    f2 = np.empty(shape)
-    f3 = np.empty(shape)
-    for i, d1 in enumerate(d1_arr):
-        for j, d2 in enumerate(d2_arr):
-            pos = (x1, x1 + d1, x1 + d1 + d2)
-            f = forces_exact(chain_template.with_positions(pos), modes).total
-            f1[i, j], f2[i, j], f3[i, j] = f
+    x2 = x1 + d1_arr[:, None]
+    pos = np.stack(np.broadcast_arrays(x1, x2, x2 + d2_arr), axis=-1)
+    f = forces_batch(chain_template, modes, pos.reshape(-1, 3)).reshape(pos.shape)
+    f1, f2, f3 = np.moveaxis(f, -1, 0)
     return ZeroForceGrid(d1=d1_arr, d2=d2_arr, f1=f1, f2=f2, f3=f3)

@@ -19,6 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NegativeDistance, SingularBoundary
 
 # reference wavenumber: one reference wavelength per unit length
@@ -186,6 +188,12 @@ def mode_zetas(chain: ScattererChain, mode: Mode) -> tuple[complex, ...]:
     return tuple(z * s for z in chain.zeta_base)
 
 
+def _splitters(chain: ScattererChain, mode: Mode) -> list[tuple[complex, ...]]:
+    """beam_splitter_matrix entries (m11, m12, m21, m22) of each scatterer."""
+    return [(1.0 + iz, iz, -iz, 1.0 - iz)
+            for iz in [1j * z for z in mode_zetas(chain, mode)]]
+
+
 def _transfer(chain: ScattererChain, mode: Mode):
     """Total-matrix entries of one non-empty chain, with the per-step factors.
 
@@ -197,8 +205,7 @@ def _transfer(chain: ScattererChain, mode: Mode):
     (e^{ikd}, e^{-ikd}) pair per gap.
     """
     positions = chain.positions
-    splitters = [(1.0 + iz, iz, -iz, 1.0 - iz)
-                 for iz in [1j * z for z in mode_zetas(chain, mode)]]
+    splitters = _splitters(chain, mode)
     phases = []
     m11, m12, m21, m22 = splitters[0]
     ik = 1j * mode.k
@@ -321,6 +328,121 @@ def solve_fields(chain: ScattererChain, modes: list[Mode]) -> FieldSolution:
                        complex(mode.drive_left), complex(mode.drive_right))
         )
     return FieldSolution(chain, tuple(solved))
+
+
+# The batched solve below carries each complex value as a (re, im) pair of
+# float64 arrays and spells out every operation the way CPython evaluates it
+# on complex numbers, so each row is bit for bit the scalar kernel's: numpy's
+# complex *, / and abs round differently. A float operand of a complex
+# operation is promoted to (x, 0.0), as CPython does.
+_ZERO = (0.0, 0.0)
+_ONE = (1.0, 0.0)
+
+
+def _add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _prod(a, b):
+    """a * b as CPython's _Py_c_prod."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _quot(a, b):
+    """a / b as CPython's _Py_c_quot: Smith's method over the larger part of b.
+
+    Where b holds a NaN the second branch is taken, and it gives NaN as
+    CPython does. A zero b, which CPython refuses, gives NaN.
+    """
+    (ar, ai), (br, bi) = a, b
+    ratio = bi / br
+    denom = br + bi * ratio
+    by_real = ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+    ratio = br / bi
+    denom = br * ratio + bi
+    by_imag = ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+    real_larger = np.abs(br) >= np.abs(bi)
+    return (np.where(real_larger, by_real[0], by_imag[0]),
+            np.where(real_larger, by_real[1], by_imag[1]))
+
+
+def _exp(z):
+    """cmath.exp, which numpy's complex exp matches bit for bit."""
+    w = np.empty(np.broadcast_shapes(np.shape(z[0]), np.shape(z[1])), dtype=complex)
+    w.real, w.imag = z
+    w = np.exp(w)
+    return w.real, w.imag
+
+
+def _columns(values) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of per-mode complex constants, shaped to broadcast over rows."""
+    arr = np.array(values, dtype=complex)[..., None]
+    return arr.real, arr.imag
+
+
+# _quot also computes the branch it drops, which may divide by zero
+@np.errstate(all="ignore")
+def solve_fields_batch(chain: ScattererChain, modes: list[Mode], positions) -> np.ndarray:
+    """The quadruples of solve_fields for many placements of chain's scatterers.
+
+    positions is a float array [B, N] whose rows must be strictly increasing;
+    they are not checked. Returns a complex array [M, B, N, 4] whose entry
+    [m, b, j] is (A_j, B_j, C_j, D_j) of modes[m] on
+    chain.with_positions(positions[b]), bit for bit what solve_fields gives.
+    The rows run side by side and the scatterers one after another. A row
+    whose |m22| solve_fields rejects comes back NaN; every non-finite
+    amplitude stays non-finite.
+    """
+    pos = np.asarray(positions, dtype=float)
+    n_rows, n = pos.shape
+    quads = np.empty((4, len(modes), n, n_rows), dtype=complex)
+    if n == 0 or not modes:
+        return quads.transpose(1, 3, 2, 0)
+    entries = np.array([_splitters(chain, mode) for mode in modes])  # [M, N, 4]
+    split = [[(entries.real[:, j, q, None], entries.imag[:, j, q, None]) for q in range(4)]
+             for j in range(n)]
+    ik = _columns([1j * mode.k for mode in modes])
+    # _transfer, then _solve_mode's boundary solve and sweep
+    m11, m12, m21, m22 = split[0]
+    phases = []
+    for j in range(1, n):
+        ph = _exp(_prod(ik, (pos[:, j] - pos[:, j - 1], 0.0)))
+        inv = _quot(_ONE, ph)
+        phases.append((ph, inv))
+        p11 = _add(_prod(ph, m11), _prod(_ZERO, m21))
+        p12 = _add(_prod(ph, m12), _prod(_ZERO, m22))
+        p21 = _add(_prod(_ZERO, m11), _prod(inv, m21))
+        p22 = _add(_prod(_ZERO, m12), _prod(inv, m22))
+        s11, s12, s21, s22 = split[j]
+        m11 = _add(_prod(s11, p11), _prod(s12, p21))
+        m12 = _add(_prod(s11, p12), _prod(s12, p22))
+        m21 = _add(_prod(s21, p11), _prod(s22, p21))
+        m22 = _add(_prod(s21, p12), _prod(s22, p22))
+    size = np.hypot(*m22)
+    # abs() raises OverflowError when finite parts overflow it
+    singular = (size < _SINGULAR_M22) | (
+        np.isinf(size) & np.isfinite(m22[0]) & np.isfinite(m22[1]))
+    a = _prod(_columns([mode.drive_left for mode in modes]),
+              _exp(_prod(ik, (pos[:, 0], 0.0))))
+    dn = _prod(_columns([mode.drive_right for mode in modes]),
+               _exp(_prod(_columns([-1j * mode.k for mode in modes]), (pos[:, -1], 0.0))))
+    b = _quot(_sub(dn, _prod(m21, a)), m22)
+    for j, (s11, s12, s21, s22) in enumerate(split):
+        c = _add(_prod(s11, a), _prod(s12, b))
+        d = _add(_prod(s21, a), _prod(s22, b))
+        for q, (re, im) in enumerate((a, b, c, d)):
+            quads[q, :, j].real = re
+            quads[q, :, j].imag = im
+        if j < len(phases):
+            ph, inv = phases[j]
+            a = _add(_prod(ph, c), _prod(_ZERO, d))
+            b = _add(_prod(_ZERO, c), _prod(inv, d))
+    np.copyto(quads, np.nan, where=singular[:, None, :])
+    return quads.transpose(1, 3, 2, 0)
 
 
 def _mode_field_at(chain: ScattererChain, mf: ModeFields, x: float) -> complex:

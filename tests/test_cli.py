@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from lightlattice import cli, equilibria, forcefield
 from lightlattice.cli import main, preset_names
 
 EXACT_CROSSING_HIGH = 0.373400547
@@ -314,6 +315,26 @@ def test_zerolines_grid(tmp_path):
         assert abs(float(r[3])) < 1e-12
 
 
+def test_grid_commands_make_no_per_point_forces_exact_calls(tmp_path, monkeypatch):
+    calls = []
+    forces_exact = forcefield.forces_exact
+
+    def counted(chain, modes):
+        calls.append(chain.positions)
+        return forces_exact(chain, modes)
+
+    for module in (cli, equilibria, forcefield):
+        monkeypatch.setattr(module, "forces_exact", counted)
+    pair = write_doc(tmp_path, pair_doc(), "pair.json")
+    triple = pair_doc()
+    triple["chain"]["positions"] = [0.0, 0.3, 0.6]
+    triple = write_doc(tmp_path, triple, "triple.json")
+    out = str(tmp_path / "out")
+    assert main(["forces", "--scenario", pair, "--out", out]) == 0
+    assert main(["zerolines", "--scenario", triple, "--out", out]) == 0
+    assert calls == []
+
+
 def test_presets_cover_perturbation_kinds():
     names = preset_names()
     assert "self_ordering" in names
@@ -384,6 +405,7 @@ def test_preset_runs_fields(tmp_path):
     ["forces", "--d-min", "0"],
     ["forces", "--d-min", "-0.1"],
     ["zerolines", "--d1-min", "-0.1"],
+    ["modes", "--mass", "5"],
 ])
 def test_grids_need_two_points_on_an_increasing_range(tmp_path, argv):
     doc = pair_doc()
@@ -392,6 +414,8 @@ def test_grids_need_two_points_on_an_increasing_range(tmp_path, argv):
     if argv[0] == "modes":
         doc["modes"] = [{"label": "sw", "k": 1.0, "intensity_left": 1.0,
                          "intensity_right": 1.0}]
+        if "--mass" in argv:  # refused only when a dynamics block sets the mass
+            doc["dynamics"] = {"regime": "newtonian", "dt": 0.5, "t_end": 10.0}
     if argv[0] != "design":
         argv = argv + ["--scenario", write_doc(tmp_path, doc)]
     out = tmp_path / "out"

@@ -1,11 +1,14 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lightlattice.errors import LightLatticeError, WavenumberMismatch
+from lightlattice.errors import LightLatticeError, SingularBoundary, WavenumberMismatch
 from lightlattice.forcefield import (
     PairForceParams,
+    forces_batch,
     forces_exact,
     forces_from_solution,
     pair_force_difference,
@@ -13,6 +16,7 @@ from lightlattice.forcefield import (
     pair_zero_force_distances,
 )
 from lightlattice.wavecore import K_REF, Mode, ScattererChain, solve_fields
+from test_wavecore import varied_chains, varied_modes
 
 # exact zero crossings of the symmetric pair forces at zeta = 0.01,
 # found once by bisection against the exact engine and frozen here
@@ -214,3 +218,40 @@ def test_overflowing_chain_raises_library_error():
     chain = ScattererChain([0.45 * j for j in range(1000)], 1.0)
     with pytest.raises(LightLatticeError, match="mode 'y'"):
         forces_exact(chain, symmetric_modes())
+
+
+@given(varied_chains(), varied_modes(), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.data())
+def test_forces_batch_matches_forces_exact_bit_for_bit(chain, modes, rows, seed, data):
+    # varied_chains keeps gaps >= 1e-3, so this jitter keeps rows increasing
+    jitter = np.random.default_rng(seed).uniform(-4e-4, 4e-4, (rows, chain.n))
+    positions = np.asarray(chain.positions) + jitter
+    batch = forces_batch(chain, modes, positions)
+    expected = [forces_exact(chain.with_positions(row), modes).total for row in positions]
+    assert [[repr(float(f)) for f in row] for row in batch] == [
+        [repr(f) for f in row] for row in expected
+    ]
+    cut = data.draw(st.integers(0, rows))
+    split = np.concatenate([forces_batch(chain, modes, positions[:cut]),
+                            forces_batch(chain, modes, positions[cut:])])
+    assert split.tobytes() == batch.tobytes()
+
+
+def test_forces_batch_raises_what_forces_exact_raises():
+    modes = symmetric_modes()
+    chain = ScattererChain((0.0, 0.3, 0.6), 0.05)
+    bad_row = (0.0, 0.3, 0.3)
+    # lossless, inside the band gap: the scalar sweep overflows at N = 1000
+    thick = ScattererChain([0.45 * j for j in range(1000)], 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as scalar:
+            chain.with_positions(bad_row)
+        with pytest.raises(ValueError) as batch:
+            forces_batch(chain, modes, [chain.positions, bad_row])
+        assert str(batch.value) == str(scalar.value)
+        with pytest.raises(SingularBoundary) as scalar:
+            forces_exact(thick, modes)
+        with pytest.raises(SingularBoundary) as batch:
+            forces_batch(thick, modes, [thick.positions])
+        assert str(batch.value) == str(scalar.value)

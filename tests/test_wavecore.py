@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +17,7 @@ from lightlattice.wavecore import (
     propagation_matrix,
     reflection_transmission,
     solve_fields,
+    solve_fields_batch,
     total_transfer_matrix,
 )
 
@@ -366,3 +368,16 @@ def test_kernel_keeps_signed_zeros_of_a_zero_coupling_chain():
     assert bits(*(a for q in mf.quads for a in q)) == bits(
         *(a for q in quads for a in q)
     )
+
+
+@given(varied_chains(), varied_modes(), st.floats(-1.0, 1.0))
+def test_batched_solve_matches_solve_fields_exactly(chain, modes, shift):
+    rows = np.array([chain.positions, [x + shift for x in chain.positions]])
+    quads = solve_fields_batch(chain, modes, rows)
+    assert quads.shape == (len(modes), 2, chain.n, 4)
+    for b, row in enumerate(rows):
+        sol = solve_fields(chain.with_positions(row), modes)
+        for m, mf in enumerate(sol.fields):
+            assert bits(*map(complex, quads[m, b].ravel())) == bits(
+                *(a for q in mf.quads for a in q)
+            )
