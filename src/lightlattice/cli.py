@@ -321,10 +321,14 @@ def cmd_forces(args) -> int:
     d_values = _grid(args.d_min, args.d_max, args.steps, "distance")
     x1 = chain.positions[0]
     zeta = chain.zeta_base[0]
-    iy = (abs(modes[0].drive_left) ** 2 + abs(modes[0].drive_right) ** 2) / 2.0
-    approx_ok = len(modes) == 2 and zeta.imag == 0.0 and iy > 0
+    iy = abs(modes[0].drive_left) ** 2 / 2.0
+    # the closed forms hold for a real coupling that scales with k (no
+    # zeta_override), beam y from the left only and beam z from the right only
+    approx_ok = (len(modes) == 2 and zeta.imag == 0.0 and iy > 0
+                 and modes[0].drive_right == 0 and modes[1].drive_left == 0
+                 and modes[0].zeta_override is None and modes[1].zeta_override is None)
     if approx_ok:
-        iz = (abs(modes[1].drive_left) ** 2 + abs(modes[1].drive_right) ** 2) / 2.0
+        iz = abs(modes[1].drive_right) ** 2 / 2.0
         params = PairForceParams(
             p=iz / iy,
             k_y=modes[0].k,
@@ -653,10 +657,8 @@ def cmd_zerolines(args) -> int:
     d1 = _grid(args.d1_min, args.d1_max, args.d1_steps, "separation")
     d2 = _grid(args.d2_min, args.d2_max, args.d2_steps, "separation")
     grid = zero_force_grid(chain, modes, d1, d2)
-    rows = []
-    for i, a in enumerate(grid.d1):
-        for j, b in enumerate(grid.d2):
-            rows.append([a, b, grid.f1[i, j], grid.f2[i, j], grid.f3[i, j]])
+    rows = ([a, b, grid.f1[i, j], grid.f2[i, j], grid.f3[i, j]]
+            for i, a in enumerate(grid.d1) for j, b in enumerate(grid.d2))
     pre = _prefix(scn)
     _write_csv(
         _out_path(args, f"{pre}zerolines.csv"),

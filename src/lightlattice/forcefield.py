@@ -51,7 +51,7 @@ def forces_from_solution(solution: FieldSolution) -> ForceProfile:
     if per_mode:
         total = tuple(map(sum, zip(*per_mode.values())))
     else:
-        total = (0,) * solution.chain.n
+        total = (0.0,) * solution.chain.n
     return ForceProfile(total, per_mode)
 
 

@@ -194,24 +194,21 @@ def _splitters(chain: ScattererChain, mode: Mode) -> list[tuple[complex, ...]]:
             for iz in [1j * z for z in mode_zetas(chain, mode)]]
 
 
-def _transfer(chain: ScattererChain, mode: Mode):
-    """Total-matrix entries of one non-empty chain, with the per-step factors.
+def _transfer(splitters, ik, positions, exp):
+    """Total-matrix entries of one non-empty chain, with the per-gap factors.
 
     The products of beam_splitter_matrix, propagation_matrix and `@` are
     written out in the same operation order, so every entry is bit for bit
     the one the helpers build. That includes the 0j terms of the diagonal
-    propagation matrix: they can turn a -0.0 into +0.0. Returns
-    (m11, m12, m21, m22), the splitter entries per scatterer and the
+    propagation matrix: they can turn a -0.0 into +0.0. splitters holds the
+    splitter entries per scatterer, ik is i*k and exp is cmath.exp or its
+    _Pair counterpart. Returns (m11, m12, m21, m22) and the
     (e^{ikd}, e^{-ikd}) pair per gap.
     """
-    positions = chain.positions
-    splitters = _splitters(chain, mode)
-    phases = []
     m11, m12, m21, m22 = splitters[0]
-    ik = 1j * mode.k
-    x0 = positions[0]
-    for x1, (s11, s12, s21, s22) in zip(positions[1:], splitters[1:]):
-        ph = cmath.exp(ik * (x1 - x0))
+    phases = []
+    for x0, x1, (s11, s12, s21, s22) in zip(positions, positions[1:], splitters[1:]):
+        ph = exp(ik * (x1 - x0))
         inv = 1.0 / ph
         phases.append((ph, inv))
         p11 = ph * m11 + 0j * m21
@@ -222,20 +219,32 @@ def _transfer(chain: ScattererChain, mode: Mode):
         m12 = s11 * p12 + s12 * p22
         m21 = s21 * p11 + s22 * p21
         m22 = s21 * p12 + s22 * p22
-        x0 = x1
-    return (m11, m12, m21, m22), splitters, phases
+    return (m11, m12, m21, m22), phases
+
+
+def _sweep(splitters, phases, a, b):
+    """Quadruples (A_j, B_j, C_j, D_j) from (A_1, B_1), in the operation order
+    of TransferMatrix.apply."""
+    quads = []
+    for j, (s11, s12, s21, s22) in enumerate(splitters):
+        if j:
+            ph, inv = phases[j - 1]
+            a = ph * c + 0j * d
+            b = 0j * c + inv * d
+        c = s11 * a + s12 * b
+        d = s21 * a + s22 * b
+        quads.append((a, b, c, d))
+    return quads
 
 
 def _solve_mode(chain: ScattererChain, mode: Mode, with_quads: bool):
-    """r_tot, t_tot and (when with_quads is set) the quadruples of one mode.
-
-    The sweep keeps the operation order of TransferMatrix.apply.
-    """
+    """r_tot, t_tot and (when with_quads is set) the quadruples of one mode."""
     positions = chain.positions
     if not positions:
         m21, m22 = IDENTITY.m21, IDENTITY.m22
     else:
-        (_, _, m21, m22), splitters, phases = _transfer(chain, mode)
+        splitters = _splitters(chain, mode)
+        (_, _, m21, m22), phases = _transfer(splitters, 1j * mode.k, positions, cmath.exp)
     try:
         singular = abs(m22) < _SINGULAR_M22
     except OverflowError:
@@ -250,18 +259,10 @@ def _solve_mode(chain: ScattererChain, mode: Mode, with_quads: bool):
         return r_tot, t_tot, ()
     a = complex(mode.drive_left) * cmath.exp(1j * mode.k * positions[0])
     dn = complex(mode.drive_right) * cmath.exp(-1j * mode.k * positions[-1])
-    b = (dn - m21 * a) / m22
-    quads = []
-    phases.append((None, None))  # nothing propagates past the last scatterer
-    for (s11, s12, s21, s22), (ph, inv) in zip(splitters, phases):
-        c = s11 * a + s12 * b
-        d = s21 * a + s22 * b
-        quads.append((a, b, c, d))
-        if ph is not None:
-            a = ph * c + 0j * d
-            b = 0j * c + inv * d
+    quads = _sweep(splitters, phases, a, (dn - m21 * a) / m22)
     # a non-finite amplitude stays non-finite through every later product
     # and sum, so the last quadruple carries any that appeared in the sweep
+    _, _, c, d = quads[-1]
     if not (cmath.isfinite(c) and cmath.isfinite(d)):
         raise SingularBoundary(f"non-finite amplitude in mode {mode.label!r}")
     return r_tot, t_tot, tuple(quads)
@@ -275,7 +276,8 @@ def total_transfer_matrix(chain: ScattererChain, mode: Mode) -> TransferMatrix:
     """
     if chain.n == 0:
         return IDENTITY
-    return TransferMatrix(*_transfer(chain, mode)[0])
+    entries, _ = _transfer(_splitters(chain, mode), 1j * mode.k, chain.positions, cmath.exp)
+    return TransferMatrix(*entries)
 
 
 def reflection_transmission(chain: ScattererChain, mode: Mode) -> tuple[complex, complex]:
@@ -330,35 +332,68 @@ def solve_fields(chain: ScattererChain, modes: list[Mode]) -> FieldSolution:
     return FieldSolution(chain, tuple(solved))
 
 
-# The batched solve below carries each complex value as a (re, im) pair of
-# float64 arrays and spells out every operation the way CPython evaluates it
-# on complex numbers, so each row is bit for bit the scalar kernel's: numpy's
-# complex *, / and abs round differently. A float operand of a complex
-# operation is promoted to (x, 0.0), as CPython does.
-_ZERO = (0.0, 0.0)
-_ONE = (1.0, 0.0)
+@dataclass(slots=True, eq=False)
+class _Pair:
+    """Complex values as (re, im) float64 arrays, with CPython 3.11's complex arithmetic.
+
+    The batched solve runs _transfer and _sweep on these, so each row is bit
+    for bit the scalar kernel's: numpy's complex *, / and abs round
+    differently. A float or float array x is promoted to (x, 0.0) and a
+    complex number to (real, imag), as CPython does.
+    """
+
+    re: np.ndarray
+    im: np.ndarray
+
+    @classmethod
+    def column(cls, values) -> "_Pair":
+        """Per-mode complex constants as [M, 1] columns that broadcast over rows."""
+        arr = np.array(values, dtype=complex)[..., None]
+        return cls(arr.real, arr.imag)
+
+    def exp(self) -> "_Pair":
+        """cmath.exp, which numpy's complex exp matches bit for bit."""
+        w = np.empty(np.broadcast_shapes(np.shape(self.re), np.shape(self.im)), dtype=complex)
+        w.real, w.imag = self.re, self.im
+        w = np.exp(w)
+        return _Pair(w.real, w.imag)
+
+    def __add__(self, other: "_Pair") -> "_Pair":
+        return _Pair(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: "_Pair") -> "_Pair":
+        return _Pair(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other) -> "_Pair":
+        """CPython's _Py_c_prod. Each part is a sum of two products, and IEEE
+        products and sums commute, so it serves as __rmul__ too."""
+        o = _promote(other)
+        return _Pair(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "_Pair":
+        return _quot(self, _promote(other))
+
+    def __rtruediv__(self, other) -> "_Pair":
+        return _quot(_promote(other), self)
 
 
-def _add(a, b):
-    return a[0] + b[0], a[1] + b[1]
+def _promote(x) -> _Pair:
+    if isinstance(x, _Pair):
+        return x
+    if isinstance(x, complex):
+        return _Pair(x.real, x.imag)
+    return _Pair(x, 0.0)
 
 
-def _sub(a, b):
-    return a[0] - b[0], a[1] - b[1]
-
-
-def _prod(a, b):
-    """a * b as CPython's _Py_c_prod."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _quot(a, b):
+def _quot(a: _Pair, b: _Pair) -> _Pair:
     """a / b as CPython's _Py_c_quot: Smith's method over the larger part of b.
 
     Where b holds a NaN the second branch is taken, and it gives NaN as
     CPython does. A zero b, which CPython refuses, gives NaN.
     """
-    (ar, ai), (br, bi) = a, b
+    ar, ai, br, bi = a.re, a.im, b.re, b.im
     ratio = bi / br
     denom = br + bi * ratio
     by_real = ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
@@ -366,22 +401,8 @@ def _quot(a, b):
     denom = br * ratio + bi
     by_imag = ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
     real_larger = np.abs(br) >= np.abs(bi)
-    return (np.where(real_larger, by_real[0], by_imag[0]),
-            np.where(real_larger, by_real[1], by_imag[1]))
-
-
-def _exp(z):
-    """cmath.exp, which numpy's complex exp matches bit for bit."""
-    w = np.empty(np.broadcast_shapes(np.shape(z[0]), np.shape(z[1])), dtype=complex)
-    w.real, w.imag = z
-    w = np.exp(w)
-    return w.real, w.imag
-
-
-def _columns(values) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) of per-mode complex constants, shaped to broadcast over rows."""
-    arr = np.array(values, dtype=complex)[..., None]
-    return arr.real, arr.imag
+    return _Pair(np.where(real_larger, by_real[0], by_imag[0]),
+                 np.where(real_larger, by_real[1], by_imag[1]))
 
 
 # _quot also computes the branch it drops, which may divide by zero
@@ -392,7 +413,8 @@ def solve_fields_batch(chain: ScattererChain, modes: list[Mode], positions) -> n
     positions is a float array [B, N] whose rows must be strictly increasing;
     they are not checked. Returns a complex array [M, B, N, 4] whose entry
     [m, b, j] is (A_j, B_j, C_j, D_j) of modes[m] on
-    chain.with_positions(positions[b]), bit for bit what solve_fields gives.
+    chain.with_positions(positions[b]), bit for bit what solve_fields gives:
+    both run _transfer and _sweep, here on _Pair values of shape [M, B].
     The rows run side by side and the scatterers one after another. A row
     whose |m22| solve_fields rejects comes back NaN; every non-finite
     amplitude stays non-finite.
@@ -403,44 +425,20 @@ def solve_fields_batch(chain: ScattererChain, modes: list[Mode], positions) -> n
     if n == 0 or not modes:
         return quads.transpose(1, 3, 2, 0)
     entries = np.array([_splitters(chain, mode) for mode in modes])  # [M, N, 4]
-    split = [[(entries.real[:, j, q, None], entries.imag[:, j, q, None]) for q in range(4)]
-             for j in range(n)]
-    ik = _columns([1j * mode.k for mode in modes])
-    # _transfer, then _solve_mode's boundary solve and sweep
-    m11, m12, m21, m22 = split[0]
-    phases = []
-    for j in range(1, n):
-        ph = _exp(_prod(ik, (pos[:, j] - pos[:, j - 1], 0.0)))
-        inv = _quot(_ONE, ph)
-        phases.append((ph, inv))
-        p11 = _add(_prod(ph, m11), _prod(_ZERO, m21))
-        p12 = _add(_prod(ph, m12), _prod(_ZERO, m22))
-        p21 = _add(_prod(_ZERO, m11), _prod(inv, m21))
-        p22 = _add(_prod(_ZERO, m12), _prod(inv, m22))
-        s11, s12, s21, s22 = split[j]
-        m11 = _add(_prod(s11, p11), _prod(s12, p21))
-        m12 = _add(_prod(s11, p12), _prod(s12, p22))
-        m21 = _add(_prod(s21, p11), _prod(s22, p21))
-        m22 = _add(_prod(s21, p12), _prod(s22, p22))
-    size = np.hypot(*m22)
+    splitters = [[_Pair.column(entries[:, j, q]) for q in range(4)] for j in range(n)]
+    ik = _Pair.column([1j * mode.k for mode in modes])
+    (_, _, m21, m22), phases = _transfer(splitters, ik, pos.T, _Pair.exp)
+    size = np.hypot(m22.re, m22.im)
     # abs() raises OverflowError when finite parts overflow it
     singular = (size < _SINGULAR_M22) | (
-        np.isinf(size) & np.isfinite(m22[0]) & np.isfinite(m22[1]))
-    a = _prod(_columns([mode.drive_left for mode in modes]),
-              _exp(_prod(ik, (pos[:, 0], 0.0))))
-    dn = _prod(_columns([mode.drive_right for mode in modes]),
-               _exp(_prod(_columns([-1j * mode.k for mode in modes]), (pos[:, -1], 0.0))))
-    b = _quot(_sub(dn, _prod(m21, a)), m22)
-    for j, (s11, s12, s21, s22) in enumerate(split):
-        c = _add(_prod(s11, a), _prod(s12, b))
-        d = _add(_prod(s21, a), _prod(s22, b))
-        for q, (re, im) in enumerate((a, b, c, d)):
-            quads[q, :, j].real = re
-            quads[q, :, j].imag = im
-        if j < len(phases):
-            ph, inv = phases[j]
-            a = _add(_prod(ph, c), _prod(_ZERO, d))
-            b = _add(_prod(_ZERO, c), _prod(inv, d))
+        np.isinf(size) & np.isfinite(m22.re) & np.isfinite(m22.im))
+    a = _Pair.column([mode.drive_left for mode in modes]) * (ik * pos[:, 0]).exp()
+    dn = (_Pair.column([mode.drive_right for mode in modes])
+          * (_Pair.column([-1j * mode.k for mode in modes]) * pos[:, -1]).exp())
+    for j, quad in enumerate(_sweep(splitters, phases, a, (dn - m21 * a) / m22)):
+        for q, value in enumerate(quad):
+            quads[q, :, j].real = value.re
+            quads[q, :, j].imag = value.im
     np.copyto(quads, np.nan, where=singular[:, None, :])
     return quads.transpose(1, 3, 2, 0)
 

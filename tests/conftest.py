@@ -7,4 +7,11 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
+# pytest --hypothesis-profile thorough: the same checks over 1,500 examples
+settings.register_profile(
+    "thorough",
+    max_examples=1500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
 settings.load_profile("default")

@@ -112,6 +112,24 @@ def test_forces_table(tmp_path):
     assert abs(f1a[i_closest]) < 5e-4
 
 
+def test_forces_leaves_approx_blank_for_mirrored_beams(tmp_path):
+    # the closed forms take beam y from the left and beam z from the right
+    doc = pair_doc()
+    doc["chain"]["zeta"] = [0.02, 0.0]
+    doc["modes"] = [
+        {"label": "y", "k": 1.0, "intensity_right": 1.0},
+        {"label": "z", "k": 1.0, "intensity_left": 2.0},
+    ]
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["forces", "--scenario", path, "--out", str(out),
+                 "--d-min", "0.02", "--d-max", "0.4", "--steps", "20"]) == 0
+    _, _, rows = read_csv(out / "pair_forces.csv")
+    assert float(rows[0][0]) == 0.02
+    assert float(rows[0][1]) == pytest.approx(0.003862, abs=1e-6)
+    assert all(math.isnan(float(r[3])) and math.isnan(float(r[4])) for r in rows)
+
+
 def test_forces_requires_pair(tmp_path):
     doc = pair_doc()
     doc["chain"]["positions"] = [0.0, 0.3, 0.6]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lightlattice import wavecore
 from lightlattice.errors import NegativeDistance, SingularBoundary
 from lightlattice.wavecore import (
     K_REF,
@@ -326,7 +327,7 @@ def varied_chains(draw):
 @st.composite
 def varied_modes(draw):
     modes = []
-    for i in range(draw(st.integers(1, 3))):
+    for i in range(draw(st.integers(0, 3))):
         coupling = draw(st.sampled_from(["default", "scale", "override"]))
         sides = draw(st.sampled_from(["left", "right", "both", "none"]))
         modes.append(Mode(
@@ -381,3 +382,20 @@ def test_batched_solve_matches_solve_fields_exactly(chain, modes, shift):
             assert bits(*map(complex, quads[m, b].ravel())) == bits(
                 *(a for q in mf.quads for a in q)
             )
+
+
+def test_scalar_and_batched_solves_share_one_sweep(monkeypatch):
+    # a second copy of the transfer product or the sweep would bypass these
+    calls = []
+    for name in ("_transfer", "_sweep"):
+        def spy(*args, _name=name, _kernel=getattr(wavecore, name)):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(wavecore, name, spy)
+    chain = ScattererChain((0.0, 0.31, 0.9), 0.05)
+    modes = [Mode("y", K_REF, drive_left=1.0), Mode("z", 1.3 * K_REF, drive_right=0.5)]
+    solve_fields(chain, modes)
+    assert calls == ["_transfer", "_sweep"] * 2
+    calls.clear()
+    solve_fields_batch(chain, modes, np.array([chain.positions]))
+    assert calls == ["_transfer", "_sweep"]
