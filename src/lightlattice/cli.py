@@ -567,15 +567,18 @@ def cmd_modes(args) -> int:
         raise ScenarioError("mode analysis needs a two-scatterer lattice")
     if not modes:
         raise ScenarioError("mode analysis needs a standing-wave mode")
+    if len(modes) > 2:
+        raise ScenarioError(f"mode analysis takes at most two modes, got {len(modes)}")
     sw = modes[0]
     i_l = abs(sw.drive_left) ** 2 / 2.0
     i_r = abs(sw.drive_right) ** 2 / 2.0
     if i_l <= 0 or i_r <= 0:
         raise ScenarioError("the first mode must drive from both sides")
     zeta = chain.zeta_base[0]
-    if zeta.imag != 0.0:
+    override = None if sw.zeta_override is None else complex(sw.zeta_override)
+    if zeta.imag != 0.0 or (override is not None and override.imag != 0.0):
         raise ScenarioError("mode analysis is defined for real coupling")
-    zeta_eff = zeta.real * sw.effective_scale
+    zeta_eff = zeta.real * sw.effective_scale if override is None else override.real
     i_p = 0.0
     k_p = None
     zeta_p = None
@@ -725,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-y", type=_finite, default=1.0,
                    help="first-beam wavenumber in reference units")
     p.add_argument("--zeta", type=_finite, default=0.01)
-    p.add_argument("--band-max", type=_finite, default=4.0,
+    p.add_argument("--band-max", type=_positive, default=4.0,
                    help="largest k_z/k_y candidate kept")
     p.add_argument("--i-y", type=_finite, default=1.0)
     p.add_argument("--no-refine", action="store_true",

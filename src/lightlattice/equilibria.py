@@ -26,8 +26,7 @@ from .wavecore import Mode, ScattererChain
 _EIG_TOL = 1e-9
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 80
-_FD_STEP = 1e-7
-_LINEARIZE_STEP = 1e-6
+_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -42,28 +41,21 @@ class EquilibriumReport:
     iterations: int
 
 
-def _central_difference(f, x, h, directions=None) -> np.ndarray:
-    """Central-difference derivatives of f at x, one column per direction.
+def _central_difference(f, x, h) -> np.ndarray:
+    """Central-difference derivatives of f at x, one column per coordinate.
 
-    f maps a list of coordinates to one value per coordinate. Column j is
-    (f(x + h_j e_j) - f(x - h_j e_j)) / (2 h_j). A direction e_j lists the
-    (coordinate, sign) pairs it moves, with sign +1 or -1; by default the
-    directions are the coordinate axes. h is one step or one step per
-    direction. Only the moved coordinates are displaced, so every other
-    coordinate reaches f with its exact bits.
+    f maps a list of coordinates to a sequence of values. Column j is
+    (f(x + h e_j) - f(x - h e_j)) / (2 h). Only coordinate j is displaced,
+    so every other coordinate reaches f with its exact bits.
     """
     x = list(x)
-    if directions is None:
-        directions = [((j, 1),) for j in range(len(x))]
-    steps = h if np.ndim(h) else [h] * len(directions)
-    jac = np.empty((len(x), len(directions)))
-    for j, (direction, step) in enumerate(zip(directions, steps)):
+    columns = []
+    for j in range(len(x)):
         xp, xm = list(x), list(x)
-        for i, sign in direction:
-            xp[i] += sign * step
-            xm[i] -= sign * step
-        jac[:, j] = np.subtract(f(xp), f(xm)) / (2.0 * step)
-    return jac
+        xp[j] += h
+        xm[j] -= h
+        columns.append(np.subtract(f(xp), f(xm)) / (2.0 * h))
+    return np.column_stack(columns)
 
 
 def force_jacobian(chain: ScattererChain, modes: list[Mode]) -> np.ndarray:
@@ -161,7 +153,10 @@ def find_equilibrium(
                 best_residual=best_merit,
             )
         iterations += 1
-        jac = _central_difference(residual_vec, u, _FD_STEP)
+        jac = force_jacobian(chain.with_positions(positions_from(u)), modes)
+        if relative_only:
+            # gap j moves scatterer j and every scatterer to its right
+            jac = np.diff(jac, axis=0)[:, 1:] @ np.tril(np.ones((n - 1, n - 1)))
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -300,6 +295,8 @@ def design_wavenumber(
         band = (1e-9, 4.0 * k_y)
     if not all(map(math.isfinite, band)):
         raise ValueError("band edges must be finite")
+    if not band[0] < band[1]:
+        raise ValueError(f"band {band} is not an increasing range")
     c2 = math.cos(2.0 * d * k_y)
     lead = 1.0 + 2.0 * c2
     if lead <= 0.0:
@@ -367,19 +364,21 @@ def design_wavenumber(
 def _refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
     # Newton in (p, k_z) on the exact pair forces at fixed d
     p, k_z = p0, k_z0
-    h_p = 1e-7 * max(1.0, abs(p0))
-    h_k = 1e-7 * k_y
+    h_k = _FD_STEP * k_y
 
-    def forces(v):
-        return forces_exact(*_pair_design(d, k_y, v[1], zeta, v[0], i_y)).total
+    def profile(p, k_z):
+        return forces_exact(*_pair_design(d, k_y, k_z, zeta, p, i_y))
 
     for _ in range(25):
-        f1, f2 = forces((p, k_z))
+        prof = profile(p, k_z)
+        f1, f2 = prof.total
         if max(abs(f1), abs(f2)) < 1e-13 * i_y:
             return p, k_z, True
-        jac = _central_difference(forces, (p, k_z), (h_p, h_k))
+        # the z force is linear in p, so its slope in p is exact
+        d_p = np.divide(prof.per_mode["z"], p)
+        d_k = _central_difference(lambda k: profile(p, k[0]).total, [k_z], h_k)
         try:
-            step = np.linalg.solve(jac, [-f1, -f2])
+            step = np.linalg.solve(np.column_stack([d_p, d_k]), [-f1, -f2])
         except np.linalg.LinAlgError:
             return p0, k_z0, False
         p_new = p + step[0]
@@ -387,7 +386,7 @@ def _refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
         if p_new <= 0 or not (band[0] <= k_new <= band[1]):
             return p0, k_z0, False
         p, k_z = p_new, k_new
-    f1, f2 = forces((p, k_z))
+    f1, f2 = profile(p, k_z).total
     if max(abs(f1), abs(f2)) < 1e-10 * i_y:
         return p, k_z, True
     return p0, k_z0, False
@@ -429,28 +428,22 @@ def linearize_pair_in_lattice(scenario, mass: float = 1.0) -> LinearizedModel:
     lat_modes = scenario.lattice_modes()
     pert_modes = scenario.perturbation_modes()
 
-    def forces(modes):
-        return lambda x: forces_exact(chain.with_positions(x), modes).total
-
-    # F1 in (dx1, Delta): dx1 moves both (Delta fixed), Delta moves x2 only;
+    # F1 in (dx1, Delta): dx1 moves both scatterers, Delta moves x2 alone;
     # F2 in (dx2, Delta): dx2 moves both, Delta moves x1 by -Delta
-    both, x2_alone, x1_back = ((0, 1), (1, 1)), ((1, 1),), ((0, -1),)
     a, u = forces_exact(chain, lat_modes).total
-    (b, c, _), (v, _, w) = _central_difference(
-        forces(lat_modes), chain.positions, _LINEARIZE_STEP, [both, x2_alone, x1_back]
-    ).tolist()
+    (j11, j12), (j21, j22) = force_jacobian(chain, lat_modes).tolist()
+    b, c, v, w = j11 + j12, j12, j21 + j22, -j21
     if pert_modes:
         k1p, k3p = forces_exact(chain, pert_modes).total
-        (k2p, _), (_, k4p) = _central_difference(
-            forces(pert_modes), chain.positions, _LINEARIZE_STEP, [x2_alone, x1_back]
-        ).tolist()
+        (_, k2p), (p21, _) = force_jacobian(chain, pert_modes).tolist()
+        k4p = -p21
     else:
         k1p = k2p = k3p = k4p = 0.0
 
     i_total = sum(
         (abs(m.drive_left) ** 2 + abs(m.drive_right) ** 2) / 2.0 for m in lat_modes
     )
-    tol = max(1e-8 * i_total, 100.0 * _LINEARIZE_STEP * _LINEARIZE_STEP)
+    tol = max(1e-8 * i_total, 100.0 * _FD_STEP * _FD_STEP)
     if abs(a) > tol or abs(u) > tol:
         raise InconsistentLinearization(
             f"constant lattice forces a={a:.3e}, u={u:.3e} exceed {tol:.1e}; "

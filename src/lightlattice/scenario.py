@@ -177,6 +177,7 @@ def validate_document(doc) -> None:
 
 
 def _semantic_checks(doc: dict) -> None:
+    _reject_non_finite(doc, ())
     chain = doc["chain"]
     has_positions = "positions" in chain
     has_generator = "generator" in chain
@@ -220,6 +221,27 @@ def _semantic_checks(doc: dict) -> None:
                 raise ScenarioError(
                     f"sweep axis may not vary structural key {leaf!r}"
                 )
+
+
+def _reject_non_finite(node, path: tuple) -> None:
+    """Raise ScenarioError at a NaN or infinity anywhere in a document.
+
+    json.loads accepts the literals NaN and Infinity, and the schema's
+    "number" type passes them.
+    """
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        if isinstance(node, float) and not math.isfinite(node):
+            where = "/".join(map(str, path)) or "(root)"
+            raise ScenarioError(
+                f"invalid scenario at {where}: {json.dumps(node)} is not a finite number"
+            )
+        return
+    for key, value in children:
+        _reject_non_finite(value, path + (key,))
 
 
 def _chain_size(chain_doc: dict) -> int:

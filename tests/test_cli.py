@@ -74,6 +74,24 @@ def test_malformed_scenario_leaves_no_output(tmp_path):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("where, mutate", [
+    ("dynamics/t_end", lambda d: d["dynamics"].update(t_end=math.inf)),
+    ("chain/positions/1", lambda d: d["chain"].update(positions=[0.0, math.inf])),
+    ("chain/positions/0", lambda d: d["chain"].update(positions=[math.nan])),
+    ("chain/zeta/0", lambda d: d["chain"].update(zeta=[math.nan, 0.0])),
+])
+def test_non_finite_numbers_in_a_scenario_exit_2(tmp_path, capsys, where, mutate):
+    doc = pair_doc(dynamics={"regime": "overdamped", "dt": 1.0, "t_end": 10.0})
+    mutate(doc)
+    path = write_doc(tmp_path, doc)
+    text = (tmp_path / "case.json").read_text()
+    assert "Infinity" in text or "NaN" in text  # JSON literals, as load_scenario reads them
+    out = tmp_path / "out"
+    assert main(["relax", "--scenario", path, "--out", str(out)]) == 2
+    assert f"invalid scenario at {where}:" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_fields_outputs(tmp_path):
     path = write_doc(tmp_path, pair_doc())
     out = tmp_path / "out"
@@ -311,6 +329,42 @@ def test_modes_report(tmp_path):
     assert len(rows) == 21
 
 
+def test_modes_honours_a_standing_wave_override(tmp_path):
+    # an override of 0.3 on a 0.1 chain is the 0.3 chain without one
+    def model(zeta, override):
+        doc = {
+            "version": "1",
+            "chain": {"zeta": [zeta, 0.0], "positions": [0.0, 0.468]},
+            "modes": [
+                {"label": "sw", "k": 1.0, "intensity_left": 1.0, "intensity_right": 1.0},
+                {"label": "p", "k": 1.0 / 0.99, "intensity_left": 0.5,
+                 "zeta_override": [0.1, 0.0]},
+            ],
+        }
+        if override is not None:
+            doc["modes"][0]["zeta_override"] = [override, 0.0]
+        out = tmp_path / f"out_{zeta}_{override}"
+        assert main(["modes", "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+        return json.loads((out / "modes.json").read_text())["model"]
+
+    assert model(0.1, 0.3) == model(0.3, None)
+    assert model(0.1, 0.3)["K"] != model(0.1, None)["K"]
+
+
+@pytest.mark.parametrize("extra", [
+    {"modes": [{"label": "sw", "k": 1.0, "intensity_left": 1.0, "intensity_right": 1.0,
+                "zeta_override": [0.1, 0.05]}]},
+    {"modes": [{"label": "sw", "k": 1.0, "intensity_left": 1.0, "intensity_right": 1.0},
+               {"label": "p", "k": 1.01, "intensity_left": 0.5},
+               {"label": "q", "k": 1.2, "intensity_left": 0.5}]},
+], ids=["complex-override", "three-modes"])
+def test_modes_refuses_input_it_cannot_honour(tmp_path, extra):
+    path = write_doc(tmp_path, pair_doc(**extra))
+    out = tmp_path / "out"
+    assert main(["modes", "--scenario", path, "--out", str(out)]) == 2
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_zerolines_grid(tmp_path):
     doc = {
         "version": "1",
@@ -424,6 +478,9 @@ def test_preset_runs_fields(tmp_path):
     ["forces", "--d-min", "-0.1"],
     ["zerolines", "--d1-min", "-0.1"],
     ["modes", "--mass", "5"],
+    ["design", "--band-max", "-1"],
+    ["design", "--band-max", "0"],
+    ["design", "--band-max", "1e-12"],
 ])
 def test_grids_need_two_points_on_an_increasing_range(tmp_path, argv):
     doc = pair_doc()

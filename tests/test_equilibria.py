@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from lightlattice.equilibria import (
     LinearizedModel,
+    classify_stability,
     design_intensity_ratio,
     design_wavenumber,
     find_equilibrium,
@@ -23,7 +24,7 @@ from lightlattice.errors import (
 from lightlattice.dynamics import DynamicsParams, evolve
 from lightlattice.forcefield import forces_exact
 from lightlattice.lattice import build_lattice
-from lightlattice.wavecore import K_REF, Mode, ScattererChain
+from lightlattice.wavecore import K_REF, Mode, ScattererChain, mode_zetas
 
 EXACT_CROSSING_LOW = 0.123416461
 EXACT_CROSSING_HIGH = 0.373400547
@@ -166,6 +167,8 @@ def test_design_out_of_domain_reports_radicand():
     (0.1, K_REF, (1e-9, math.nan), 1.0),
     (0.1, K_REF, (1e-9, math.inf), 1.0),
     (0.1, K_REF, (math.nan, 4.0 * K_REF), 1.0),
+    (0.1, K_REF, (1e-9, -K_REF), 1.0),
+    (0.1, K_REF, (1.0, 1.0), 1.0),
     (0.1, K_REF, None, -1.0),
     (0.1, K_REF, None, math.nan),
     (0.1, K_REF, None, math.inf),
@@ -269,10 +272,10 @@ def test_zero_coupling_grid_is_flat():
 
 # ---------------------------------------------------------------------------
 # Bit identity of the shared central-difference helper. The references below
-# are the hand-written loops the helper replaced; results compare by bytes or
-# repr, so signed zeros and the last bit count.
+# are hand-written loops; results compare by bytes or repr, so signed zeros
+# and the last bit count.
 
-def _ref_force_jacobian(chain, modes, h=1e-7):
+def _ref_force_jacobian(chain, modes, h=1e-6):
     x = list(chain.positions)
     n = len(x)
     jac = np.empty((n, n))
@@ -299,7 +302,9 @@ def _ref_eigenvalues(jac, relative_only):
     return eigs[np.argsort(eigs.real)[::-1]]
 
 
-def _ref_newton_positions(chain, modes, relative_only, tol=1e-12, fd_step=1e-7):
+def _ref_newton_positions(chain, modes, relative_only, tol=1e-12, fd_step=1e-6):
+    """Newton positions and iteration count; the Jacobian is differenced in
+    the solved coordinates (gaps when relative_only)."""
     n = chain.n
     x1 = chain.positions[0]
 
@@ -323,7 +328,9 @@ def _ref_newton_positions(chain, modes, relative_only, tol=1e-12, fd_step=1e-7):
         u = np.array(chain.positions)
     r = residual_vec(u)
     merit = float(np.max(np.abs(r)))
+    iterations = 0
     while merit >= tol:
+        iterations += 1
         m = len(u)
         jac = np.empty((m, m))
         for j in range(m):
@@ -344,7 +351,7 @@ def _ref_newton_positions(chain, modes, relative_only, tol=1e-12, fd_step=1e-7):
             lam *= 0.5
         else:
             raise AssertionError("reference Newton stalled")
-    return positions_from(u)
+    return positions_from(u), iterations
 
 
 @pytest.mark.parametrize("n", [2, 5])
@@ -356,20 +363,32 @@ def test_force_jacobian_matches_hand_loop_bytes(n):
 
 @pytest.mark.parametrize(
     "relative_only, positions, modes",
-    [
-        (True, (0.0, 0.36, 0.74), symmetric_modes(i_z=1.2)),
-        (False, (0.01, 0.49), [Mode("sw", K_REF, drive_left=1.0, drive_right=1.1)]),
-    ],
-    ids=["relative", "absolute"],
+    [(False, (0.01, 0.49), [Mode("sw", K_REF, drive_left=1.0, drive_right=1.1)])],
+    ids=["absolute"],
 )
 def test_find_equilibrium_matches_hand_loops_bytes(relative_only, positions, modes):
     chain = ScattererChain(positions, 0.05)
     report = find_equilibrium(chain, modes, relative_only=relative_only)
-    ref_positions = _ref_newton_positions(chain, modes, relative_only)
+    ref_positions, ref_iterations = _ref_newton_positions(chain, modes, relative_only)
     assert repr(report.positions) == repr(ref_positions)
+    assert report.iterations == ref_iterations
     ref_jac = _ref_force_jacobian(chain.with_positions(ref_positions), modes)
     assert report.jacobian.tobytes() == ref_jac.tobytes()
     assert report.eigenvalues.tobytes() == _ref_eigenvalues(ref_jac, relative_only).tobytes()
+
+
+def test_find_equilibrium_matches_gap_loop_closely():
+    # relative Newton takes its gap Jacobian from force_jacobian by the chain
+    # rule; a loop that differences the gaps themselves, at step 1e-7, lands
+    # on the same iterate within round-off
+    chain = ScattererChain((0.0, 0.36, 0.74), 0.05)
+    modes = symmetric_modes(i_z=1.2)
+    report = find_equilibrium(chain, modes, relative_only=True)
+    ref_positions, ref_iterations = _ref_newton_positions(chain, modes, True, fd_step=1e-7)
+    assert np.max(np.abs(np.subtract(report.positions, ref_positions))) <= 1e-12
+    assert report.iterations == ref_iterations
+    ref_jac = _ref_force_jacobian(chain.with_positions(ref_positions), modes, h=1e-7)
+    assert report.classification == classify_stability(ref_jac, True)[1]
 
 
 def _ref_linearization(scenario, h=1e-6):
@@ -386,12 +405,15 @@ def _ref_linearization(scenario, h=1e-6):
             return (0.0, 0.0)
         return forces_exact(chain.with_positions((x1 + dx1, x2 + dx2)), pert_modes).total
 
+    def slope(f, i, dx1, dx2):
+        return (f(dx1, dx2)[i] - f(-dx1, -dx2)[i]) / (2.0 * h)
+
     return {
         "a": f_lat(0.0, 0.0)[0],
         "u": f_lat(0.0, 0.0)[1],
-        "b": (f_lat(h, h)[0] - f_lat(-h, -h)[0]) / (2.0 * h),
+        "b": slope(f_lat, 0, h, 0.0) + slope(f_lat, 0, 0.0, h),
         "c": (f_lat(0.0, h)[0] - f_lat(0.0, -h)[0]) / (2.0 * h),
-        "v": (f_lat(h, h)[1] - f_lat(-h, -h)[1]) / (2.0 * h),
+        "v": slope(f_lat, 1, h, 0.0) + slope(f_lat, 1, 0.0, h),
         "w": (f_lat(-h, 0.0)[1] - f_lat(h, 0.0)[1]) / (2.0 * h),
         "k1p": f_pert(0.0, 0.0)[0],
         "k3p": f_pert(0.0, 0.0)[1],
@@ -443,6 +465,7 @@ def _ref_pair_design_stability(d, k_y, k_z, zeta, p, i_y):
 
 
 def _ref_refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
+    # Newton in (p, k_z) with both slopes differenced, p at a step of its own
     p, k_z = p0, k_z0
     h_p = 1e-7 * max(1.0, abs(p0))
     h_k = 1e-7 * k_y
@@ -473,7 +496,9 @@ def _ref_refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
 
 
 @pytest.mark.parametrize("d", [0.06, 0.1, 0.13])
-def test_design_candidates_match_hand_loops(d):
+def test_design_candidates_match_hand_loops_closely(d):
+    # the refinement takes dF/dp exactly and differences k_z alone; a loop
+    # that differences both reaches the same root within 1e-9
     zeta, band = 0.01, (1e-9, 4.0 * K_REF)
     seeds = design_wavenumber(d, K_REF, zeta=zeta, refine=False)
     cands = design_wavenumber(d, K_REF, zeta=zeta)
@@ -483,8 +508,94 @@ def test_design_candidates_match_hand_loops(d):
             assert repr(cand) == repr(seed)
             continue
         p, k_z, refined = _ref_refine_design(d, K_REF, seed.k_z, zeta, seed.p, 1.0, band)
-        f1, f2 = _ref_pair_design_forces(d, K_REF, k_z, zeta, p, 1.0)
-        stab = _ref_pair_design_stability(d, K_REF, k_z, zeta, p, 1.0)
-        assert repr((cand.p, cand.k_z, cand.refined)) == repr((p, k_z, refined))
-        assert repr((cand.residual_f1, cand.residual_f2)) == repr((abs(f1), abs(f2)))
-        assert cand.stability == stab
+        assert cand.physical and cand.refined == refined
+        assert cand.p == pytest.approx(p, rel=1e-9)
+        assert cand.k_z == pytest.approx(k_z, rel=1e-9)
+        assert cand.stability == _ref_pair_design_stability(d, K_REF, k_z, zeta, p, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Accuracy of the one force Jacobian, against mpmath.
+
+def _mp_forces(mp, positions, modes, zetas):
+    """Forces at mpmath precision: the transfer-matrix solve written out."""
+    total = [mp.mpf(0)] * len(positions)
+    for mode, zs in zip(modes, zetas):
+        k = mp.mpf(mode.k)
+        splitters = [
+            (1 + 1j * z, 1j * z, -1j * z, 1 - 1j * z) for z in (mp.mpc(z) for z in zs)
+        ]
+        m11, m12, m21, m22 = splitters[0]
+        for x0, x1, (s11, s12, s21, s22) in zip(positions, positions[1:], splitters[1:]):
+            ph = mp.expj(k * (x1 - x0))
+            p11, p12, p21, p22 = ph * m11, ph * m12, m21 / ph, m22 / ph
+            m11, m12 = s11 * p11 + s12 * p21, s11 * p12 + s12 * p22
+            m21, m22 = s21 * p11 + s22 * p21, s21 * p12 + s22 * p22
+        a = mp.mpc(mode.drive_left) * mp.expj(k * positions[0])
+        dn = mp.mpc(mode.drive_right) * mp.expj(-k * positions[-1])
+        b = (dn - m21 * a) / m22
+        for j, (s11, s12, s21, s22) in enumerate(splitters):
+            if j:
+                ph = mp.expj(k * (positions[j] - positions[j - 1]))
+                a, b = ph * c, d / ph
+            c, d = s11 * a + s12 * b, s21 * a + s22 * b
+            total[j] += (abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2) / 2
+    return total
+
+
+@pytest.mark.parametrize(
+    "n, zeta, spacing", [(2, 0.05, 0.36), (10, 0.05, 0.47), (10, 0.2, 0.45), (30, 0.05, 0.4968)]
+)
+def test_force_jacobian_matches_mpmath(n, zeta, spacing):
+    mpmath = pytest.importorskip("mpmath")
+    chain = ScattererChain(tuple(j * spacing for j in range(n)), zeta)
+    modes = [
+        Mode("y", K_REF, drive_left=math.sqrt(2.0)),
+        Mode("z", 1.3 * K_REF, drive_right=math.sqrt(2.0)),
+    ]
+    zetas = [mode_zetas(chain, mode) for mode in modes]
+    with mpmath.workdps(50):
+        h = mpmath.mpf("1e-20")
+        x = [mpmath.mpf(v) for v in chain.positions]
+        ref = np.empty((n, n))
+        for j in range(n):
+            xp, xm = list(x), list(x)
+            xp[j] += h
+            xm[j] -= h
+            fp = _mp_forces(mpmath, xp, modes, zetas)
+            fm = _mp_forces(mpmath, xm, modes, zetas)
+            ref[:, j] = [float((a - b) / (2 * h)) for a, b in zip(fp, fm)]
+    err = np.max(np.abs(force_jacobian(chain, modes) - ref))
+    assert err <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_every_position_derivative_reads_force_jacobian(monkeypatch):
+    import lightlattice.equilibria as equilibria
+
+    calls = []
+
+    def spy(chain, modes):
+        calls.append(chain.n)
+        return force_jacobian(chain, modes)
+
+    lattice = build_lattice(2, 1.0, 1.0, 0.1, i_p=0.5, k_p=K_REF / 0.99, zeta_p=0.1)
+    monkeypatch.setattr(equilibria, "force_jacobian", spy)
+    modes = symmetric_modes()
+    runs = {
+        "newton relative": lambda: equilibria.find_equilibrium(
+            ScattererChain((0.0, 0.35), 0.01), modes, relative_only=True),
+        "newton absolute": lambda: equilibria.find_equilibrium(
+            ScattererChain((0.01, 0.49), 0.05),
+            [Mode("sw", K_REF, drive_left=1.0, drive_right=1.1)]),
+        "linearization": lambda: equilibria.linearize_pair_in_lattice(lattice),
+        "design": lambda: equilibria.design_wavenumber(0.125, K_REF, zeta=0.01),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        report = run()
+        assert calls, f"{name} took a derivative without force_jacobian"
+        if name.startswith("newton"):
+            # one Jacobian per Newton iteration plus the final classification
+            assert len(calls) == report.iterations + 1, name
+        if name == "linearization":
+            assert len(calls) == 2  # lattice and perturbation modes

@@ -255,3 +255,19 @@ def test_empty_chain_is_allowed():
     doc["chain"]["positions"] = []
     s = scenario_from_document(doc)
     assert s.chain.n == 0
+
+
+@pytest.mark.parametrize("path, value", [
+    ("dynamics.t_end", math.inf),
+    ("chain.positions.1", math.inf),
+    ("chain.positions.0", math.nan),
+    ("chain.zeta.0", math.nan),
+])
+def test_non_finite_numbers_are_rejected_in_dicts_and_sweep_cells(path, value):
+    doc = base_doc()
+    doc["dynamics"] = {"regime": "overdamped", "dt": 1.0, "t_end": 10.0}
+    # a sweep cell is a document with the axis value written in
+    cell = apply_axis_values(doc, [(path, value)])
+    where = path.replace(".", "/")
+    with pytest.raises(ScenarioError, match=f"at {where}: (Infinity|NaN) is not a finite"):
+        scenario_from_document(cell)
