@@ -59,12 +59,17 @@ def _central_difference(f, x, h) -> np.ndarray:
 
 
 def force_jacobian(chain: ScattererChain, modes: list[Mode]) -> np.ndarray:
-    """Central-difference Jacobian dF_i/dx_j of the exact forces."""
-    return _central_difference(
-        lambda x: forces_exact(chain.with_positions(x), modes).total,
-        chain.positions,
-        _FD_STEP,
-    )
+    """Central-difference Jacobian dF_i/dx_j of the exact forces.
+
+    Column j is (F(x + h e_j) - F(x - h e_j)) / (2 h) with h = _FD_STEP. All
+    2N displaced chains go through one forces_batch call, rows x + h e_j
+    first, then x - h e_j; only coordinate j of a row is displaced. A row
+    that forces_exact rejects raises its error.
+    """
+    x = np.array(chain.positions)
+    steps = np.diag(np.full(len(x), _FD_STEP))
+    f = forces_batch(chain, modes, np.concatenate([x + steps, x - steps]))
+    return ((f[:len(x)] - f[len(x):]) / (2.0 * _FD_STEP)).T
 
 
 def classify_stability(

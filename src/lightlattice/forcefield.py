@@ -7,7 +7,6 @@ for analysis and design work. Positive force points toward +x.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -63,10 +62,12 @@ def forces_batch(chain: ScattererChain, modes: list[Mode], positions) -> np.ndar
     """Total forces [B, N] on chain's scatterers placed at each row of positions [B, N].
 
     Row b is forces_exact(chain.with_positions(positions[b]), modes).total
-    bit for bit, signed zeros included. Rows are solved side by side in
-    blocks of _BATCH_ROWS. A block holding a row that forces_exact rejects
-    (not strictly increasing, singular, non-finite or overflowing) is re-run
-    row by row through forces_exact, which raises its own error.
+    to round-off (solve_fields_batch runs in complex128). A row's bits do not
+    depend on the other rows, so the result is byte-stable across block
+    sizes. Rows are solved side by side in blocks of _BATCH_ROWS. A block
+    holding a row that forces_exact rejects (not strictly increasing,
+    singular, non-finite or overflowing) is re-run row by row through
+    forces_exact, which raises its own error.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2:
@@ -87,22 +88,12 @@ def _block_forces(chain: ScattererChain, modes: list[Mode], rows: np.ndarray):
     if rows.shape[1] != chain.n or not (rows[:, 1:] > rows[:, :-1]).all():
         return None
     quads = solve_fields_batch(chain, modes, rows)
-    # abs(z) ** 2 as forces_from_solution takes it: hypot, then libm pow,
-    # which x * x and np.power do not always match in the last bit
-    sizes = np.hypot(quads.real, quads.imag).ravel().tolist()
-    try:
-        squares = np.fromiter(map(math.pow, sizes, itertools.repeat(2.0)),
-                              float, len(sizes)).reshape(quads.shape)
-    except OverflowError:
-        return None
-    a2, b2, c2, d2 = np.moveaxis(squares, -1, 0)
-    # keyed by label as in forces_from_solution, so a repeated label counts
-    # once, and summed as sum() does there: from 0, mode by mode
-    per_mode = {mode.label: 0.5 * (a2[m] + b2[m] - c2[m] - d2[m])
-                for m, mode in enumerate(modes)}
+    squares = quads.real * quads.real + quads.imag * quads.imag
+    per_mode = 0.5 * (squares[..., 0] + squares[..., 1] - squares[..., 2] - squares[..., 3])
+    # a repeated label counts once, as in forces_from_solution's dict
     total = 0.0
-    for f in per_mode.values():
-        total = total + f
+    for m in {mode.label: m for m, mode in enumerate(modes)}.values():
+        total = total + per_mode[m]
     return total if np.isfinite(total).all() else None
 
 

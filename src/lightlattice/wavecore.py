@@ -201,9 +201,9 @@ def _transfer(splitters, ik, positions, exp):
     written out in the same operation order, so every entry is bit for bit
     the one the helpers build. That includes the 0j terms of the diagonal
     propagation matrix: they can turn a -0.0 into +0.0. splitters holds the
-    splitter entries per scatterer, ik is i*k and exp is cmath.exp or its
-    _Pair counterpart. Returns (m11, m12, m21, m22) and the
-    (e^{ikd}, e^{-ikd}) pair per gap.
+    splitter entries per scatterer, ik is i*k and exp is cmath.exp, or
+    np.exp for arrays. Returns (m11, m12, m21, m22) and the (e^{ikd}, e^{-ikd})
+    pair per gap.
     """
     m11, m12, m21, m22 = splitters[0]
     phases = []
@@ -332,80 +332,7 @@ def solve_fields(chain: ScattererChain, modes: list[Mode]) -> FieldSolution:
     return FieldSolution(chain, tuple(solved))
 
 
-@dataclass(slots=True, eq=False)
-class _Pair:
-    """Complex values as (re, im) float64 arrays, with CPython 3.11's complex arithmetic.
-
-    The batched solve runs _transfer and _sweep on these, so each row is bit
-    for bit the scalar kernel's: numpy's complex *, / and abs round
-    differently. A float or float array x is promoted to (x, 0.0) and a
-    complex number to (real, imag), as CPython does.
-    """
-
-    re: np.ndarray
-    im: np.ndarray
-
-    @classmethod
-    def column(cls, values) -> "_Pair":
-        """Per-mode complex constants as [M, 1] columns that broadcast over rows."""
-        arr = np.array(values, dtype=complex)[..., None]
-        return cls(arr.real, arr.imag)
-
-    def exp(self) -> "_Pair":
-        """cmath.exp, which numpy's complex exp matches bit for bit."""
-        w = np.empty(np.broadcast_shapes(np.shape(self.re), np.shape(self.im)), dtype=complex)
-        w.real, w.imag = self.re, self.im
-        w = np.exp(w)
-        return _Pair(w.real, w.imag)
-
-    def __add__(self, other: "_Pair") -> "_Pair":
-        return _Pair(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "_Pair") -> "_Pair":
-        return _Pair(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other) -> "_Pair":
-        """CPython's _Py_c_prod. Each part is a sum of two products, and IEEE
-        products and sums commute, so it serves as __rmul__ too."""
-        o = _promote(other)
-        return _Pair(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "_Pair":
-        return _quot(self, _promote(other))
-
-    def __rtruediv__(self, other) -> "_Pair":
-        return _quot(_promote(other), self)
-
-
-def _promote(x) -> _Pair:
-    if isinstance(x, _Pair):
-        return x
-    if isinstance(x, complex):
-        return _Pair(x.real, x.imag)
-    return _Pair(x, 0.0)
-
-
-def _quot(a: _Pair, b: _Pair) -> _Pair:
-    """a / b as CPython's _Py_c_quot: Smith's method over the larger part of b.
-
-    Where b holds a NaN the second branch is taken, and it gives NaN as
-    CPython does. A zero b, which CPython refuses, gives NaN.
-    """
-    ar, ai, br, bi = a.re, a.im, b.re, b.im
-    ratio = bi / br
-    denom = br + bi * ratio
-    by_real = ((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
-    ratio = br / bi
-    denom = br * ratio + bi
-    by_imag = ((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
-    real_larger = np.abs(br) >= np.abs(bi)
-    return _Pair(np.where(real_larger, by_real[0], by_imag[0]),
-                 np.where(real_larger, by_real[1], by_imag[1]))
-
-
-# _quot also computes the branch it drops, which may divide by zero
+# a singular row divides by zero and overflows on its way to NaN
 @np.errstate(all="ignore")
 def solve_fields_batch(chain: ScattererChain, modes: list[Mode], positions) -> np.ndarray:
     """The quadruples of solve_fields for many placements of chain's scatterers.
@@ -413,34 +340,35 @@ def solve_fields_batch(chain: ScattererChain, modes: list[Mode], positions) -> n
     positions is a float array [B, N] whose rows must be strictly increasing;
     they are not checked. Returns a complex array [M, B, N, 4] whose entry
     [m, b, j] is (A_j, B_j, C_j, D_j) of modes[m] on
-    chain.with_positions(positions[b]), bit for bit what solve_fields gives:
-    both run _transfer and _sweep, here on _Pair values of shape [M, B].
-    The rows run side by side and the scatterers one after another. A row
-    whose |m22| solve_fields rejects comes back NaN; every non-finite
-    amplitude stays non-finite.
+    chain.with_positions(positions[b]). Both solves run _transfer and _sweep,
+    here on numpy complex128 arrays of shape [M, B], so a row agrees with
+    solve_fields to round-off, not bit for bit; its bits do not depend on
+    the other rows. The rows run side by side and the scatterers one after
+    another. A row whose |m22| is below 1e-14, NaN or overflowing, which
+    solve_fields rejects, comes back NaN; every non-finite amplitude stays
+    non-finite.
     """
     pos = np.asarray(positions, dtype=float)
     n_rows, n = pos.shape
-    quads = np.empty((4, len(modes), n, n_rows), dtype=complex)
     if n == 0 or not modes:
-        return quads.transpose(1, 3, 2, 0)
-    entries = np.array([_splitters(chain, mode) for mode in modes])  # [M, N, 4]
-    splitters = [[_Pair.column(entries[:, j, q]) for q in range(4)] for j in range(n)]
-    ik = _Pair.column([1j * mode.k for mode in modes])
-    (_, _, m21, m22), phases = _transfer(splitters, ik, pos.T, _Pair.exp)
-    size = np.hypot(m22.re, m22.im)
-    # abs() raises OverflowError when finite parts overflow it
-    singular = (size < _SINGULAR_M22) | (
-        np.isinf(size) & np.isfinite(m22.re) & np.isfinite(m22.im))
-    a = _Pair.column([mode.drive_left for mode in modes]) * (ik * pos[:, 0]).exp()
-    dn = (_Pair.column([mode.drive_right for mode in modes])
-          * (_Pair.column([-1j * mode.k for mode in modes]) * pos[:, -1]).exp())
-    for j, quad in enumerate(_sweep(splitters, phases, a, (dn - m21 * a) / m22)):
-        for q, value in enumerate(quad):
-            quads[q, :, j].real = value.re
-            quads[q, :, j].imag = value.im
-    np.copyto(quads, np.nan, where=singular[:, None, :])
-    return quads.transpose(1, 3, 2, 0)
+        return np.empty((len(modes), n_rows, n, 4), dtype=complex)
+    # splitters[j, q] is entry q of scatterer j for every mode and row, [M, B]:
+    # operands of one shape take numpy's fastest loops
+    entries = np.array([_splitters(chain, mode) for mode in modes], dtype=complex)
+    splitters = np.empty((n, 4, len(modes), n_rows), dtype=complex)
+    splitters[...] = entries.transpose(1, 2, 0)[..., None]
+    # per-mode constants as [M, 1] columns that broadcast over rows
+    ik, left, right = np.array(
+        [(1j * m.k, m.drive_left, m.drive_right) for m in modes]).T[..., None]
+    (_, _, m21, m22), phases = _transfer(splitters, ik, pos.T, np.exp)
+    size = np.abs(m22)
+    # [M, B], or [M, 1] for one scatterer, which has no gap; copyto broadcasts it
+    singular = ~(size >= _SINGULAR_M22) | (np.isinf(size) & np.isfinite(m22))
+    a = left * np.exp(ik * pos[:, 0])
+    dn = right * np.exp(-ik * pos[:, -1])
+    quads = np.array(_sweep(splitters, phases, a, (dn - m21 * a) / m22))  # [N, 4, M, B]
+    np.copyto(quads, np.nan, where=singular)
+    return quads.transpose(2, 3, 0, 1)
 
 
 def _mode_field_at(chain: ScattererChain, mf: ModeFields, x: float) -> complex:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -405,6 +406,23 @@ def test_grid_commands_make_no_per_point_forces_exact_calls(tmp_path, monkeypatc
     assert main(["forces", "--scenario", pair, "--out", out]) == 0
     assert main(["zerolines", "--scenario", triple, "--out", out]) == 0
     assert calls == []
+
+
+def test_grid_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    pair = write_doc(tmp_path, pair_doc(), "pair.json")
+    triple = pair_doc()
+    triple["chain"].update(zeta=[0.05, 0.01], positions=[0.0, 0.3, 0.6])
+    triple = write_doc(tmp_path, triple, "triple.json")
+    digests = {}
+    for rows in (1, 3, 7, 256, 1000):
+        monkeypatch.setattr(forcefield, "_BATCH_ROWS", rows)
+        out = tmp_path / f"rows{rows}"
+        assert main(["forces", "--scenario", pair, "--out", str(out)]) == 0
+        assert main(["zerolines", "--scenario", triple, "--out", str(out)]) == 0
+        digests[rows] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                         for path in out.iterdir()}
+    assert {"pair_forces.csv", "pair_zerolines.csv"} <= set(digests[1])
+    assert all(d == digests[1] for d in digests.values())
 
 
 def test_presets_cover_perturbation_kinds():

@@ -271,9 +271,10 @@ def test_zero_coupling_grid_is_flat():
 
 
 # ---------------------------------------------------------------------------
-# Bit identity of the shared central-difference helper. The references below
-# are hand-written loops; results compare by bytes or repr, so signed zeros
-# and the last bit count.
+# The one force Jacobian against hand-written loops over forces_exact. The
+# Jacobian runs its displaced chains through the batched kernel, which
+# agrees with forces_exact to round-off, so results compare within the
+# noise of the central difference.
 
 def _ref_force_jacobian(chain, modes, h=1e-6):
     x = list(chain.positions)
@@ -354,11 +355,17 @@ def _ref_newton_positions(chain, modes, relative_only, tol=1e-12, fd_step=1e-6):
     return positions_from(u), iterations
 
 
+def fd_noise(jac):
+    """The round-off a central difference at step 1e-6 may carry."""
+    return 1e-8 * max(1.0, np.max(np.abs(jac)))
+
+
 @pytest.mark.parametrize("n", [2, 5])
-def test_force_jacobian_matches_hand_loop_bytes(n):
+def test_force_jacobian_matches_hand_loop_closely(n):
     chain = ScattererChain(tuple(0.1 + 0.37 * j for j in range(n)), 0.05)
     modes = symmetric_modes(i_y=0.72, k_z=1.1 * K_REF)
-    assert force_jacobian(chain, modes).tobytes() == _ref_force_jacobian(chain, modes).tobytes()
+    ref = _ref_force_jacobian(chain, modes)
+    assert np.max(np.abs(force_jacobian(chain, modes) - ref)) <= fd_noise(ref)
 
 
 @pytest.mark.parametrize(
@@ -366,15 +373,17 @@ def test_force_jacobian_matches_hand_loop_bytes(n):
     [(False, (0.01, 0.49), [Mode("sw", K_REF, drive_left=1.0, drive_right=1.1)])],
     ids=["absolute"],
 )
-def test_find_equilibrium_matches_hand_loops_bytes(relative_only, positions, modes):
+def test_find_equilibrium_matches_hand_loops_closely(relative_only, positions, modes):
     chain = ScattererChain(positions, 0.05)
     report = find_equilibrium(chain, modes, relative_only=relative_only)
     ref_positions, ref_iterations = _ref_newton_positions(chain, modes, relative_only)
-    assert repr(report.positions) == repr(ref_positions)
+    assert np.max(np.abs(np.subtract(report.positions, ref_positions))) <= 1e-10
     assert report.iterations == ref_iterations
     ref_jac = _ref_force_jacobian(chain.with_positions(ref_positions), modes)
-    assert report.jacobian.tobytes() == ref_jac.tobytes()
-    assert report.eigenvalues.tobytes() == _ref_eigenvalues(ref_jac, relative_only).tobytes()
+    assert np.max(np.abs(report.jacobian - ref_jac)) <= fd_noise(ref_jac)
+    ref_eigs = _ref_eigenvalues(ref_jac, relative_only)
+    assert np.max(np.abs(report.eigenvalues - ref_eigs)) <= fd_noise(ref_jac)
+    assert report.classification == classify_stability(ref_jac, relative_only)[1]
 
 
 def test_find_equilibrium_matches_gap_loop_closely():
@@ -423,13 +432,14 @@ def _ref_linearization(scenario, h=1e-6):
 
 
 @pytest.mark.parametrize("i_p", [0.0, 0.5])
-def test_linearization_matches_hand_loop_bytes(i_p):
+def test_linearization_matches_hand_loop_closely(i_p):
     scenario = build_lattice(2, 1.0, 1.0, 0.1, i_p=i_p, k_p=K_REF / 0.99, zeta_p=0.1)
     model = linearize_pair_in_lattice(scenario)
     ref = _ref_linearization(scenario)
-    assert {k: repr(v) for k, v in model.constants.items()} == {
-        k: repr(v) for k, v in ref.items()
-    }
+    assert model.constants.keys() == ref.keys()
+    tol = fd_noise(np.array(list(ref.values())))
+    for key, value in ref.items():
+        assert abs(model.constants[key] - value) <= tol, key
     assert all(type(v) is float for v in model.constants.values())
     for value in (model.k_spring, model.kappa1, model.kappa2, model.f_ext):
         assert type(value) is float
@@ -599,3 +609,26 @@ def test_every_position_derivative_reads_force_jacobian(monkeypatch):
             assert len(calls) == report.iterations + 1, name
         if name == "linearization":
             assert len(calls) == 2  # lattice and perturbation modes
+
+
+def test_force_jacobian_is_one_batched_call(monkeypatch):
+    import lightlattice.equilibria as equilibria
+    import lightlattice.forcefield as forcefield
+
+    shapes = []
+
+    def spy(chain, modes, positions):
+        shapes.append(np.shape(positions))
+        return forcefield.forces_batch(chain, modes, positions)
+
+    def scalar(*args):
+        raise AssertionError("force_jacobian reached forces_exact")
+
+    monkeypatch.setattr(equilibria, "forces_batch", spy)
+    monkeypatch.setattr(equilibria, "forces_exact", scalar)
+    monkeypatch.setattr(forcefield, "forces_exact", scalar)
+    for n in (1, 2, 5):
+        shapes.clear()
+        chain = ScattererChain(tuple(0.1 + 0.37 * j for j in range(n)), 0.05)
+        assert force_jacobian(chain, symmetric_modes()).shape == (n, n)
+        assert shapes == [(2 * n, n)]
