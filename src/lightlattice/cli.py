@@ -56,6 +56,9 @@ from .wavecore import K_REF, intensity_profile, solve_fields
 
 
 def _fmt(x) -> str:
+    # plain floats are nearly every cell, so they skip the isinstance ladder
+    if type(x) is float:
+        return "%.17g" % x
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -368,7 +371,8 @@ def _trajectory_rows(traj, n):
 
 
 def _evolve_to_end(scn: Scenario, keep_partial: bool):
-    """(trajectory, collision message or None, final chain, gaps, sup|F|).
+    """(trajectory, collision message or None, final chain, gaps, sup|F|,
+    co-moving residual sup_j |F_j - <F>|).
 
     With keep_partial a collision's partial trajectory is measured, not raised.
     """
@@ -388,7 +392,10 @@ def _evolve_to_end(scn: Scenario, keep_partial: bool):
     final = traj.final_positions()
     chain = scn.chain.with_positions(final)
     gaps = [final[j + 1] - final[j] for j in range(len(final) - 1)]
-    return traj, collision, chain, gaps, forces_exact(chain, scn.mode_list()).sup
+    profile = forces_exact(chain, scn.mode_list())
+    mean = sum(profile.total) / chain.n
+    comoving = max(abs(f - mean) for f in profile.total)
+    return traj, collision, chain, gaps, profile.sup, comoving
 
 
 def _run_dynamics(args, command) -> int:
@@ -397,7 +404,7 @@ def _run_dynamics(args, command) -> int:
         raise ScenarioError(f"{command} needs a dynamics block")
     if command == "relax" and scn.dynamics.regime != "overdamped":
         raise ScenarioError("relax requires the overdamped regime")
-    traj, collision, chain, gaps, residual = _evolve_to_end(scn, keep_partial=True)
+    traj, collision, chain, gaps, residual, comoving = _evolve_to_end(scn, keep_partial=True)
     pre = _prefix(scn)
     cols, rows = _trajectory_rows(traj, chain.n)
     _write_csv(
@@ -411,6 +418,7 @@ def _run_dynamics(args, command) -> int:
         "final_positions": list(chain.positions),
         "final_gaps": gaps,
         "residual_force_sup": residual,
+        "comoving_residual": comoving,
         "com_velocity": com_velocity(traj) if len(traj.times) >= 2 else 0.0,
         "snapshots": traj.n_snapshots,
     }
@@ -436,13 +444,22 @@ def _sweep_cell(payload):
         doc = apply_axis_values(base, assignments)
         doc.pop("sweep", None)
         scn = scenario_from_document(doc, name="sweep-cell")
-        traj, _, chain, gaps, residual = _evolve_to_end(scn, keep_partial=False)
-        _, stability = classify_stability(force_jacobian(chain, scn.mode_list()), True)
+        traj, _, chain, gaps, residual, comoving = _evolve_to_end(scn, keep_partial=False)
+        eigs, stability = classify_stability(force_jacobian(chain, scn.mode_list()), True)
+        dyn = scn.dynamics
+        # the stiffness product shows an explicit step too large for the state
+        # it ended in; a newtonian run's stiffness also depends on the mass
+        stiffness = math.nan
+        if dyn.regime == "overdamped":
+            stiffness = dyn.dt * float(np.abs(eigs).max(initial=0.0)) / dyn.friction
         return {
             "gaps": gaps,
             "com_velocity": com_velocity(traj),
             "residual": residual,
-            "stability": stability,
+            "comoving_residual": comoving,
+            "dt_stiffness": stiffness,
+            # a fixed point of the RK4 map need not be one of the dynamics
+            "stability": "not_stationary" if comoving > dyn.force_tol else stability,
             "error": "",
         }
     except LightLatticeError as exc:
@@ -486,17 +503,17 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_sweep_cell, [p for _, p in cells]))
     axis_cols = [ax.path.replace(".", "_") for ax in axes]
     columns = axis_cols + [f"gap_{j + 1}" for j in range(n - 1)] + [
-        "com_velocity", "residual", "stability", "error",
+        "com_velocity", "residual", "comoving_residual", "dt_stiffness", "stability", "error",
     ]
     rows = []
     for (combo, _), res in zip(cells, results):
         row = list(combo)
         if res.get("error"):
-            row += [math.nan] * (n - 1) + [math.nan, math.nan, "failed",
-                                           res["error"].replace(",", ";")]
+            row += [math.nan] * (n + 3) + ["failed", res["error"].replace(",", ";")]
         else:
             row += res["gaps"] + [
-                res["com_velocity"], res["residual"], res["stability"], "",
+                res["com_velocity"], res["residual"], res["comoving_residual"],
+                res["dt_stiffness"], res["stability"], "",
             ]
         rows.append(row)
     pre = _prefix(scn)

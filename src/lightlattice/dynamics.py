@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import SeparationViolation
-from .forcefield import forces_exact
+from .forcefield import force_kernel
 from .wavecore import Mode, ScattererChain
 
 
@@ -61,16 +61,18 @@ class Trajectory:
 
 
 def _force_fn(chain: ScattererChain, modes: list[Mode]):
+    kernel = force_kernel(chain, modes)
+
     # a crossing inside an RK4 substage is a collision in progress, so it
-    # surfaces as SeparationViolation rather than a bare constructor error
+    # surfaces as SeparationViolation, not as the ValueError of the kernel's
+    # position check
     def fn(positions: tuple[float, ...]) -> tuple[float, ...]:
         try:
-            moved = chain.with_positions(positions)
+            return kernel(positions)[0]
         except ValueError as exc:
             raise SeparationViolation(
                 f"scatterer ordering lost during an integration stage: {exc}"
             ) from exc
-        return forces_exact(moved, modes).total
 
     return fn
 

@@ -20,7 +20,7 @@ from .errors import (
     NoSolution,
     UnstableMode,
 )
-from .forcefield import forces_batch, forces_exact
+from .forcefield import force_kernel, forces_batch, forces_exact
 from .wavecore import Mode, ScattererChain
 
 _EIG_TOL = 1e-9
@@ -130,8 +130,10 @@ def find_equilibrium(
             out.append(out[-1] + g)
         return tuple(out)
 
+    kernel = force_kernel(chain, modes)
+
     def residual_vec(u: np.ndarray) -> np.ndarray:
-        f = forces_exact(chain.with_positions(positions_from(u)), modes).total
+        f = kernel(positions_from(u))[0]
         if relative_only:
             return np.array([f[j + 1] - f[j] for j in range(n - 1)])
         return np.array(f)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularBoundary, WavenumberMismatch
-from .wavecore import FieldSolution, Mode, ScattererChain, solve_fields, solve_fields_batch
+from .wavecore import FieldSolution, Mode, ScattererChain, quads_kernel, solve_fields_batch
 
 # rows per block of forces_batch: about 0.5 MB of working set. At 1024 rows
 # (1.6 MB) a block outgrew what the zerolines CSV rows take and raised the
@@ -34,28 +34,50 @@ class ForceProfile:
         return max((abs(f) for f in self.total), default=0.0)
 
 
+def _mode_forces(label: str, quads) -> tuple[float, ...]:
+    """F(j) = (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2 of one mode's quadruples."""
+    try:
+        return tuple([
+            0.5 * (abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
+            for (a, b, c, d) in quads
+        ])
+    except OverflowError:
+        raise SingularBoundary(f"|amplitude|^2 overflows in mode {label!r}") from None
+
+
+def _reduce(solved, n: int) -> tuple[tuple[float, ...], dict[str, tuple[float, ...]]]:
+    """Total and per-mode forces from (label, quads) pairs on n scatterers.
+
+    A repeated label keeps the last mode that carries it.
+    """
+    per_mode = {label: _mode_forces(label, quads) for label, quads in solved}
+    if per_mode:
+        return tuple(map(sum, zip(*per_mode.values()))), per_mode
+    return (0.0,) * n, per_mode
+
+
 def forces_from_solution(solution: FieldSolution) -> ForceProfile:
     """F_mode(j) = (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2, summed over modes."""
-    per_mode = {}
-    for mf in solution.fields:
-        try:
-            per_mode[mf.label] = tuple([
-                0.5 * (abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
-                for (a, b, c, d) in mf.quads
-            ])
-        except OverflowError:
-            raise SingularBoundary(
-                f"|amplitude|^2 overflows in mode {mf.label!r}"
-            ) from None
-    if per_mode:
-        total = tuple(map(sum, zip(*per_mode.values())))
-    else:
-        total = (0.0,) * solution.chain.n
-    return ForceProfile(total, per_mode)
+    return ForceProfile(*_reduce(
+        [(mf.label, mf.quads) for mf in solution.fields], solution.chain.n))
+
+
+def force_kernel(chain: ScattererChain, modes: list[Mode]):
+    """forces_exact as a function of positions, prepared once per chain and modes.
+
+    The returned function takes positions as ScattererChain.with_positions
+    does, raising its ValueError, and gives (total, per_mode) of forces_exact
+    on chain's scatterers moved there, bit for bit. It raises what
+    forces_exact raises: every mode is solved (quads_kernel) before any is
+    reduced.
+    """
+    solve = quads_kernel(chain, modes)
+    n = chain.n
+    return lambda positions: _reduce(solve(positions), n)
 
 
 def forces_exact(chain: ScattererChain, modes: list[Mode]) -> ForceProfile:
-    return forces_from_solution(solve_fields(chain, modes))
+    return ForceProfile(*force_kernel(chain, modes)(chain.positions))
 
 
 def forces_batch(chain: ScattererChain, modes: list[Mode], positions) -> np.ndarray:

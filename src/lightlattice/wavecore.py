@@ -18,6 +18,7 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,6 +122,14 @@ def _increasing_floats(positions) -> tuple[float, ...]:
     return positions
 
 
+def _placement(positions, n: int) -> tuple[float, ...]:
+    """positions as floats, checked to be n strictly increasing values."""
+    positions = _increasing_floats(positions)
+    if len(positions) != n:
+        raise ValueError(f"got {n} couplings for {len(positions)} scatterers")
+    return positions
+
+
 @dataclass(frozen=True)
 class ScattererChain:
     """Ordered scatterer positions with per-scatterer base coupling.
@@ -168,11 +177,7 @@ class ScattererChain:
         Only the positions are checked: the couplings were validated when
         this chain was built.
         """
-        positions = _increasing_floats(positions)
-        if len(positions) != len(self.zeta_base):
-            raise ValueError(
-                f"got {len(self.zeta_base)} couplings for {len(positions)} scatterers"
-            )
+        positions = _placement(positions, len(self.zeta_base))
         moved = object.__new__(ScattererChain)
         object.__setattr__(moved, "positions", positions)
         object.__setattr__(moved, "zeta_base", self.zeta_base)
@@ -192,6 +197,22 @@ def _splitters(chain: ScattererChain, mode: Mode) -> list[tuple[complex, ...]]:
     """beam_splitter_matrix entries (m11, m12, m21, m22) of each scatterer."""
     return [(1.0 + iz, iz, -iz, 1.0 - iz)
             for iz in [1j * z for z in mode_zetas(chain, mode)]]
+
+
+class _ModeConstants(NamedTuple):
+    """What a solve of one mode reads that does not depend on positions."""
+
+    label: str
+    splitters: list[tuple[complex, ...]]
+    ik: complex
+    left: complex
+    right: complex
+
+
+def _mode_constants(chain: ScattererChain, mode: Mode) -> _ModeConstants:
+    """The splitter entries, i*k and complex drives of mode on chain's scatterers."""
+    return _ModeConstants(mode.label, _splitters(chain, mode), 1j * mode.k,
+                          complex(mode.drive_left), complex(mode.drive_right))
 
 
 def _transfer(splitters, ik, positions, exp):
@@ -237,34 +258,33 @@ def _sweep(splitters, phases, a, b):
     return quads
 
 
-def _solve_mode(chain: ScattererChain, mode: Mode, with_quads: bool):
-    """r_tot, t_tot and (when with_quads is set) the quadruples of one mode."""
-    positions = chain.positions
+def _solve_mode(const: _ModeConstants, positions: tuple[float, ...], with_quads: bool):
+    """r_tot, t_tot and (when with_quads is set) the quadruples of one mode
+    on scatterers at positions, which must be strictly increasing floats."""
     if not positions:
         m21, m22 = IDENTITY.m21, IDENTITY.m22
     else:
-        splitters = _splitters(chain, mode)
-        (_, _, m21, m22), phases = _transfer(splitters, 1j * mode.k, positions, cmath.exp)
+        (_, _, m21, m22), phases = _transfer(const.splitters, const.ik, positions, cmath.exp)
     try:
         singular = abs(m22) < _SINGULAR_M22
     except OverflowError:
-        raise SingularBoundary(f"|m22| overflows for mode {mode.label!r}") from None
+        raise SingularBoundary(f"|m22| overflows for mode {const.label!r}") from None
     if singular:
         raise SingularBoundary(
-            f"|m22| = {abs(m22):.3e} below {_SINGULAR_M22} for mode {mode.label!r}"
+            f"|m22| = {abs(m22):.3e} below {_SINGULAR_M22} for mode {const.label!r}"
         )
     r_tot = -m21 / m22
     t_tot = 1.0 / m22
     if not with_quads or not positions:
         return r_tot, t_tot, ()
-    a = complex(mode.drive_left) * cmath.exp(1j * mode.k * positions[0])
-    dn = complex(mode.drive_right) * cmath.exp(-1j * mode.k * positions[-1])
-    quads = _sweep(splitters, phases, a, (dn - m21 * a) / m22)
+    a = const.left * cmath.exp(const.ik * positions[0])
+    dn = const.right * cmath.exp(-const.ik * positions[-1])
+    quads = _sweep(const.splitters, phases, a, (dn - m21 * a) / m22)
     # a non-finite amplitude stays non-finite through every later product
     # and sum, so the last quadruple carries any that appeared in the sweep
     _, _, c, d = quads[-1]
     if not (cmath.isfinite(c) and cmath.isfinite(d)):
-        raise SingularBoundary(f"non-finite amplitude in mode {mode.label!r}")
+        raise SingularBoundary(f"non-finite amplitude in mode {const.label!r}")
     return r_tot, t_tot, tuple(quads)
 
 
@@ -276,7 +296,8 @@ def total_transfer_matrix(chain: ScattererChain, mode: Mode) -> TransferMatrix:
     """
     if chain.n == 0:
         return IDENTITY
-    entries, _ = _transfer(_splitters(chain, mode), 1j * mode.k, chain.positions, cmath.exp)
+    const = _mode_constants(chain, mode)
+    entries, _ = _transfer(const.splitters, const.ik, chain.positions, cmath.exp)
     return TransferMatrix(*entries)
 
 
@@ -286,7 +307,7 @@ def reflection_transmission(chain: ScattererChain, mode: Mode) -> tuple[complex,
     t = 1/m22 is direction independent (det = 1), r = -m21/m22 for left
     incidence on the chain as given.
     """
-    r, t, _ = _solve_mode(chain, mode, with_quads=False)
+    r, t, _ = _solve_mode(_mode_constants(chain, mode), chain.positions, with_quads=False)
     return r, t
 
 
@@ -324,12 +345,31 @@ def solve_fields(chain: ScattererChain, modes: list[Mode]) -> FieldSolution:
     """
     solved = []
     for mode in modes:
-        r_tot, t_tot, quads = _solve_mode(chain, mode, with_quads=True)
+        const = _mode_constants(chain, mode)
+        r_tot, t_tot, quads = _solve_mode(const, chain.positions, with_quads=True)
         solved.append(
-            ModeFields(mode.label, mode.k, quads, r_tot, t_tot,
-                       complex(mode.drive_left), complex(mode.drive_right))
+            ModeFields(mode.label, mode.k, quads, r_tot, t_tot, const.left, const.right)
         )
     return FieldSolution(chain, tuple(solved))
+
+
+def quads_kernel(chain: ScattererChain, modes: list[Mode]):
+    """The quadruples of solve_fields as a function of positions.
+
+    The per-mode constants of chain's scatterers are built once, here. The
+    returned function takes positions as ScattererChain.with_positions does,
+    raising its ValueError, and gives a (label, quads) pair per mode, bit for
+    bit those of solve_fields(chain.with_positions(positions), modes). It
+    raises what solve_fields raises.
+    """
+    consts = [_mode_constants(chain, mode) for mode in modes]
+    n = chain.n
+
+    def solve(positions):
+        positions = _placement(positions, n)
+        return [(c.label, _solve_mode(c, positions, True)[2]) for c in consts]
+
+    return solve
 
 
 # a singular row divides by zero and overflows on its way to NaN
@@ -354,12 +394,12 @@ def solve_fields_batch(chain: ScattererChain, modes: list[Mode], positions) -> n
         return np.empty((len(modes), n_rows, n, 4), dtype=complex)
     # splitters[j, q] is entry q of scatterer j for every mode and row, [M, B]:
     # operands of one shape take numpy's fastest loops
-    entries = np.array([_splitters(chain, mode) for mode in modes], dtype=complex)
+    consts = [_mode_constants(chain, mode) for mode in modes]
+    entries = np.array([c.splitters for c in consts], dtype=complex)
     splitters = np.empty((n, 4, len(modes), n_rows), dtype=complex)
     splitters[...] = entries.transpose(1, 2, 0)[..., None]
     # per-mode constants as [M, 1] columns that broadcast over rows
-    ik, left, right = np.array(
-        [(1j * m.k, m.drive_left, m.drive_right) for m in modes]).T[..., None]
+    ik, left, right = np.array([(c.ik, c.left, c.right) for c in consts]).T[..., None]
     (_, _, m21, m22), phases = _transfer(splitters, ik, pos.T, np.exp)
     size = np.abs(m22)
     # [M, B], or [M, 1] for one scatterer, which has no gap; copyto broadcasts it

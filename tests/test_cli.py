@@ -169,6 +169,7 @@ def test_relax_finds_stable_gap(tmp_path):
     assert summary["final_gaps"][0] == pytest.approx(EXACT_CROSSING_HIGH,
                                                      abs=1e-6)
     assert summary["residual_force_sup"] < 1e-10
+    assert summary["comoving_residual"] < 1e-10
 
     _, columns, rows = read_csv(out / "pair_trajectory.csv")
     assert columns[0] == "t"
@@ -233,7 +234,34 @@ def test_sweep_records_cell_failures_in_row(tmp_path, monkeypatch):
     err_col = columns.index("error")
     assert rows[0][state_col] == "failed"
     assert "SeparationViolation" in rows[0][err_col]
+    assert rows[0][columns.index("comoving_residual")] == "nan"
+    assert rows[0][columns.index("dt_stiffness")] == "nan"
     assert rows[-1][state_col] != "failed"
+
+
+def test_sweep_flags_an_rk4_ghost_state_as_not_stationary(tmp_path, monkeypatch):
+    # one cell of stationary_distance_map at two steps: at dt = 2 the pair
+    # sits on a fixed point of the RK4 map where F2 - F1 is not zero; at
+    # dt = 0.5 it relaxes to the gap Newton finds
+    monkeypatch.setenv("LIGHTLATTICE_THREADS", "1")
+    doc = cli._preset_stationary_distance_map()
+    doc["modes"][1].update(k=1.2, intensity_right=2.0)
+    doc["dynamics"]["t_end"] = 400.0
+    doc["sweep"] = {"axes": [{"path": "dynamics.dt", "start": 0.5, "stop": 2.0, "steps": 2}]}
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+    _, columns, rows = read_csv(out / "sweep.csv")
+    assert columns[:2] == ["dynamics_dt", "gap_1"]
+    col = {name: i for i, name in enumerate(columns)}
+    converged, ghost = rows
+    assert converged[col["stability"]] == "stable"
+    assert float(converged[col["gap_1"]]) == pytest.approx(0.3176276090, abs=1e-9)
+    assert float(converged[col["comoving_residual"]]) < 1e-11
+    assert ghost[col["stability"]] == "not_stationary"
+    assert float(ghost[col["gap_1"]]) == pytest.approx(0.3027472698, abs=1e-9)
+    assert float(ghost[col["comoving_residual"]]) == pytest.approx(0.011, abs=1e-3)
+    # dt |lambda| / mu past RK4's real stability interval (-2.79, 0)
+    assert float(ghost[col["dt_stiffness"]]) > 2.79 > float(converged[col["dt_stiffness"]])
 
 
 def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from lightlattice.dynamics import (
     step_overdamped,
 )
 from lightlattice.errors import SeparationViolation
-from lightlattice.forcefield import forces_exact
+from lightlattice.forcefield import force_kernel, forces_exact
 from lightlattice.wavecore import K_REF, Mode, ScattererChain
 
 EXACT_CROSSING_HIGH = 0.373400547
@@ -200,10 +200,15 @@ def test_overdamped_evolve_reuses_the_tolerance_force(monkeypatch):
     calls = []
 
     def counted(chain, modes):
-        calls.append(chain.positions)
-        return forces_exact(chain, modes)
+        kernel = force_kernel(chain, modes)
 
-    monkeypatch.setattr(dynamics, "forces_exact", counted)
+        def fn(positions):
+            calls.append(positions)
+            return kernel(positions)
+
+        return fn
+
+    monkeypatch.setattr(dynamics, "force_kernel", counted)
     chain = ScattererChain((0.0, 0.36), 0.01)
     modes = symmetric_modes(i_z=1.2)  # drifts, so force_tol never fires
     steps = 7
@@ -222,6 +227,41 @@ def test_overdamped_evolve_reuses_the_tolerance_force(monkeypatch):
     params_n = DynamicsParams(regime="newtonian", dt=1.0, t_end=float(steps))
     evolve(chain, modes, params_n)
     assert len(calls) == 4 * steps
+
+
+@pytest.mark.parametrize("regime", ["overdamped", "newtonian"])
+def test_evolve_builds_the_splitters_once_per_mode(monkeypatch, regime):
+    from lightlattice import wavecore
+
+    calls = []
+    splitters = wavecore._splitters
+
+    def spy(chain, mode):
+        calls.append(mode.label)
+        return splitters(chain, mode)
+
+    monkeypatch.setattr(wavecore, "_splitters", spy)
+    chain = ScattererChain((0.0, 0.36), 0.01)
+    modes = symmetric_modes(i_z=1.2)
+    for steps in (1, 5, 40):
+        calls.clear()
+        evolve(chain, modes, DynamicsParams(regime=regime, dt=1.0, t_end=float(steps)))
+        assert calls == ["y", "z"], steps
+
+
+def test_a_crossing_inside_a_stage_raises_separation_violation():
+    # a stage of the first step already swaps the pair
+    chain = ScattererChain((0.0, 0.06), 0.1)
+    params = DynamicsParams(regime="overdamped", dt=10.0, t_end=50.0, min_separation=0.0)
+    with pytest.raises(SeparationViolation) as exc:
+        evolve(chain, symmetric_modes(), params)
+    assert str(exc.value) == (
+        "step 1: scatterer ordering lost during an integration stage: positions not "
+        "strictly increasing: 0.1152770960109361 !< -0.05527709601093672"
+    )
+    assert exc.value.step == 1
+    assert exc.value.trajectory.termination == "separation_violation"
+    assert isinstance(exc.value.__cause__.__cause__, ValueError)
 
 
 # Reference RK4 steps, one per regime, as they stood before the two regimes

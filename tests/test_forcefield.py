@@ -8,6 +8,7 @@ from hypothesis import assume, given, strategies as st
 from lightlattice.errors import LightLatticeError, SingularBoundary, WavenumberMismatch
 from lightlattice.forcefield import (
     PairForceParams,
+    force_kernel,
     forces_batch,
     forces_exact,
     forces_from_solution,
@@ -314,3 +315,66 @@ def test_an_overflowing_m22_ends_in_singular_boundary():
         with pytest.raises(SingularBoundary) as batch:
             forces_batch(chain, modes, [chain.positions])
     assert str(batch.value) == str(scalar.value)
+
+
+def _outcome(evaluate):
+    """repr of each total force evaluate() returns, or the error it raises."""
+    try:
+        return [repr(f) for f in evaluate()]
+    except LightLatticeError as exc:
+        return type(exc), str(exc)
+
+
+@given(varied_chains(), varied_modes(), st.floats(-1.0, 1.0))
+def test_force_kernel_matches_forces_exact_bit_for_bit(chain, modes, shift):
+    # prepared once, the kernel serves every placement of the same scatterers
+    kernel = force_kernel(chain, modes)
+    for positions in (chain.positions, [x + shift for x in chain.positions]):
+        moved = chain.with_positions(positions)
+        got = _outcome(lambda: kernel(moved.positions)[0])
+        assert got == _outcome(lambda: forces_exact(moved, modes).total)
+        assert got == _outcome(lambda: forces_from_solution(solve_fields(moved, modes)).total)
+
+
+def _gain_pole(label="y", **coupling):
+    # m22 = 1 - i zeta vanishes for zeta = -i
+    return Mode(label, K_REF, drive_left=1.0, **(coupling or {"zeta_scale": 1.0}))
+
+
+@pytest.mark.parametrize("chain, modes, message", [
+    (ScattererChain((0.0,), -1j, allow_gain=True), [_gain_pole()], "below 1e-14"),
+    (ScattererChain([0.48 * j for j in range(2656)], 0.35),
+     [Mode("y", K_REF, drive_left=1.0)], "|m22| overflows"),
+    (ScattererChain((0.0, 0.5), -0.5j, allow_gain=True), [_gain_pole()], "below 1e-14"),
+    (ScattererChain((0.0, 0.45), 1.0), [Mode("y", K_REF, drive_left=1e308)],
+     "non-finite amplitude"),
+    (ScattererChain([0.45 * j for j in range(1000)], 1.0), symmetric_modes(),
+     "|amplitude|^2 overflows"),
+    # every mode is solved before any is reduced, so the singular second mode
+    # wins over the first mode's overflowing square
+    (ScattererChain((0.0,), -1j, allow_gain=True),
+     [Mode("a", K_REF, drive_left=1e300, zeta_override=0.1), _gain_pole("b")],
+     "below 1e-14 for mode 'b'"),
+    # a repeated label keeps one slot, but its singular mode is still solved
+    (ScattererChain((0.0,), -1j, allow_gain=True),
+     [_gain_pole(zeta_override=0.1), _gain_pole()], "below 1e-14 for mode 'y'"),
+], ids=["singular-m22", "overflowing-m22", "gain-pole", "non-finite", "overflowing-square",
+        "solve-before-reduce", "repeated-label"])
+def test_force_kernel_raises_what_forces_exact_raises(chain, modes, message):
+    with pytest.raises(SingularBoundary) as reference:
+        forces_from_solution(solve_fields(chain, modes))
+    with pytest.raises(SingularBoundary) as kernel:
+        force_kernel(chain, modes)(chain.positions)
+    assert message in str(reference.value)
+    assert str(kernel.value) == str(reference.value)
+
+
+def test_force_kernel_gives_a_repeated_label_the_last_mode():
+    chain = ScattererChain((0.0, 0.29), 0.07)
+    modes = [Mode("z", 0.8 * K_REF, drive_right=0.7)] + symmetric_modes()
+    total, per_mode = force_kernel(chain, modes)(chain.positions)
+    reference = forces_from_solution(solve_fields(chain, modes))
+    assert list(per_mode) == ["z", "y"]
+    assert per_mode == reference.per_mode
+    assert per_mode["z"] == forces_exact(chain, modes[2:]).per_mode["z"]
+    assert [repr(f) for f in total] == [repr(f) for f in reference.total]

@@ -7,6 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 from lightlattice import wavecore
 from lightlattice.errors import NegativeDistance, SingularBoundary
+from lightlattice.forcefield import force_kernel
 from lightlattice.wavecore import (
     K_REF,
     IDENTITY,
@@ -411,3 +412,6 @@ def test_scalar_and_batched_solves_share_one_sweep(monkeypatch):
     calls.clear()
     solve_fields_batch(chain, modes, np.array([chain.positions]))
     assert calls == ["_transfer", "_sweep"]
+    calls.clear()
+    force_kernel(chain, modes)(chain.positions)
+    assert calls == ["_transfer", "_sweep"] * 2
