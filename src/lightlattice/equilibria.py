@@ -41,23 +41,6 @@ class EquilibriumReport:
     iterations: int
 
 
-def _central_difference(f, x, h) -> np.ndarray:
-    """Central-difference derivatives of f at x, one column per coordinate.
-
-    f maps a list of coordinates to a sequence of values. Column j is
-    (f(x + h e_j) - f(x - h e_j)) / (2 h). Only coordinate j is displaced,
-    so every other coordinate reaches f with its exact bits.
-    """
-    x = list(x)
-    columns = []
-    for j in range(len(x)):
-        xp, xm = list(x), list(x)
-        xp[j] += h
-        xm[j] -= h
-        columns.append(np.subtract(f(xp), f(xm)) / (2.0 * h))
-    return np.column_stack(columns)
-
-
 def force_jacobian(chain: ScattererChain, modes: list[Mode]) -> np.ndarray:
     """Central-difference Jacobian dF_i/dx_j of the exact forces.
 
@@ -319,18 +302,12 @@ def design_wavenumber(
     thetas = set()
     base = [math.acos(min(1.0, s)), math.acos(max(-1.0, -s))]
     n = 0
-    while True:
-        added = False
+    # every branch b + n pi with b in [0, pi] lies at or above n pi
+    while n * math.pi / d <= band[1]:
         for b in base:
             th = b + n * math.pi
-            if th <= 0:
-                continue
-            if th / d > band[1]:
-                continue
-            thetas.add(round(th, 12))
-            added = True
-        if not added and n * math.pi / d > band[1]:
-            break
+            if th > 0 and th / d <= band[1]:
+                thetas.add(round(th, 12))
         n += 1
     candidates = []
     for th in sorted(thetas):
@@ -383,7 +360,8 @@ def _refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
             return p, k_z, True
         # the z force is linear in p, so its slope in p is exact
         d_p = np.divide(prof.per_mode["z"], p)
-        d_k = _central_difference(lambda k: profile(p, k[0]).total, [k_z], h_k)
+        # the slope in k_z is a central difference of step h_k
+        d_k = np.subtract(profile(p, k_z + h_k).total, profile(p, k_z - h_k).total) / (2.0 * h_k)
         try:
             step = np.linalg.solve(np.column_stack([d_p, d_k]), [-f1, -f2])
         except np.linalg.LinAlgError:

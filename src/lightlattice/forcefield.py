@@ -46,10 +46,7 @@ def _mode_forces(label: str, quads) -> tuple[float, ...]:
 
 
 def _reduce(solved, n: int) -> tuple[tuple[float, ...], dict[str, tuple[float, ...]]]:
-    """Total and per-mode forces from (label, quads) pairs on n scatterers.
-
-    A repeated label keeps the last mode that carries it.
-    """
+    """Total and per-mode forces from (label, quads) pairs on n scatterers."""
     per_mode = {label: _mode_forces(label, quads) for label, quads in solved}
     if per_mode:
         return tuple(map(sum, zip(*per_mode.values()))), per_mode
@@ -112,10 +109,7 @@ def _block_forces(chain: ScattererChain, modes: list[Mode], rows: np.ndarray):
     quads = solve_fields_batch(chain, modes, rows)
     squares = quads.real * quads.real + quads.imag * quads.imag
     per_mode = 0.5 * (squares[..., 0] + squares[..., 1] - squares[..., 2] - squares[..., 3])
-    # a repeated label counts once, as in forces_from_solution's dict
-    total = 0.0
-    for m in {mode.label: m for m, mode in enumerate(modes)}.values():
-        total = total + per_mode[m]
+    total = sum(per_mode, 0.0)
     return total if np.isfinite(total).all() else None
 
 

@@ -209,22 +209,29 @@ class _ModeConstants(NamedTuple):
     right: complex
 
 
-def _mode_constants(chain: ScattererChain, mode: Mode) -> _ModeConstants:
-    """The splitter entries, i*k and complex drives of mode on chain's scatterers."""
-    return _ModeConstants(mode.label, _splitters(chain, mode), 1j * mode.k,
-                          complex(mode.drive_left), complex(mode.drive_right))
+def _mode_constants(chain: ScattererChain, modes: list[Mode]) -> list[_ModeConstants]:
+    """The splitter entries, i*k and complex drives of each mode on chain's scatterers.
+
+    A label names one mode: a repeated label raises ValueError.
+    """
+    labels = [mode.label for mode in modes]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"mode label {label!r} is repeated")
+    return [_ModeConstants(mode.label, _splitters(chain, mode), 1j * mode.k,
+                           complex(mode.drive_left), complex(mode.drive_right))
+            for mode in modes]
 
 
 def _transfer(splitters, ik, positions, exp):
     """Total-matrix entries of one non-empty chain, with the per-gap factors.
 
-    The products of beam_splitter_matrix, propagation_matrix and `@` are
-    written out in the same operation order, so every entry is bit for bit
-    the one the helpers build. That includes the 0j terms of the diagonal
-    propagation matrix: they can turn a -0.0 into +0.0. splitters holds the
-    splitter entries per scatterer, ik is i*k and exp is cmath.exp, or
-    np.exp for arrays. Returns (m11, m12, m21, m22) and the (e^{ikd}, e^{-ikd})
-    pair per gap.
+    The product of beam_splitter_matrix and the diagonal propagation_matrix
+    of each gap, written out. Its entries equal in value those the helpers
+    build with `@`; the sign of an exactly-zero part may differ. splitters
+    holds the splitter entries per scatterer, ik is i*k and exp is
+    cmath.exp, or np.exp for arrays. Returns (m11, m12, m21, m22) and the
+    (e^{ikd}, e^{-ikd}) pair per gap.
     """
     m11, m12, m21, m22 = splitters[0]
     phases = []
@@ -232,10 +239,7 @@ def _transfer(splitters, ik, positions, exp):
         ph = exp(ik * (x1 - x0))
         inv = 1.0 / ph
         phases.append((ph, inv))
-        p11 = ph * m11 + 0j * m21
-        p12 = ph * m12 + 0j * m22
-        p21 = 0j * m11 + inv * m21
-        p22 = 0j * m12 + inv * m22
+        p11, p12, p21, p22 = ph * m11, ph * m12, inv * m21, inv * m22
         m11 = s11 * p11 + s12 * p21
         m12 = s11 * p12 + s12 * p22
         m21 = s21 * p11 + s22 * p21
@@ -244,14 +248,12 @@ def _transfer(splitters, ik, positions, exp):
 
 
 def _sweep(splitters, phases, a, b):
-    """Quadruples (A_j, B_j, C_j, D_j) from (A_1, B_1), in the operation order
-    of TransferMatrix.apply."""
+    """Quadruples (A_j, B_j, C_j, D_j) from (A_1, B_1)."""
     quads = []
     for j, (s11, s12, s21, s22) in enumerate(splitters):
         if j:
             ph, inv = phases[j - 1]
-            a = ph * c + 0j * d
-            b = 0j * c + inv * d
+            a, b = ph * c, inv * d
         c = s11 * a + s12 * b
         d = s21 * a + s22 * b
         quads.append((a, b, c, d))
@@ -296,7 +298,7 @@ def total_transfer_matrix(chain: ScattererChain, mode: Mode) -> TransferMatrix:
     """
     if chain.n == 0:
         return IDENTITY
-    const = _mode_constants(chain, mode)
+    [const] = _mode_constants(chain, [mode])
     entries, _ = _transfer(const.splitters, const.ik, chain.positions, cmath.exp)
     return TransferMatrix(*entries)
 
@@ -307,7 +309,8 @@ def reflection_transmission(chain: ScattererChain, mode: Mode) -> tuple[complex,
     t = 1/m22 is direction independent (det = 1), r = -m21/m22 for left
     incidence on the chain as given.
     """
-    r, t, _ = _solve_mode(_mode_constants(chain, mode), chain.positions, with_quads=False)
+    [const] = _mode_constants(chain, [mode])
+    r, t, _ = _solve_mode(const, chain.positions, with_quads=False)
     return r, t
 
 
@@ -341,11 +344,10 @@ def solve_fields(chain: ScattererChain, modes: list[Mode]) -> FieldSolution:
 
     Per mode: B_1 = (D_N - m21 A_1)/m22 from the total matrix, then a
     left-to-right sweep alternating the scatterer and propagation maps fills
-    all quadruples.
+    all quadruples. A repeated mode label raises ValueError.
     """
     solved = []
-    for mode in modes:
-        const = _mode_constants(chain, mode)
+    for mode, const in zip(modes, _mode_constants(chain, modes)):
         r_tot, t_tot, quads = _solve_mode(const, chain.positions, with_quads=True)
         solved.append(
             ModeFields(mode.label, mode.k, quads, r_tot, t_tot, const.left, const.right)
@@ -360,9 +362,9 @@ def quads_kernel(chain: ScattererChain, modes: list[Mode]):
     returned function takes positions as ScattererChain.with_positions does,
     raising its ValueError, and gives a (label, quads) pair per mode, bit for
     bit those of solve_fields(chain.with_positions(positions), modes). It
-    raises what solve_fields raises.
+    raises what solve_fields raises; a repeated mode label raises here.
     """
-    consts = [_mode_constants(chain, mode) for mode in modes]
+    consts = _mode_constants(chain, modes)
     n = chain.n
 
     def solve(positions):
@@ -386,15 +388,15 @@ def solve_fields_batch(chain: ScattererChain, modes: list[Mode], positions) -> n
     the other rows. The rows run side by side and the scatterers one after
     another. A row whose |m22| is below 1e-14, NaN or overflowing, which
     solve_fields rejects, comes back NaN; every non-finite amplitude stays
-    non-finite.
+    non-finite. A repeated mode label raises ValueError, as in solve_fields.
     """
     pos = np.asarray(positions, dtype=float)
     n_rows, n = pos.shape
+    consts = _mode_constants(chain, modes)
     if n == 0 or not modes:
         return np.empty((len(modes), n_rows, n, 4), dtype=complex)
     # splitters[j, q] is entry q of scatterer j for every mode and row, [M, B]:
     # operands of one shape take numpy's fastest loops
-    consts = [_mode_constants(chain, mode) for mode in modes]
     entries = np.array([c.splitters for c in consts], dtype=complex)
     splitters = np.empty((n, 4, len(modes), n_rows), dtype=complex)
     splitters[...] = entries.transpose(1, 2, 0)[..., None]

@@ -264,6 +264,16 @@ def test_a_crossing_inside_a_stage_raises_separation_violation():
     assert isinstance(exc.value.__cause__.__cause__, ValueError)
 
 
+def test_evolve_raises_a_repeated_label_as_it_is():
+    # rejected while the kernel is prepared, before any stage; a
+    # SeparationViolation is no ValueError
+    chain = ScattererChain((0.0, 0.3), 0.05)
+    modes = [Mode("y", K_REF, drive_left=1.0), Mode("y", 1.3 * K_REF, drive_right=1.0)]
+    for regime in ("overdamped", "newtonian"):
+        with pytest.raises(ValueError, match="^mode label 'y' is repeated$"):
+            evolve(chain, modes, DynamicsParams(regime=regime, dt=1.0, t_end=5.0))
+
+
 # Reference RK4 steps, one per regime, as they stood before the two regimes
 # shared one tableau; the shared step must reproduce them bit for bit.
 def _reference_rk4_overdamped(x, force, mu, dt, f0=None):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lightlattice import equilibria
 from lightlattice.equilibria import (
     LinearizedModel,
     classify_stability,
@@ -18,6 +19,7 @@ from lightlattice.equilibria import (
 )
 from lightlattice.errors import (
     InconsistentLinearization,
+    NoConvergence,
     NoSolution,
     UnstableMode,
 )
@@ -177,6 +179,42 @@ def test_design_rejects_inputs_outside_its_domain(d, k_y, band, i_y):
     # a NaN distance or band edge used to spin forever in the branch search
     with pytest.raises(ValueError):
         design_wavenumber(d, k_y, zeta=0.01, band=band, i_y=i_y)
+
+
+def test_design_keeps_the_closed_form_seed_where_refinement_gives_up():
+    # at d = 0.15, zeta = 0.02 a Newton step of every physical branch leaves
+    # p > 0 or the band, so each candidate is its unrefined seed
+    cands = design_wavenumber(0.15, K_REF, zeta=0.02)
+    physical = [c for c in cands if c.physical]
+    assert [c.k_z / K_REF for c in physical] == pytest.approx([1 / 3, 3, 11 / 3])
+    assert not any(c.refined for c in physical)
+    assert repr(cands) == repr(design_wavenumber(0.15, K_REF, zeta=0.02, refine=False))
+
+
+def test_find_equilibrium_reports_a_stalled_line_search():
+    # a pair 0.05 apart in a standing wave: ten halvings of the Newton step
+    # find no descent after six iterations
+    chain = ScattererChain((0.0, 0.05), 0.05)
+    modes = [Mode("sw", K_REF, drive_left=math.sqrt(2.0), drive_right=math.sqrt(2.0))]
+    with pytest.raises(NoConvergence) as exc:
+        find_equilibrium(chain, modes)
+    assert str(exc.value) == "Newton stalled at sup-residual 3.477e-02 after 6 iterations"
+    best = forces_exact(chain.with_positions(exc.value.best_positions), modes).total
+    assert exc.value.best_residual == max(abs(f) for f in best)
+    assert exc.value.best_residual < forces_exact(chain, modes).sup
+
+
+def test_find_equilibrium_stops_at_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(equilibria, "_NEWTON_MAX_ITER", 1)
+    chain = ScattererChain((0.0, 0.3), 0.05)
+    modes = symmetric_modes()
+    with pytest.raises(NoConvergence) as exc:
+        find_equilibrium(chain, modes, relative_only=True)
+    assert str(exc.value) == (
+        "no convergence below 1e-12 in 1 iterations (best sup-residual 5.382e-03)")
+    f1, f2 = forces_exact(chain.with_positions(exc.value.best_positions), modes).total
+    assert exc.value.best_positions[0] == 0.0
+    assert exc.value.best_residual == abs(f2 - f1)
 
 
 def test_linearization_identities_with_perturbation():

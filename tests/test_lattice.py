@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lightlattice.errors import NoLattice, NoTrap, SingularDenominator
+from lightlattice import lattice
+from lightlattice.errors import (
+    NoConvergence,
+    NoLattice,
+    NoTrap,
+    SeparationViolation,
+    SingularDenominator,
+)
 from lightlattice.forcefield import forces_exact
 from lightlattice.lattice import (
     LatticeScenario,
@@ -111,6 +118,54 @@ def test_build_lattice_asymmetric_matches_closed_form_spacing():
     a = (scenario.i_l - scenario.i_r) / math.sqrt(scenario.i_l * scenario.i_r)
     gaps = np.diff(scenario.positions)
     assert np.allclose(gaps, lattice_constant(0.1, a), atol=1e-9)
+
+
+def _spy_relax_seed(monkeypatch):
+    """Record each _relax_seed start and what it ends in."""
+    calls = []
+    relax = lattice._relax_seed
+
+    def spy(chain, *args):
+        calls.append(chain.positions)
+        try:
+            return relax(chain, *args)
+        except SeparationViolation as exc:
+            calls.append(exc)
+            raise
+
+    monkeypatch.setattr(lattice, "_relax_seed", spy)
+    return calls
+
+
+def test_build_lattice_moves_to_the_next_seed_when_the_rescue_collides(monkeypatch):
+    # Newton stalls from the first trap seed with two scatterers 8e-5 apart;
+    # relaxing from there collides at once, and the next seed holds
+    calls = _spy_relax_seed(monkeypatch)
+    scenario = build_lattice(3, 5.0, 1.0, 0.3)
+    assert len(calls) == 2 and isinstance(calls[1], SeparationViolation)
+    f = forces_exact(scenario.chain(), scenario.lattice_modes()).total
+    assert max(abs(v) for v in f) < 1e-11
+    assert scenario.positions == pytest.approx((0.1742287, 0.5648534, 0.9554780), abs=1e-7)
+
+
+def test_build_lattice_relaxes_a_stalled_seed(monkeypatch):
+    expected = build_lattice(2, 2.0, 1.0, 0.1).positions
+    newton = lattice.find_equilibrium
+    stalls = []
+
+    def stall_once(chain, modes):
+        if not stalls:
+            stalls.append(chain.positions)
+            raise NoConvergence("stalled", best_positions=chain.positions, best_residual=1.0)
+        return newton(chain, modes)
+
+    monkeypatch.setattr(lattice, "find_equilibrium", stall_once)
+    calls = _spy_relax_seed(monkeypatch)
+    scenario = build_lattice(2, 2.0, 1.0, 0.1)
+    # the overdamped relaxation starts where Newton stalled and Newton
+    # polishes its end to the equilibrium the seed reaches directly
+    assert calls == stalls
+    assert scenario.positions == pytest.approx(expected, abs=1e-12)
 
 
 def test_default_perturbation_coupling_scales_inversely():
