@@ -438,8 +438,7 @@ def cmd_evolve(args) -> int:
 
 
 def _sweep_cell(payload):
-    doc_json, assignments = payload
-    base = json.loads(doc_json)
+    base, assignments = payload
     try:
         doc = apply_axis_values(base, assignments)
         doc.pop("sweep", None)
@@ -490,11 +489,10 @@ def cmd_sweep(args) -> int:
     n = scn.chain.n
     axes = scn.sweep_axes
     grids = [ax.values() for ax in axes]
-    doc_json = json.dumps(scn.doc, sort_keys=True)
     cells = []
     for combo in itertools.product(*grids):
         assignments = [(ax.path, v) for ax, v in zip(axes, combo)]
-        cells.append((combo, (doc_json, assignments)))
+        cells.append((combo, (scn.doc, assignments)))
     threads = _thread_count()
     if threads <= 1 or len(cells) <= 2:
         results = [_sweep_cell(payload) for _, payload in cells]

@@ -173,10 +173,8 @@ def find_equilibrium(
             )
 
     positions = positions_from(u)
-    solution = chain.with_positions(positions)
-    forces = forces_exact(solution, modes).total
-    com_force = sum(forces) / n
-    jac_full = force_jacobian(solution, modes)
+    com_force = sum(kernel(positions)[0]) / n
+    jac_full = force_jacobian(chain.with_positions(positions), modes)
     eigs, classification = classify_stability(jac_full, relative_only)
     return EquilibriumReport(
         positions=positions,

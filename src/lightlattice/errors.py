@@ -74,7 +74,11 @@ class UnstableMode(LightLatticeError):
 
 
 class NoLattice(LightLatticeError):
-    """Standing-wave lattice constant undefined (radicand negative)."""
+    """No standing-wave lattice.
+
+    The closed-form radicand is negative, or no trap seed polishes to a
+    stable site.
+    """
 
 
 class NoTrap(LightLatticeError):

@@ -14,15 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .dynamics import DynamicsParams, evolve
 from .equilibria import find_equilibrium
-from .errors import (
-    NoConvergence,
-    NoLattice,
-    NoTrap,
-    SeparationViolation,
-    SingularDenominator,
-)
+from .errors import NoConvergence, NoLattice, NoTrap, SingularDenominator
 from .forcefield import ForceProfile, forces_exact
 from .wavecore import K_REF, Mode, ScattererChain
 
@@ -175,12 +168,26 @@ def build_lattice(
     Seeds the chain equidistantly at the closed-form spacing around the
     closed-form trap center, then polishes with the exact forces (the trap
     position form is only exact for symmetric drives, and chains longer
-    than a pair relax to slightly compressed interior gaps). i_p, k_p
-    attach a one-sided perturbation drive; its coupling defaults to the
-    wavenumber-scaled lattice coupling.
+    than a pair relax to slightly compressed interior gaps). Newton takes
+    that seed and three more a quarter wavelength apart in turn; the first
+    stable root is the lattice, and NoLattice, naming each seed's outcome,
+    is raised when none gives one. i_p, k_p attach a one-sided perturbation
+    drive; its coupling defaults to the wavenumber-scaled lattice coupling.
     """
     if n < 2:
         raise ValueError("a lattice needs at least two scatterers")
+    positive = [("i_l", i_l), ("i_r", i_r), ("k", k)]
+    if k_p is not None:
+        positive.append(("k_p", k_p))
+    for name, value in positive:
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if isinstance(zeta, complex) or not math.isfinite(zeta):
+        raise ValueError(f"zeta must be real and finite, got {zeta!r}")
+    if not (math.isfinite(i_p) and i_p >= 0):
+        raise ValueError(f"i_p must be finite and non-negative, got {i_p!r}")
+    if zeta_p is not None and not cmath.isfinite(zeta_p):
+        raise ValueError(f"zeta_p must be finite, got {zeta_p!r}")
     asym = (i_l - i_r) / math.sqrt(i_l * i_r)
     d_sw = lattice_constant(zeta, asym, k)
     r, t = pair_rt_closed_form(d_sw, k, zeta)
@@ -203,47 +210,20 @@ def build_lattice(
     )
     modes = scenario.lattice_modes()
     lam = 2.0 * math.pi / k
-    report = None
+    outcomes = []
     # the clamped seed can sit in the wrong basin near the existence edge;
     # walk the trap candidates half a period apart until a stable site holds
     for shift in (0.0, 0.25 * lam, 0.5 * lam, 0.75 * lam):
         chain = scenario.chain().with_positions(tuple(x + shift for x in seed))
         try:
-            cand = find_equilibrium(chain, modes)
-        except NoConvergence as exc:
-            try:
-                relaxed = _relax_seed(
-                    chain.with_positions(exc.best_positions), modes,
-                    zeta, i_l + i_r, k,
-                )
-                cand = find_equilibrium(relaxed, modes)
-            except (NoConvergence, SeparationViolation):
-                continue
-        if report is None:
-            report = cand
-        if cand.classification == "stable":
-            report = cand
-            break
-    if report is None:
-        raise NoConvergence(
-            "lattice polish failed from every trap seed",
-            best_positions=seed,
-            best_residual=math.inf,
-        )
-    return scenario.with_positions(report.positions)
-
-
-def _relax_seed(chain, modes, zeta, i_total, k):
-    stiffness = max(8.0 * k * k * zeta * zeta * i_total, 1e-6)
-    params = DynamicsParams(
-        regime="overdamped",
-        dt=0.5 / stiffness,
-        t_end=4000.0 / stiffness,
-        friction=1.0,
-        force_tol=1e-11,
-    )
-    traj = evolve(chain, modes, params, capture_every=10 ** 9)
-    return chain.with_positions(traj.final_positions())
+            report = find_equilibrium(chain, modes)
+        except NoConvergence:
+            outcomes.append("no convergence")
+            continue
+        if report.classification == "stable":
+            return scenario.with_positions(report.positions)
+        outcomes.append(report.classification)
+    raise NoLattice(f"no stable trap site; the four trap seeds gave: {', '.join(outcomes)}")
 
 
 def perturbed_lattice_forces(

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lightlattice import lattice
-from lightlattice.errors import (
-    NoConvergence,
-    NoLattice,
-    NoTrap,
-    SeparationViolation,
-    SingularDenominator,
-)
+from lightlattice.equilibria import find_equilibrium
+from lightlattice.errors import NoConvergence, NoLattice, NoTrap, SingularDenominator
 from lightlattice.forcefield import forces_exact
 from lightlattice.lattice import (
     LatticeScenario,
@@ -120,52 +115,85 @@ def test_build_lattice_asymmetric_matches_closed_form_spacing():
     assert np.allclose(gaps, lattice_constant(0.1, a), atol=1e-9)
 
 
-def _spy_relax_seed(monkeypatch):
-    """Record each _relax_seed start and what it ends in."""
-    calls = []
-    relax = lattice._relax_seed
+def test_build_lattice_moves_to_the_next_seed_when_newton_stalls(monkeypatch):
+    # Newton stalls from the first trap seed with two scatterers 8e-5 apart,
+    # and the next seed holds
+    newton = lattice.find_equilibrium
+    outcomes = []
 
-    def spy(chain, *args):
-        calls.append(chain.positions)
+    def spy(chain, modes):
         try:
-            return relax(chain, *args)
-        except SeparationViolation as exc:
-            calls.append(exc)
+            report = newton(chain, modes)
+        except NoConvergence as exc:
+            outcomes.append(exc)
             raise
+        outcomes.append(report.classification)
+        return report
 
-    monkeypatch.setattr(lattice, "_relax_seed", spy)
-    return calls
-
-
-def test_build_lattice_moves_to_the_next_seed_when_the_rescue_collides(monkeypatch):
-    # Newton stalls from the first trap seed with two scatterers 8e-5 apart;
-    # relaxing from there collides at once, and the next seed holds
-    calls = _spy_relax_seed(monkeypatch)
+    monkeypatch.setattr(lattice, "find_equilibrium", spy)
     scenario = build_lattice(3, 5.0, 1.0, 0.3)
-    assert len(calls) == 2 and isinstance(calls[1], SeparationViolation)
+    assert len(outcomes) == 2 and isinstance(outcomes[0], NoConvergence)
+    assert outcomes[1] == "stable"
     f = forces_exact(scenario.chain(), scenario.lattice_modes()).total
     assert max(abs(v) for v in f) < 1e-11
     assert scenario.positions == pytest.approx((0.1742287, 0.5648534, 0.9554780), abs=1e-7)
 
 
-def test_build_lattice_relaxes_a_stalled_seed(monkeypatch):
-    expected = build_lattice(2, 2.0, 1.0, 0.1).positions
-    newton = lattice.find_equilibrium
-    stalls = []
+@pytest.mark.parametrize(
+    "args, outcome",
+    [
+        # every trap seed polishes to an unstable chain; for (5, 10, 1, 0.5)
+        # it is equidistant at d_sw = 0.2844 with max Re lambda = +4.6
+        ((3, 15.0, 1.0, 0.5), "unstable"),
+        ((5, 10.0, 1.0, 0.5), "unstable"),
+        # zeta = 0 leaves every seed force-free
+        ((2, 1.0, 1.0, 0.0), "marginal"),
+    ],
+)
+def test_build_lattice_refuses_an_unstable_site(args, outcome):
+    with pytest.raises(NoLattice, match=", ".join([outcome] * 4)):
+        build_lattice(*args)
 
-    def stall_once(chain, modes):
-        if not stalls:
-            stalls.append(chain.positions)
-            raise NoConvergence("stalled", best_positions=chain.positions, best_residual=1.0)
-        return newton(chain, modes)
 
-    monkeypatch.setattr(lattice, "find_equilibrium", stall_once)
-    calls = _spy_relax_seed(monkeypatch)
-    scenario = build_lattice(2, 2.0, 1.0, 0.1)
-    # the overdamped relaxation starts where Newton stalled and Newton
-    # polishes its end to the equilibrium the seed reaches directly
-    assert calls == stalls
-    assert scenario.positions == pytest.approx(expected, abs=1e-12)
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, 1.0, 1.0, 0.1),  # holds at the first seed
+        (3, 1.0, 1.0, 0.1),  # at the second
+        (3, 5.0, 1.0, 0.3),  # after Newton stalls from the first
+        (5, 8.0, 1.0, 0.15),
+        (4, 3.0, 1.0, 0.2),
+        (6, 2.0, 1.0, 0.5),
+    ],
+)
+def test_built_lattices_classify_stable(args):
+    scenario = build_lattice(*args)
+    report = find_equilibrium(scenario.chain(), scenario.lattice_modes())
+    assert report.classification == "stable"
+    assert report.positions == pytest.approx(scenario.positions, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"i_r": 0.0}, "i_r"),
+        ({"i_l": -1.0}, "i_l"),
+        ({"i_l": math.inf}, "i_l"),
+        ({"zeta": math.nan}, "zeta"),
+        ({"zeta": 0.1 + 0.01j}, "zeta"),
+        ({"i_p": -1.0, "k_p": K_REF}, "i_p"),
+        ({"i_p": math.inf, "k_p": K_REF}, "i_p"),
+        ({"i_p": 0.1, "k_p": -1.0}, "k_p"),
+        ({"i_p": 0.1, "k_p": math.inf}, "k_p"),
+        ({"k": 0.0}, "k"),
+        ({"k": math.inf}, "k"),
+        ({"i_p": 0.1, "k_p": K_REF, "zeta_p": complex(0.1, math.nan)}, "zeta_p"),
+    ],
+)
+def test_build_lattice_rejects_bad_inputs(kwargs, name):
+    args = {"n": 2, "i_l": 1.0, "i_r": 1.0, "zeta": 0.1, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build_lattice(**args)
 
 
 def test_default_perturbation_coupling_scales_inversely():
