@@ -1,10 +1,14 @@
-"""Scenario documents: schema, validation, and construction.
+"""Scenario documents: decoding, validation, and construction.
 
 A scenario is a JSON document declaring the chain, the drive modes, and
-optional dynamics / sweep / output blocks. Validation is fail-closed:
-unknown keys are rejected so typos cannot silently change a run. Lengths
-are in units of the reference wavelength, mode wavenumbers in units of
-the reference wavenumber; complex numbers are [re, im] pairs.
+optional dynamics / sweep / output blocks. One decoder reads each field
+once, checks it and builds the Scenario. It is fail-closed: unknown keys
+are rejected so typos cannot silently change a run, every number must be
+finite, integer fields take JSON integers only, and a chain's `n` must
+match its positions. Its errors are ScenarioErrors; a field's own reads
+"invalid scenario at <path>: ...". Lengths are in units of the reference
+wavelength, mode wavenumbers in units of the reference wavenumber;
+complex numbers are [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -16,124 +20,9 @@ import math
 import os
 from dataclasses import dataclass
 
-import jsonschema
-
 from .dynamics import DynamicsParams
 from .errors import ScenarioError
 from .wavecore import K_REF, Mode, ScattererChain
-
-_COMPLEX = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-
-SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["version", "chain", "modes"],
-    "properties": {
-        "version": {"const": "1"},
-        "units": {
-            "type": "object",
-            "additionalProperties": False,
-            "minProperties": 1,
-            "maxProperties": 1,
-            "properties": {"lambda_ref": _POSITIVE, "k_ref": _POSITIVE},
-        },
-        "chain": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["zeta"],
-            "properties": {
-                "zeta": _COMPLEX,
-                "allow_gain": {"type": "boolean"},
-                "n": {"type": "integer", "minimum": 0},
-                "positions": {"type": "array", "items": {"type": "number"}},
-                "generator": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["kind"],
-                    "properties": {
-                        "kind": {"enum": ["equidistant", "explicit"]},
-                        "spacing": _POSITIVE,
-                        "start": {"type": "number"},
-                        "positions": {"type": "array", "items": {"type": "number"}},
-                    },
-                },
-            },
-        },
-        "modes": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["label", "k"],
-                "properties": {
-                    "label": {"type": "string", "minLength": 1},
-                    "k": _POSITIVE,
-                    "intensity_left": {"type": "number", "minimum": 0},
-                    "intensity_right": {"type": "number", "minimum": 0},
-                    "phase_left": {"type": "number"},
-                    "phase_right": {"type": "number"},
-                    "zeta_override": _COMPLEX,
-                },
-            },
-        },
-        "dynamics": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["regime", "dt", "t_end"],
-            "properties": {
-                "regime": {"enum": ["overdamped", "newtonian"]},
-                "mass": _POSITIVE,
-                "friction": {"type": "number", "minimum": 0},
-                "dt": _POSITIVE,
-                "t_end": _POSITIVE,
-                "min_separation": {"type": "number", "minimum": 0},
-                "force_tol": _POSITIVE,
-                "initial_velocities": {"type": "array", "items": {"type": "number"}},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["axes"],
-            "properties": {
-                "axes": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["path", "start", "stop", "steps"],
-                        "properties": {
-                            "path": {"type": "string", "minLength": 1},
-                            "start": {"type": "number"},
-                            "stop": {"type": "number"},
-                            "steps": {"type": "integer", "minimum": 1},
-                        },
-                    },
-                },
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "format": {"enum": ["csv", "json", "both"]},
-                "prefix": {"type": "string", "minLength": 1},
-                "capture_every": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
-
-_VALIDATOR = jsonschema.Draft7Validator(SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -167,134 +56,218 @@ class Scenario:
 
 
 def validate_document(doc) -> None:
-    """Schema plus semantic checks; raises ScenarioError on any problem."""
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        where = "/".join(str(p) for p in e.absolute_path) or "(root)"
-        raise ScenarioError(f"invalid scenario at {where}: {e.message}")
-    _semantic_checks(doc)
+    """Decode doc and discard the result; raises ScenarioError on any problem."""
+    _decode(doc)
 
 
-def _semantic_checks(doc: dict) -> None:
-    _reject_non_finite(doc, ())
-    chain = doc["chain"]
-    has_positions = "positions" in chain
-    has_generator = "generator" in chain
-    if has_positions == has_generator:
-        raise ScenarioError(
-            "chain needs exactly one of 'positions' or 'generator'"
+def _fail(path: tuple, message: str):
+    where = "/".join(map(str, path)) or "(root)"
+    raise ScenarioError(f"invalid scenario at {where}: {message}")
+
+
+def _object(node, path, required, optional=()) -> dict:
+    if not isinstance(node, dict):
+        _fail(path, f"{node!r} is not an object")
+    for key in required:
+        if key not in node:
+            _fail(path, f"missing required key {key!r}")
+    for key in node:
+        if key not in required and key not in optional:
+            _fail(path, f"unknown key {key!r}")
+    return node
+
+
+def _number(node, path, minimum=None, positive=False):
+    # np.float64 is a float: documents built in Python may carry solver output
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        _fail(path, f"{node!r} is not a number")
+    if not math.isfinite(node):
+        _fail(path, f"{json.dumps(node)} is not a finite number")
+    if positive and not node > 0:
+        _fail(path, f"{node!r} is not positive")
+    if minimum is not None and node < minimum:
+        _fail(path, f"{node!r} is less than {minimum}")
+    return node
+
+
+def _integer(node, path, minimum: int) -> int:
+    if type(node) is not int:
+        _fail(path, f"{node!r} is not an integer")
+    if node < minimum:
+        _fail(path, f"{node!r} is less than {minimum}")
+    return node
+
+
+def _string(node, path, choices=None) -> str:
+    if choices is not None:
+        if not isinstance(node, str) or node not in choices:
+            _fail(path, f"{node!r} is not one of {', '.join(map(repr, choices))}")
+    elif not isinstance(node, str) or not node:
+        _fail(path, f"{node!r} is not a non-empty string")
+    return node
+
+
+def _list(node, path, non_empty=False) -> list:
+    if not isinstance(node, list):
+        _fail(path, f"{node!r} is not a list")
+    if non_empty and not node:
+        _fail(path, "needs at least one entry")
+    return node
+
+
+def _numbers(node, path) -> list:
+    for i, value in enumerate(_list(node, path)):
+        _number(value, path + (i,))
+    return node
+
+
+def _complex(node, path):
+    if not isinstance(node, list) or len(node) != 2:
+        _fail(path, f"{node!r} is not a [re, im] pair")
+    re, im = (_number(v, path + (i,)) for i, v in enumerate(node))
+    return float(re) if im == 0.0 else complex(re, im)
+
+
+def _decode(doc) -> dict:
+    """Check every field of doc once and build the Scenario fields from it."""
+    _object(doc, (), ("version", "chain", "modes"), ("units", "dynamics", "sweep", "output"))
+    _string(doc["version"], ("version",), ("1",))
+    if "units" in doc:
+        units = _object(doc["units"], ("units",), (), ("lambda_ref", "k_ref"))
+        if len(units) != 1:
+            _fail(("units",), "needs exactly one of 'lambda_ref' or 'k_ref'")
+        for key, value in units.items():
+            _number(value, ("units", key), positive=True)
+    chain = _decode_chain(doc["chain"], ("chain",))
+    modes = tuple(
+        _decode_mode(node, ("modes", i))
+        for i, node in enumerate(_list(doc["modes"], ("modes",), non_empty=True))
+    )
+    if len({m.label for m in modes}) != len(modes):
+        raise ScenarioError("mode labels must be unique")
+    dynamics = initial_velocities = sweep_axes = None
+    if "dynamics" in doc:
+        dynamics, initial_velocities = _decode_dynamics(doc["dynamics"], ("dynamics",), chain.n)
+    if "sweep" in doc:
+        sweep = _object(doc["sweep"], ("sweep",), ("axes",))
+        path = ("sweep", "axes")
+        sweep_axes = tuple(
+            _decode_axis(node, path + (i,))
+            for i, node in enumerate(_list(sweep["axes"], path, non_empty=True))
         )
-    if has_generator:
-        gen = chain["generator"]
-        if gen["kind"] == "equidistant":
+    output = _object(doc.get("output", {}), ("output",), (), ("format", "prefix", "capture_every"))
+    if "format" in output:
+        _string(output["format"], ("output", "format"), ("csv", "json", "both"))
+    if "prefix" in output:
+        _string(output["prefix"], ("output", "prefix"))
+    capture_every = _integer(output.get("capture_every", 1), ("output", "capture_every"), 1)
+    return dict(chain=chain, modes=modes, dynamics=dynamics, initial_velocities=initial_velocities,
+                sweep_axes=sweep_axes, capture_every=capture_every)
+
+
+def _decode_chain(node, path) -> ScattererChain:
+    _object(node, path, ("zeta",), ("allow_gain", "n", "positions", "generator"))
+    zeta = _complex(node["zeta"], path + ("zeta",))
+    allow_gain = node.get("allow_gain", False)
+    if not isinstance(allow_gain, bool):
+        _fail(path + ("allow_gain",), f"{allow_gain!r} is not a boolean")
+    n = _integer(node["n"], path + ("n",), 0) if "n" in node else None
+    if ("positions" in node) == ("generator" in node):
+        raise ScenarioError("chain needs exactly one of 'positions' or 'generator'")
+    if "positions" in node:
+        positions = _numbers(node["positions"], path + ("positions",))
+    else:
+        path += ("generator",)
+        gen = _object(node["generator"], path, ("kind",), ("spacing", "start", "positions"))
+        kind = _string(gen["kind"], path + ("kind",), ("equidistant", "explicit"))
+        if "spacing" in gen:
+            _number(gen["spacing"], path + ("spacing",), positive=True)
+        start = _number(gen.get("start", 0.0), path + ("start",))
+        if "positions" in gen:
+            positions = _numbers(gen["positions"], path + ("positions",))
+        if kind == "equidistant":
             if "spacing" not in gen:
                 raise ScenarioError("equidistant generator needs 'spacing'")
-            if "n" not in chain:
+            if n is None:
                 raise ScenarioError("equidistant generator needs chain 'n'")
             if "positions" in gen:
                 raise ScenarioError("equidistant generator takes no 'positions'")
-        else:
-            if "positions" not in gen:
-                raise ScenarioError("explicit generator needs 'positions'")
-    if has_positions and "n" in chain and chain["n"] != len(chain["positions"]):
-        raise ScenarioError(
-            f"chain n={chain['n']} does not match {len(chain['positions'])} positions"
-        )
-    labels = [m["label"] for m in doc["modes"]]
-    if len(set(labels)) != len(labels):
-        raise ScenarioError("mode labels must be unique")
-    dyn = doc.get("dynamics")
-    if dyn is not None and _chain_size(chain) == 0:
-        raise ScenarioError("a dynamics block needs at least one scatterer")
-    if dyn and "initial_velocities" in dyn:
-        n = _chain_size(chain)
-        if len(dyn["initial_velocities"]) != n:
-            raise ScenarioError(
-                "initial_velocities length must equal the chain size"
-            )
-    sweep = doc.get("sweep")
-    if sweep:
-        for ax in sweep["axes"]:
-            leaf = ax["path"].rsplit(".", 1)[-1]
-            if leaf in ("n", "kind", "label", "regime", "version", "format"):
-                raise ScenarioError(
-                    f"sweep axis may not vary structural key {leaf!r}"
-                )
-
-
-def _reject_non_finite(node, path: tuple) -> None:
-    """Raise ScenarioError at a NaN or infinity anywhere in a document.
-
-    json.loads accepts the literals NaN and Infinity, and the schema's
-    "number" type passes them.
-    """
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        if isinstance(node, float) and not math.isfinite(node):
-            where = "/".join(map(str, path)) or "(root)"
-            raise ScenarioError(
-                f"invalid scenario at {where}: {json.dumps(node)} is not a finite number"
-            )
-        return
-    for key, value in children:
-        _reject_non_finite(value, path + (key,))
-
-
-def _chain_size(chain_doc: dict) -> int:
-    if "positions" in chain_doc:
-        return len(chain_doc["positions"])
-    gen = chain_doc["generator"]
-    if gen["kind"] == "explicit":
-        return len(gen["positions"])
-    return chain_doc["n"]
-
-
-def _build_chain(chain_doc: dict) -> ScattererChain:
-    re, im = chain_doc["zeta"]
-    zeta = float(re) if im == 0.0 else complex(re, im)
-    allow_gain = chain_doc.get("allow_gain", False)
-    if "positions" in chain_doc:
-        positions = chain_doc["positions"]
-    else:
-        gen = chain_doc["generator"]
-        if gen["kind"] == "explicit":
-            positions = gen["positions"]
-        else:
-            start = gen.get("start", 0.0)
-            spacing = gen["spacing"]
-            positions = [start + j * spacing for j in range(chain_doc["n"])]
+            positions = [start + j * gen["spacing"] for j in range(n)]
+        elif "positions" not in gen:
+            raise ScenarioError("explicit generator needs 'positions'")
+    if n is not None and n != len(positions):
+        raise ScenarioError(f"chain n={n} does not match {len(positions)} positions")
     try:
         return ScattererChain(tuple(positions), zeta, allow_gain=allow_gain)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
 
-def _build_mode(mode_doc: dict) -> Mode:
-    k = mode_doc["k"] * K_REF
-    i_l = mode_doc.get("intensity_left", 0.0)
-    i_r = mode_doc.get("intensity_right", 0.0)
-    ph_l = mode_doc.get("phase_left", 0.0)
-    ph_r = mode_doc.get("phase_right", 0.0)
-    drive_left = math.sqrt(2.0 * i_l) * complex(math.cos(ph_l), math.sin(ph_l))
-    drive_right = math.sqrt(2.0 * i_r) * complex(math.cos(ph_r), math.sin(ph_r))
-    override = mode_doc.get("zeta_override")
-    if override is not None:
-        re, im = override
-        override = float(re) if im == 0.0 else complex(re, im)
+def _decode_mode(node, path) -> Mode:
+    _object(node, path, ("label", "k"), (
+        "intensity_left", "intensity_right", "phase_left", "phase_right", "zeta_override",
+    ))
+    drives = []
+    for side in ("left", "right"):
+        intensity, phase = f"intensity_{side}", f"phase_{side}"
+        i = _number(node.get(intensity, 0.0), path + (intensity,), minimum=0)
+        ph = _number(node.get(phase, 0.0), path + (phase,))
+        drives.append(math.sqrt(2.0 * i) * complex(math.cos(ph), math.sin(ph)))
+    override = None
+    if "zeta_override" in node:
+        override = _complex(node["zeta_override"], path + ("zeta_override",))
     try:
         return Mode(
-            label=mode_doc["label"],
-            k=k,
-            drive_left=drive_left,
-            drive_right=drive_right,
+            label=_string(node["label"], path + ("label",)),
+            k=_number(node["k"], path + ("k",), positive=True) * K_REF,
+            drive_left=drives[0],
+            drive_right=drives[1],
             zeta_override=override,
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
+
+
+def _decode_dynamics(node, path, n: int):
+    _object(node, path, ("regime", "dt", "t_end"), (
+        "mass", "friction", "min_separation", "force_tol", "initial_velocities",
+    ))
+    try:
+        dynamics = DynamicsParams(
+            regime=_string(node["regime"], path + ("regime",), ("overdamped", "newtonian")),
+            dt=_number(node["dt"], path + ("dt",), positive=True),
+            t_end=_number(node["t_end"], path + ("t_end",), positive=True),
+            friction=_number(node.get("friction", 1.0), path + ("friction",), minimum=0),
+            mass=_number(node.get("mass", 1.0), path + ("mass",), positive=True),
+            min_separation=_number(
+                node.get("min_separation", 1e-3), path + ("min_separation",), minimum=0
+            ),
+            force_tol=_number(node.get("force_tol", 1e-10), path + ("force_tol",), positive=True),
+        )
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    if n == 0:
+        raise ScenarioError("a dynamics block needs at least one scatterer")
+    if "initial_velocities" not in node:
+        return dynamics, None
+    velocities = _numbers(node["initial_velocities"], path + ("initial_velocities",))
+    if len(velocities) != n:
+        raise ScenarioError("initial_velocities length must equal the chain size")
+    return dynamics, tuple(map(float, velocities))
+
+
+def _decode_axis(node, path) -> SweepAxis:
+    _object(node, path, ("path", "start", "stop", "steps"))
+    axis = SweepAxis(
+        _string(node["path"], path + ("path",)),
+        _number(node["start"], path + ("start",)),
+        _number(node["stop"], path + ("stop",)),
+        _integer(node["steps"], path + ("steps",), 1),
+    )
+    leaf = axis.path.rsplit(".", 1)[-1]
+    if leaf in ("n", "kind", "label", "regime", "version", "format"):
+        raise ScenarioError(f"sweep axis may not vary structural key {leaf!r}")
+    return axis
 
 
 def scenario_hash(doc: dict) -> str:
@@ -303,45 +276,8 @@ def scenario_hash(doc: dict) -> str:
 
 
 def scenario_from_document(doc: dict, name: str = "inline") -> Scenario:
-    validate_document(doc)
-    chain = _build_chain(doc["chain"])
-    modes = tuple(_build_mode(m) for m in doc["modes"])
-    dyn_doc = doc.get("dynamics")
-    dynamics = None
-    init_v = None
-    if dyn_doc is not None:
-        try:
-            dynamics = DynamicsParams(
-                regime=dyn_doc["regime"],
-                dt=dyn_doc["dt"],
-                t_end=dyn_doc["t_end"],
-                friction=dyn_doc.get("friction", 1.0),
-                mass=dyn_doc.get("mass", 1.0),
-                min_separation=dyn_doc.get("min_separation", 1e-3),
-                force_tol=dyn_doc.get("force_tol", 1e-10),
-            )
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-        if "initial_velocities" in dyn_doc:
-            init_v = tuple(float(v) for v in dyn_doc["initial_velocities"])
-    sweep_doc = doc.get("sweep")
-    axes = None
-    if sweep_doc is not None:
-        axes = tuple(
-            SweepAxis(ax["path"], ax["start"], ax["stop"], ax["steps"])
-            for ax in sweep_doc["axes"]
-        )
-    return Scenario(
-        doc=doc,
-        name=name,
-        sha=scenario_hash(doc),
-        chain=chain,
-        modes=modes,
-        dynamics=dynamics,
-        initial_velocities=init_v,
-        sweep_axes=axes,
-        capture_every=doc.get("output", {}).get("capture_every", 1),
-    )
+    decoded = _decode(doc)
+    return Scenario(doc, name, scenario_hash(doc), **decoded)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -100,10 +100,10 @@ class Mode:
     zeta_override: complex | None = None
 
     def __post_init__(self):
-        if not (self.k > 0):
-            raise ValueError(f"mode {self.label!r}: k must be positive, got {self.k}")
-        if self.zeta_scale is not None and not (self.zeta_scale > 0):
-            raise ValueError(f"mode {self.label!r}: zeta_scale must be positive")
+        if not (0 < self.k < math.inf):
+            raise ValueError(f"mode {self.label!r}: k must be positive and finite, got {self.k}")
+        if self.zeta_scale is not None and not (0 < self.zeta_scale < math.inf):
+            raise ValueError(f"mode {self.label!r}: zeta_scale must be positive and finite")
         for name in ("drive_left", "drive_right"):
             v = complex(getattr(self, name))
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):

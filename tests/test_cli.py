@@ -75,6 +75,16 @@ def test_malformed_scenario_leaves_no_output(tmp_path):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_a_wavenumber_that_overflows_is_a_scenario_error(tmp_path, capsys):
+    doc = pair_doc()
+    doc["modes"][0]["k"] = 1e308  # finite, but k times K_REF is not
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["fields", "--scenario", path, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("where, mutate", [
     ("dynamics/t_end", lambda d: d["dynamics"].update(t_end=math.inf)),
     ("chain/positions/1", lambda d: d["chain"].update(positions=[0.0, math.inf])),

@@ -1,9 +1,15 @@
-"""Package layout rules: modules share only public names."""
+"""Package layout rules: modules share only public names, import only from
+the layers below them, and need nothing beyond numpy at run time."""
 
 import ast
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "lightlattice"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lightlattice"
 
 
 def _private_imports(path):
@@ -59,3 +65,29 @@ def test_modules_import_only_from_the_layers_below():
         if target not in LAYERS[name]
     ]
     assert found == []
+
+
+def _loaded_modules(code):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code += "; import sys; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return {name.split(".")[0] for name in out.split()}
+
+
+def test_the_command_line_loads_only_numpy_beyond_the_standard_library():
+    # a bare interpreter's modules include site hooks such as .pth imports
+    bare = _loaded_modules("pass")
+    loaded = _loaded_modules("import lightlattice.cli")
+    third_party = {
+        name for name in loaded - bare - set(sys.stdlib_module_names)
+        if not name.startswith("_")
+    }
+    assert third_party == {"lightlattice", "numpy"}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    deps = text.split("\ndependencies = [", 1)[1].split("]", 1)[0]
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', deps) == ["numpy"]

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 
 import pytest
 
@@ -104,6 +105,10 @@ def test_explicit_generator_and_n_consistency():
     bad = base_doc()
     bad["chain"]["n"] = 3
     with pytest.raises(ScenarioError, match="does not match"):
+        validate_document(bad)
+    bad = copy.deepcopy(doc)
+    bad["chain"]["n"] = 5
+    with pytest.raises(ScenarioError, match="chain n=5 does not match 2 positions"):
         validate_document(bad)
 
 
@@ -271,3 +276,209 @@ def test_non_finite_numbers_are_rejected_in_dicts_and_sweep_cells(path, value):
     where = path.replace(".", "/")
     with pytest.raises(ScenarioError, match=f"at {where}: (Infinity|NaN) is not a finite"):
         scenario_from_document(cell)
+
+
+def full_doc():
+    """A document that sets every key the scenario format knows."""
+    return {
+        "version": "1",
+        "units": {"lambda_ref": 1.0},
+        "chain": {
+            "zeta": [0.01, 0.0],
+            "allow_gain": False,
+            "n": 2,
+            "generator": {"kind": "equidistant", "spacing": 0.4, "start": 0.0},
+        },
+        "modes": [
+            {"label": "y", "k": 1.0, "intensity_left": 1.0, "intensity_right": 0.0,
+             "phase_left": 0.0, "phase_right": 0.0, "zeta_override": [0.01, 0.0]},
+            {"label": "z", "k": 1.0, "intensity_right": 1.0},
+        ],
+        "dynamics": {
+            "regime": "overdamped", "dt": 1.0, "t_end": 10.0, "mass": 1.0,
+            "friction": 1.0, "min_separation": 1e-3, "force_tol": 1e-10,
+            "initial_velocities": [0.0, 0.0],
+        },
+        "sweep": {"axes": [{"path": "modes.y.intensity_left",
+                            "start": 0.5, "stop": 1.0, "steps": 2}]},
+        "output": {"format": "csv", "prefix": "run", "capture_every": 1},
+    }
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, leaf = path.split("/")
+        node = doc
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[int(leaf) if isinstance(node, list) else leaf] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        *parents, leaf = path.split("/")
+        node = doc
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        del node[leaf]
+    return mutate
+
+
+def _positions(values):
+    def mutate(doc):
+        del doc["chain"]["generator"], doc["chain"]["n"]
+        doc["chain"]["positions"] = values
+    return mutate
+
+
+# one row per rule of the scenario format: (where the error is reported, mutation)
+REJECTIONS = [
+    # unknown keys, reported at the block that holds them
+    ("(root)", _set("extra", 1)),
+    ("units", _set("units/extra", 1)),
+    ("chain", _set("chain/extra", 1)),
+    ("chain/generator", _set("chain/generator/extra", 1)),
+    ("modes/0", _set("modes/0/extra", 1)),
+    ("dynamics", _set("dynamics/extra", 1)),
+    ("sweep", _set("sweep/extra", 1)),
+    ("sweep/axes/0", _set("sweep/axes/0/extra", 1)),
+    ("output", _set("output/formt", "csv")),
+    # missing required keys
+    ("(root)", _drop("version")),
+    ("(root)", _drop("chain")),
+    ("(root)", _drop("modes")),
+    ("chain", _drop("chain/zeta")),
+    ("chain/generator", _drop("chain/generator/kind")),
+    ("modes/0", _drop("modes/0/label")),
+    ("modes/0", _drop("modes/0/k")),
+    ("dynamics", _drop("dynamics/regime")),
+    ("dynamics", _drop("dynamics/dt")),
+    ("dynamics", _drop("dynamics/t_end")),
+    ("sweep", _drop("sweep/axes")),
+    ("sweep/axes/0", _drop("sweep/axes/0/path")),
+    ("sweep/axes/0", _drop("sweep/axes/0/start")),
+    ("sweep/axes/0", _drop("sweep/axes/0/stop")),
+    ("sweep/axes/0", _drop("sweep/axes/0/steps")),
+    # blocks of the wrong type
+    ("chain", _set("chain", [])),
+    ("modes", _set("modes", {})),
+    ("modes/0", _set("modes/0", "y")),
+    ("dynamics", _set("dynamics", 1.0)),
+    ("sweep/axes", _set("sweep/axes", "modes.y.k")),
+    ("output", _set("output", [])),
+    # version
+    ("version", _set("version", "2")),
+    ("version", _set("version", 1)),
+    # units: exactly one positive key
+    ("units", _set("units", {})),
+    ("units", _set("units", {"lambda_ref": 1.0, "k_ref": 1.0})),
+    ("units/lambda_ref", _set("units/lambda_ref", 0.0)),
+    ("units/k_ref", _set("units", {"k_ref": -1.0})),
+    # a bool or a string where a number goes
+    ("modes/0/k", _set("modes/0/k", True)),
+    ("modes/0/k", _set("modes/0/k", "1")),
+    ("modes/0/intensity_left", _set("modes/0/intensity_left", False)),
+    ("modes/0/phase_left", _set("modes/0/phase_left", "0")),
+    ("modes/0/phase_right", _set("modes/0/phase_right", True)),
+    ("dynamics/dt", _set("dynamics/dt", True)),
+    ("dynamics/friction", _set("dynamics/friction", "1")),
+    ("dynamics/initial_velocities/1", _set("dynamics/initial_velocities/1", "0")),
+    ("dynamics/initial_velocities", _set("dynamics/initial_velocities", 0.0)),
+    ("chain/generator/start", _set("chain/generator/start", "0")),
+    ("chain/n", _set("chain/n", True)),
+    ("chain/positions/1", _positions([0.0, "0.4"])),
+    ("chain/positions/0", _positions([True, 0.4])),
+    ("chain/positions", _positions("0.0 0.4")),
+    ("sweep/axes/0/start", _set("sweep/axes/0/start", True)),
+    ("sweep/axes/0/stop", _set("sweep/axes/0/stop", "1")),
+    ("sweep/axes/0/steps", _set("sweep/axes/0/steps", True)),
+    ("output/capture_every", _set("output/capture_every", True)),
+    # complex numbers are [re, im] pairs
+    ("chain/zeta", _set("chain/zeta", [0.01])),
+    ("chain/zeta", _set("chain/zeta", [0.01, 0.0, 0.0])),
+    ("chain/zeta", _set("chain/zeta", 0.01)),
+    ("chain/zeta/1", _set("chain/zeta", [0.01, "0"])),
+    ("chain/zeta/0", _set("chain/zeta", [True, 0.0])),
+    ("modes/0/zeta_override", _set("modes/0/zeta_override", [0.01])),
+    ("modes/0/zeta_override", _set("modes/0/zeta_override", {"re": 0.01, "im": 0.0})),
+    # flags
+    ("chain/allow_gain", _set("chain/allow_gain", 1)),
+    ("chain/allow_gain", _set("chain/allow_gain", "yes")),
+    # the chain layout
+    ("chain/generator/kind", _set("chain/generator/kind", "random")),
+    ("chain/generator", _set("chain/generator", "equidistant")),
+    ("chain/generator/spacing", _set("chain/generator/spacing", 0.0)),
+    ("chain/generator/spacing", _set("chain/generator/spacing", -0.4)),
+    ("chain/generator/positions/1",
+     _set("chain/generator", {"kind": "explicit", "positions": [0.0, "0.4"]})),
+    ("chain/n", _set("chain/n", -1)),
+    ("chain/n", _set("chain/n", "2")),
+    # lists that may not be empty, strings that may not be empty
+    ("modes", _set("modes", [])),
+    ("sweep/axes", _set("sweep/axes", [])),
+    ("modes/0/label", _set("modes/0/label", "")),
+    ("modes/0/label", _set("modes/0/label", 1)),
+    ("sweep/axes/0/path", _set("sweep/axes/0/path", "")),
+    ("sweep/axes/0/path", _set("sweep/axes/0/path", ["modes", "y"])),
+    # modes
+    ("modes/0/k", _set("modes/0/k", 0.0)),
+    ("modes/1/k", _set("modes/1/k", -1.0)),
+    ("modes/0/intensity_left", _set("modes/0/intensity_left", -1.0)),
+    ("modes/1/intensity_right", _set("modes/1/intensity_right", -0.5)),
+    # dynamics
+    ("dynamics/regime", _set("dynamics/regime", "brownian")),
+    ("dynamics/dt", _set("dynamics/dt", 0.0)),
+    ("dynamics/t_end", _set("dynamics/t_end", -1.0)),
+    ("dynamics/mass", _set("dynamics/mass", 0.0)),
+    ("dynamics/force_tol", _set("dynamics/force_tol", 0.0)),
+    ("dynamics/friction", _set("dynamics/friction", -1.0)),
+    ("dynamics/min_separation", _set("dynamics/min_separation", -1e-3)),
+    # sweep and output
+    ("sweep/axes/0/steps", _set("sweep/axes/0/steps", 0)),
+    ("output/capture_every", _set("output/capture_every", 0)),
+    ("output/format", _set("output/format", "xml")),
+    ("output/prefix", _set("output/prefix", "")),
+    ("output/prefix", _set("output/prefix", 7)),
+]
+
+
+def test_the_full_document_builds():
+    s = scenario_from_document(full_doc())
+    assert s.chain.positions == pytest.approx((0.0, 0.4))
+    assert s.initial_velocities == (0.0, 0.0)
+    assert s.capture_every == 1
+
+
+@pytest.mark.parametrize("where, mutate", REJECTIONS)
+def test_rejection_table(where, mutate):
+    doc = full_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioError, match=rf"^invalid scenario at {re.escape(where)}: "):
+        scenario_from_document(doc)
+
+
+def test_a_document_that_is_not_an_object_is_rejected():
+    for doc in ([], "scenario", None):
+        with pytest.raises(ScenarioError, match=r"^invalid scenario at \(root\): "):
+            validate_document(doc)
+
+
+@pytest.mark.parametrize("where", ["chain/n", "sweep/axes/0/steps", "output/capture_every"])
+def test_integer_slots_take_json_integers_only(where):
+    doc = full_doc()
+    _set(where, 2.0)(doc)
+    with pytest.raises(ScenarioError, match=rf"^invalid scenario at {re.escape(where)}: 2\.0 "):
+        scenario_from_document(doc)
+
+
+@pytest.mark.parametrize("where", [
+    "units", "chain/n", "chain/allow_gain", "chain/generator/start", "modes/0/phase_left",
+    "modes/0/zeta_override", "dynamics", "dynamics/friction", "dynamics/initial_velocities",
+    "sweep", "output", "output/capture_every",
+])
+def test_null_is_not_an_absent_key(where):
+    doc = full_doc()
+    _set(where, None)(doc)
+    with pytest.raises(ScenarioError, match=rf"^invalid scenario at {re.escape(where)}: "):
+        scenario_from_document(doc)

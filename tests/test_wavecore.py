@@ -94,6 +94,10 @@ def test_mode_validation():
         Mode("y", -1.0)
     with pytest.raises(ValueError):
         Mode("y", K_REF, zeta_scale=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        Mode("y", math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        Mode("y", K_REF, zeta_scale=math.inf)
     m = Mode("y", 1.3 * K_REF)
     assert m.effective_scale == pytest.approx(1.3)
     assert Mode("y", K_REF, zeta_scale=2.5).effective_scale == 2.5
