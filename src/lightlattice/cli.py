@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 2 invalid input, 3 numerical failure (partial
 outputs are written and flagged where the run produced any). Output is
-deterministic: fixed float formatting (17 significant digits), fixed row
-order, headers carrying only the tool version, scenario hash, and command
-name. Sweep cells fan out to a process pool sized by LIGHTLATTICE_THREADS
-(default 1: cells run in this process); results are always assembled in
-grid order.
+deterministic: fixed row order, headers carrying only the tool version,
+scenario hash, and command name, and one rule per CSV cell: every float,
+numpy floats included, is %.17g; a bool is true/false; an integer is
+decimal; anything else is str. So the bytes do not depend on whether a
+table holds Python or numpy numbers. Sweep cells fan out to a process
+pool sized by LIGHTLATTICE_THREADS (default 1: cells run in this
+process); results are always assembled in grid order.
 """
 
 from __future__ import annotations
@@ -75,8 +77,17 @@ def _write_csv(path, command, sha, name, columns, rows):
         fh.write(f"# command {command}\n")
         fh.write("# columns: " + ",".join(columns) + "\n")
         fh.write(",".join(columns) + "\n")
+        # an all-float row is formatted by one %-template per row length,
+        # which prints what _fmt prints cell by cell
+        templates = {}
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            if all(type(v) is float for v in row):
+                n = len(row)
+                if n not in templates:
+                    templates[n] = ",".join(["%.17g"] * n) + "\n"
+                fh.write(templates[n] % tuple(row))
+            else:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_json(path, command, sha, name, payload):
@@ -339,7 +350,7 @@ def cmd_forces(args) -> int:
             zeta=zeta.real * modes[0].effective_scale,
             i_y=iy,
         )
-    exact = forces_batch(chain, modes, [(x1, x1 + d) for d in d_values])
+    exact = forces_batch(chain, modes, [(x1, x1 + d) for d in d_values]).tolist()
     rows = []
     for d, f in zip(d_values, exact):
         if approx_ok:
@@ -675,8 +686,12 @@ def cmd_zerolines(args) -> int:
     d1 = _grid(args.d1_min, args.d1_max, args.d1_steps, "separation")
     d2 = _grid(args.d2_min, args.d2_max, args.d2_steps, "separation")
     grid = zero_force_grid(chain, modes, d1, d2)
-    rows = ([a, b, grid.f1[i, j], grid.f2[i, j], grid.f3[i, j]]
-            for i, a in enumerate(grid.d1) for j, b in enumerate(grid.d2))
+    # streamed one d1 row at a time, as Python floats for the writer's template
+    n2 = len(grid.d2)
+    rows = (row for i, a in enumerate(grid.d1)
+            for row in np.column_stack(
+                [np.full(n2, a), grid.d2, grid.f1[i], grid.f2[i], grid.f3[i]]
+            ).tolist())
     pre = _prefix(scn)
     _write_csv(
         _out_path(args, f"{pre}zerolines.csv"),

@@ -32,6 +32,11 @@ class DynamicsParams:
     def __post_init__(self):
         if self.regime not in ("overdamped", "newtonian"):
             raise ValueError(f"unknown regime {self.regime!r}")
+        # NaN passes every range check below, and inf would overflow the step count
+        for name in ("dt", "t_end", "friction", "mass", "min_separation", "force_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
         if self.regime == "overdamped" and self.friction <= 0:

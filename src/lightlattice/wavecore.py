@@ -153,13 +153,19 @@ class ScattererChain:
                 raise ValueError(
                     f"got {len(zetas)} couplings for {len(positions)} scatterers"
                 )
-        if not allow_gain:
-            for z in zetas:
-                if z.imag < 0:
-                    raise ValueError(
-                        f"zeta {z} has negative imaginary part (gain); "
-                        "pass allow_gain=True to permit it"
-                    )
+        # ordering already rejects NaN between two scatterers; the ends
+        # also catch a lone NaN and an infinite first or last position
+        for end in positions[:1] + positions[-1:]:
+            if not math.isfinite(end):
+                raise ValueError(f"position {end} is not finite")
+        for z in zetas:
+            if not cmath.isfinite(z):
+                raise ValueError(f"zeta {z} is not finite")
+            if z.imag < 0 and not allow_gain:
+                raise ValueError(
+                    f"zeta {z} has negative imaginary part (gain); "
+                    "pass allow_gain=True to permit it"
+                )
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "zeta_base", zetas)
         object.__setattr__(self, "allow_gain", allow_gain)

@@ -2,10 +2,13 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lightlattice import cli, equilibria, forcefield
 from lightlattice.cli import main, preset_names
+from lightlattice.scenario import scenario_from_document
 
 EXACT_CROSSING_HIGH = 0.373400547
 PLAIN_PRESET_HASHES = {
@@ -424,6 +427,78 @@ def test_zerolines_grid(tmp_path):
     diag = [r for r in rows if r[0] == r[1]]
     for r in diag:
         assert abs(float(r[3])) < 1e-12
+
+
+def test_zerolines_writes_the_grid_cell_by_cell(tmp_path):
+    doc = pair_doc()
+    doc["chain"].update(zeta=[0.05, 0.01], positions=[0.0, 0.3, 0.6])
+    path = write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["zerolines", "--scenario", path, "--out", str(out),
+                 "--d1-steps", "4", "--d2-steps", "5"]) == 0
+    scn = scenario_from_document(doc)
+    grid = equilibria.zero_force_grid(
+        scn.chain, scn.mode_list(),
+        cli._grid(0.05, 0.95, 4, "d1"), cli._grid(0.05, 0.95, 5, "d2"),
+    )
+    expected = [
+        ",".join(cli._fmt(v) for v in (a, b, grid.f1[i, j], grid.f2[i, j], grid.f3[i, j]))
+        for i, a in enumerate(grid.d1) for j, b in enumerate(grid.d2)
+    ]
+    lines = (out / "pair_zerolines.csv").read_text().splitlines()
+    assert lines[5:] == expected
+
+
+def test_float_tables_never_reach_the_cell_formatter(tmp_path, monkeypatch):
+    # an all-float row takes the writer's %-template; a numpy scalar in it
+    # would fall back to formatting cell by cell
+    cells = []
+    fmt = cli._fmt
+
+    def spy(x):
+        cells.append(type(x).__name__)
+        return fmt(x)
+
+    monkeypatch.setattr(cli, "_fmt", spy)
+    pair = write_doc(tmp_path, pair_doc(dynamics={
+        "regime": "newtonian", "dt": 0.25, "t_end": 5.0, "friction": 0.05,
+        "initial_velocities": [0.001, 0.0],
+    }), "pair.json")
+    triple = pair_doc()
+    triple["chain"]["positions"] = [0.0, 0.3, 0.6]
+    triple = write_doc(tmp_path, triple, "triple.json")
+    out = str(tmp_path / "out")
+    assert main(["forces", "--scenario", pair, "--out", out, "--steps", "9"]) == 0
+    assert main(["evolve", "--scenario", pair, "--out", out]) == 0
+    assert main(["zerolines", "--scenario", triple, "--out", out,
+                 "--d1-steps", "3", "--d2-steps", "3"]) == 0
+    assert cells == []
+    # the spy does see the cells the template path leaves to _fmt
+    assert main(["fields", "--scenario", pair, "--out", out, "--samples", "3"]) == 0
+    assert "str" in cells and "int" in cells
+
+
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+_CELLS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans(),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+@given(rows=st.lists(st.lists(_CELLS, max_size=7) | st.lists(_FLOATS, max_size=7),
+                     max_size=8))
+@example(rows=[[]])
+@example(rows=[[-0.0, math.nan, math.inf, -math.inf], [np.float64(-0.0), np.float64(math.nan)]])
+def test_write_csv_matches_formatting_cell_by_cell(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    cli._write_csv(path, "test", "0" * 12, "cells", ["c"], rows)
+    with open(path, encoding="utf-8", newline="") as fh:
+        body = fh.read().split("\n", 5)[5]
+    assert body == "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
 
 
 def test_grid_commands_make_no_per_point_forces_exact_calls(tmp_path, monkeypatch):

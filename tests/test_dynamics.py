@@ -36,6 +36,16 @@ def test_params_validation():
     DynamicsParams(regime="newtonian", dt=0.1, t_end=1.0, friction=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name", ["dt", "t_end", "friction", "mass", "min_separation", "force_tol"]
+)
+def test_params_reject_non_finite_values(name, value):
+    kwargs = {"regime": "newtonian", "dt": 0.1, "t_end": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        DynamicsParams(**kwargs)
+
+
 def test_free_flight_is_exact():
     # no coupling, no friction: RK4 integrates linear motion exactly
     chain = ScattererChain((0.0, 1.0), 0.0)

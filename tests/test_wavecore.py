@@ -123,6 +123,15 @@ def test_chain_validation():
     gained = ScattererChain((0.0,), -0.5j, allow_gain=True)
     assert gained.zeta_base == (-0.5j,)
     assert ScattererChain((0.0, 0.25, 0.75), 0.1).gaps() == (0.25, 0.5)
+    for positions, zeta in (
+        ((math.nan,), 0.01),
+        ((0.0, math.inf), 0.01),
+        ((-math.inf, 0.0, 0.5), 0.01),
+        ((0.0,), complex(math.nan, 0.0)),
+        ((0.0, 0.5), (0.01, complex(0.0, math.inf))),
+    ):
+        with pytest.raises(ValueError, match="not finite"):
+            ScattererChain(positions, zeta, allow_gain=True)
 
 
 def test_with_positions_matches_the_constructor():
