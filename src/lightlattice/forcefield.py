@@ -7,6 +7,7 @@ for analysis and design work. Positive force points toward +x.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularBoundary, WavenumberMismatch
-from .wavecore import FieldSolution, Mode, ScattererChain, quads_kernel, solve_fields_batch
+from .wavecore import (
+    FieldSolution,
+    Mode,
+    ScattererChain,
+    check_amplitudes,
+    quads_kernel,
+    solve_fields_batch,
+)
 
 # rows per block of forces_batch: about 0.5 MB of working set. At 1024 rows
 # (1.6 MB) a block outgrew what the zerolines CSV rows take and raised the
@@ -34,29 +42,50 @@ class ForceProfile:
         return max((abs(f) for f in self.total), default=0.0)
 
 
-def _mode_forces(label: str, quads) -> tuple[float, ...]:
-    """F(j) = (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2 of one mode's quadruples."""
+def _mode_forces(quads, w, dn) -> tuple[float, ...] | None:
+    """F(j) = (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2 of one mode, or None if not finite.
+
+    The mode's amplitudes are those of quads scaled by w / dn, as
+    quads_kernel gives them, so each force is |w / dn|^2 times that of
+    quads.
+    """
     try:
-        return tuple([
-            0.5 * (abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
-            for (a, b, c, d) in quads
-        ])
+        g = 0.5 * abs(w / dn) ** 2
+        forces = tuple([g * (abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
+                        for a, b, c, d in quads])
     except OverflowError:
-        raise SingularBoundary(f"|amplitude|^2 overflows in mode {label!r}") from None
+        return None
+    return forces if math.isfinite(sum(forces)) else None
 
 
 def _reduce(solved, n: int) -> tuple[tuple[float, ...], dict[str, tuple[float, ...]]]:
-    """Total and per-mode forces from (label, quads) pairs on n scatterers."""
-    per_mode = {label: _mode_forces(label, quads) for label, quads in solved}
+    """Total and per-mode forces from (label, quads, w, dn) per mode on n scatterers.
+
+    A mode whose forces are not finite raises SingularBoundary: for the
+    first mode with a non-finite amplitude, as solve_fields reports it, and
+    otherwise for that mode's overflowing square.
+    """
+    per_mode = {}
+    for label, quads, w, dn in solved:
+        forces = _mode_forces(quads, w, dn)
+        if forces is None:
+            check_amplitudes(solved)
+            raise SingularBoundary(f"|amplitude|^2 overflows in mode {label!r}")
+        per_mode[label] = forces
     if per_mode:
         return tuple(map(sum, zip(*per_mode.values()))), per_mode
     return (0.0,) * n, per_mode
 
 
 def forces_from_solution(solution: FieldSolution) -> ForceProfile:
-    """F_mode(j) = (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2, summed over modes."""
+    """F_mode(j) = (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2, summed over modes.
+
+    A mode that solve_fields solved is reduced from its unscaled sweep,
+    as forces_exact reduces it.
+    """
     return ForceProfile(*_reduce(
-        [(mf.label, mf.quads) for mf in solution.fields], solution.chain.n))
+        [(mf.label, *(mf.sweep or (mf.quads, 1.0, 1.0))) for mf in solution.fields],
+        solution.chain.n))
 
 
 def force_kernel(chain: ScattererChain, modes: list[Mode]):
@@ -64,17 +93,18 @@ def force_kernel(chain: ScattererChain, modes: list[Mode]):
 
     The returned function takes positions as ScattererChain.with_positions
     does, raising its ValueError, and gives (total, per_mode) of forces_exact
-    on chain's scatterers moved there, bit for bit. It raises what
-    forces_exact raises: every mode is solved (quads_kernel) before any is
-    reduced.
+    on chain's scatterers moved there, bit for bit; without positions it
+    reads chain's own, unchecked (quads_kernel). It raises what
+    forces_exact raises: every mode is solved before any is reduced.
     """
     solve = quads_kernel(chain, modes)
     n = chain.n
-    return lambda positions: _reduce(solve(positions), n)
+    return lambda positions=None: _reduce(solve(positions), n)
 
 
 def forces_exact(chain: ScattererChain, modes: list[Mode]) -> ForceProfile:
-    return ForceProfile(*force_kernel(chain, modes)(chain.positions))
+    # the chain's constructor checked its positions: the kernel does not again
+    return ForceProfile(*force_kernel(chain, modes)())
 
 
 def forces_batch(chain: ScattererChain, modes: list[Mode], positions) -> np.ndarray:
@@ -128,6 +158,9 @@ class PairForceParams:
     i_y: float = 1.0
 
     def __post_init__(self):
+        for name in ("p", "k_y", "k_z", "zeta", "i_y"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.p < 0 or self.i_y < 0:
             raise ValueError("intensities must be non-negative")
         if isinstance(self.zeta, complex):

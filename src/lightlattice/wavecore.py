@@ -10,6 +10,18 @@ K_REF = 2*pi.
 
 The field between scatterers j and j+1 is C_j e^{ik(x-x_j)} + D_j e^{-ik(x-x_j)};
 A_j/B_j are the right/left moving amplitudes just left of scatterer j.
+
+Every solve runs one far-side sweep per driven side. A right drive leaves
+only a transmitted wave past scatterer 1, so the sweep starts exactly
+there, at (A_1, B_1) = (0, 1), and walks toward the drive, one splitter
+and one gap at a time; the drive fixes the scale at the end, where D_N
+of the unnormalised sweep equals the total matrix's m22. A left drive is
+the same sweep of the chain's mirror image (x -> -x, couplings reversed),
+mapped back. Heading toward the drive the physical solution is the one
+that grows (Rouard's method; Ko & Inkson, PRB 38, 9945 (1988)), so
+round-off never outgrows it, however thick the chain. The unnormalised
+amplitudes grow to about |m22|; past 1e154 their squares overflow, and a
+solve raises SingularBoundary instead.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +40,8 @@ from .errors import NegativeDistance, SingularBoundary
 K_REF = 2.0 * math.pi
 
 _SINGULAR_M22 = 1e-14
+# past this |m22| the unnormalised sweep's squared amplitudes overflow
+_OVERFLOW_M22 = 1e154
 
 
 @dataclass(frozen=True)
@@ -104,9 +118,9 @@ class Mode:
             raise ValueError(f"mode {self.label!r}: k must be positive and finite, got {self.k}")
         if self.zeta_scale is not None and not (0 < self.zeta_scale < math.inf):
             raise ValueError(f"mode {self.label!r}: zeta_scale must be positive and finite")
-        for name in ("drive_left", "drive_right"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        for name in ("drive_left", "drive_right", "zeta_override"):
+            v = getattr(self, name)
+            if v is not None and not cmath.isfinite(complex(v)):
                 raise ValueError(f"mode {self.label!r}: {name} not finite")
 
     @property
@@ -210,119 +224,164 @@ class _ModeConstants(NamedTuple):
 
     label: str
     splitters: list[tuple[complex, ...]]
+    mirrored: list[tuple[complex, ...]]  # the splitters of the mirror image
     ik: complex
     left: complex
     right: complex
+    # the sweeps that solve the mode, True for the mirror image: a right
+    # drive sweeps the chain, a left drive its image, and an undriven mode
+    # the image too, which checks its m22
+    sides: tuple[bool, ...]
 
 
 def _mode_constants(chain: ScattererChain, modes: list[Mode]) -> list[_ModeConstants]:
-    """The splitter entries, i*k and complex drives of each mode on chain's scatterers.
+    """The splitter entries, i*k, complex drives and sweeps of each mode on chain's scatterers.
 
-    A label names one mode: a repeated label raises ValueError.
+    A label names one mode: a repeated label raises ValueError. A thin slab
+    is mirror symmetric, so the image's splitters are the chain's reversed.
     """
     labels = [mode.label for mode in modes]
     for label in labels:
         if labels.count(label) > 1:
             raise ValueError(f"mode label {label!r} is repeated")
-    return [_ModeConstants(mode.label, _splitters(chain, mode), 1j * mode.k,
-                           complex(mode.drive_left), complex(mode.drive_right))
-            for mode in modes]
+    consts = []
+    for mode in modes:
+        splitters = _splitters(chain, mode)
+        left, right = complex(mode.drive_left), complex(mode.drive_right)
+        sides = (False,) * bool(right) + (True,) * bool(left or not right)
+        consts.append(_ModeConstants(mode.label, splitters, splitters[::-1], 1j * mode.k,
+                                     left, right, sides))
+    return consts
 
 
-def _transfer(splitters, ik, positions, exp):
-    """Total-matrix entries of one non-empty chain, with the per-gap factors.
+def _sweep(splitters, ik, positions, exp):
+    """Unnormalised quadruples (A_j, B_j, C_j, D_j) of a drive from the right alone.
 
-    The product of beam_splitter_matrix and the diagonal propagation_matrix
-    of each gap, written out. Its entries equal in value those the helpers
-    build with `@`; the sign of an exactly-zero part may differ. splitters
-    holds the splitter entries per scatterer, ik is i*k and exp is
-    cmath.exp, or np.exp for arrays. Returns (m11, m12, m21, m22) and the
-    (e^{ikd}, e^{-ikd}) pair per gap.
+    Past scatterer 1 only the transmitted wave leaves, so the sweep starts
+    exactly at (A_1, B_1) = (0, 1) and applies each splitter and gap in
+    turn; its D_N equals the total matrix's m22. splitters holds the
+    splitter entries per scatterer and ik is i*k. exp is cmath.exp for
+    Python complex, or np.exp when every entry is an array of one shape.
     """
-    m11, m12, m21, m22 = splitters[0]
-    phases = []
+    _, c, _, d = splitters[0]  # (C_1, D_1) = S_1 (0, 1)
+    zero = 0 * c
+    quads = [(zero, zero + 1, c, d)]
     for x0, x1, (s11, s12, s21, s22) in zip(positions, positions[1:], splitters[1:]):
         ph = exp(ik * (x1 - x0))
-        inv = 1.0 / ph
-        phases.append((ph, inv))
-        p11, p12, p21, p22 = ph * m11, ph * m12, inv * m21, inv * m22
-        m11 = s11 * p11 + s12 * p21
-        m12 = s11 * p12 + s12 * p22
-        m21 = s21 * p11 + s22 * p21
-        m22 = s21 * p12 + s22 * p22
-    return (m11, m12, m21, m22), phases
-
-
-def _sweep(splitters, phases, a, b):
-    """Quadruples (A_j, B_j, C_j, D_j) from (A_1, B_1)."""
-    quads = []
-    for j, (s11, s12, s21, s22) in enumerate(splitters):
-        if j:
-            ph, inv = phases[j - 1]
-            a, b = ph * c, inv * d
+        a, b = ph * c, d / ph
         c = s11 * a + s12 * b
         d = s21 * a + s22 * b
         quads.append((a, b, c, d))
     return quads
 
 
-def _solve_mode(const: _ModeConstants, positions: tuple[float, ...], with_quads: bool):
-    """r_tot, t_tot and (when with_quads is set) the quadruples of one mode
-    on scatterers at positions, which must be strictly increasing floats."""
-    if not positions:
-        m21, m22 = IDENTITY.m21, IDENTITY.m22
-    else:
-        (_, _, m21, m22), phases = _transfer(const.splitters, const.ik, positions, cmath.exp)
+def _far_end(label: str, quads) -> complex:
+    """D_N of a sweep, which is m22, once checked to lie in [1e-14, 1e154)."""
+    dn = quads[-1][3]
     try:
-        singular = abs(m22) < _SINGULAR_M22
+        size = abs(dn)
     except OverflowError:
-        raise SingularBoundary(f"|m22| overflows for mode {const.label!r}") from None
-    if singular:
+        raise SingularBoundary(f"|m22| overflows for mode {label!r}") from None
+    if size < _SINGULAR_M22:
         raise SingularBoundary(
-            f"|m22| = {abs(m22):.3e} below {_SINGULAR_M22} for mode {const.label!r}"
+            f"|m22| = {size:.3e} below {_SINGULAR_M22} for mode {label!r}"
         )
-    r_tot = -m21 / m22
-    t_tot = 1.0 / m22
-    if not with_quads or not positions:
-        return r_tot, t_tot, ()
-    a = const.left * cmath.exp(const.ik * positions[0])
-    dn = const.right * cmath.exp(-const.ik * positions[-1])
-    quads = _sweep(const.splitters, phases, a, (dn - m21 * a) / m22)
-    # a non-finite amplitude stays non-finite through every later product
-    # and sum, so the last quadruple carries any that appeared in the sweep
-    _, _, c, d = quads[-1]
-    if not (cmath.isfinite(c) and cmath.isfinite(d)):
-        raise SingularBoundary(f"non-finite amplitude in mode {const.label!r}")
-    return r_tot, t_tot, tuple(quads)
+    if not size < _OVERFLOW_M22:
+        raise SingularBoundary(
+            f"|m22| = {size:.3e} not below {_OVERFLOW_M22}: "
+            f"|amplitude|^2 overflows in mode {label!r}"
+        )
+    return dn
+
+
+def _right_pass(const: _ModeConstants, positions):
+    """(quads, w, dn) of the right drive: its amplitudes are quads[j] * w / dn."""
+    quads = _sweep(const.splitters, const.ik, positions, cmath.exp)
+    return quads, const.right * cmath.exp(-const.ik * positions[-1]), _far_end(const.label, quads)
+
+
+def _left_pass(const: _ModeConstants, positions):
+    """(quads, w, dn) of the left drive, swept on the mirror image."""
+    # the image's scatterers sit at -x_N, ..., -x_1: its gaps are the chain's
+    # reversed, and -ik over the reversed positions gives their phases exactly
+    image = _sweep(const.mirrored, -const.ik, positions[::-1], cmath.exp)
+    dn = _far_end(const.label, image)
+    image.reverse()
+    # (A, B, C, D)_j of the chain are (D, C, B, A)_{N+1-j} of its image
+    quads = [(d, c, b, a) for a, b, c, d in image]
+    return quads, const.left * cmath.exp(const.ik * positions[0]), dn
+
+
+def _solve_mode(const: _ModeConstants, positions: tuple[float, ...]):
+    """(quads, w, dn) of one mode on scatterers at positions, strictly increasing floats.
+
+    Quadruple j of the mode is quads[j] * w / dn, entry by entry and
+    evaluated in that order. A one-sided mode keeps its one sweep
+    unscaled. A mode driven from both sides adds its left sweep to its
+    right one, in the right one's units.
+    """
+    if not positions:
+        return (), 1.0, 1.0
+    if len(const.sides) == 1:
+        return _left_pass(const, positions) if const.sides[0] else _right_pass(const, positions)
+    (q1, w1, d1), (q2, w2, d2) = _right_pass(const, positions), _left_pass(const, positions)
+    u = (w2 / d2) / (w1 / d1)
+    return [(a + u * e, b + u * f, c + u * g, d + u * h)
+            for (a, b, c, d), (e, f, g, h) in zip(q1, q2)], w1, d1
+
+
+def _reflection(const: _ModeConstants, positions: tuple[float, ...]) -> tuple[complex, complex]:
+    """r_tot and t_tot: the reflected B_1 and transmitted C_N = 1 of a left sweep over its A_1."""
+    if not positions:
+        return 0j, 1 + 0j
+    quads, _, dn = _left_pass(const, positions)
+    return quads[0][1] / dn, 1.0 / dn
+
+
+def check_amplitudes(solved) -> None:
+    """Raise SingularBoundary naming the first mode with a non-finite amplitude.
+
+    solved holds (label, quads, w, dn) per mode, as quads_kernel gives them.
+    """
+    for label, quads, w, dn in solved:
+        if not all(cmath.isfinite(v * w / dn) for quad in quads for v in quad):
+            raise SingularBoundary(f"non-finite amplitude in mode {label!r}")
 
 
 def total_transfer_matrix(chain: ScattererChain, mode: Mode) -> TransferMatrix:
     """Ordered product mapping (A_1, B_1) to (C_N, D_N).
 
     M = M_BS(z_N) . M_p(d_{N-1}) ... M_p(d_1) . M_BS(z_1); identity for an
-    empty chain.
+    empty chain. Built from the public helpers; no solve reads it.
     """
     if chain.n == 0:
         return IDENTITY
-    [const] = _mode_constants(chain, [mode])
-    entries, _ = _transfer(const.splitters, const.ik, chain.positions, cmath.exp)
-    return TransferMatrix(*entries)
+    zetas = mode_zetas(chain, mode)
+    m = beam_splitter_matrix(zetas[0])
+    for x0, x1, zeta in zip(chain.positions, chain.positions[1:], zetas[1:]):
+        m = beam_splitter_matrix(zeta) @ (propagation_matrix(mode.k, x1 - x0) @ m)
+    return m
 
 
 def reflection_transmission(chain: ScattererChain, mode: Mode) -> tuple[complex, complex]:
     """Amplitude coefficients r, t with B_1 = r A_1 + t D_N.
 
     t = 1/m22 is direction independent (det = 1), r = -m21/m22 for left
-    incidence on the chain as given.
+    incidence on the chain as given; both come from one sweep of the
+    mirror image, as the reflected and transmitted parts of its drive.
     """
     [const] = _mode_constants(chain, [mode])
-    r, t, _ = _solve_mode(const, chain.positions, with_quads=False)
-    return r, t
+    return _reflection(const, chain.positions)
 
 
 @dataclass(frozen=True)
 class ModeFields:
-    """Solved amplitudes of one mode: quadruples (A_j, B_j, C_j, D_j) per scatterer."""
+    """Solved amplitudes of one mode: quadruples (A_j, B_j, C_j, D_j) per scatterer.
+
+    sweep is the unscaled (quads, w, dn) of quads_kernel that quads were
+    scaled from, or None; forces_from_solution reads it, so that its
+    forces are those of forces_exact bit for bit.
+    """
 
     label: str
     k: float
@@ -331,6 +390,7 @@ class ModeFields:
     t_tot: complex
     drive_left: complex
     drive_right: complex
+    sweep: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -348,34 +408,43 @@ class FieldSolution:
 def solve_fields(chain: ScattererChain, modes: list[Mode]) -> FieldSolution:
     """Solve every mode independently against the same chain.
 
-    Per mode: B_1 = (D_N - m21 A_1)/m22 from the total matrix, then a
-    left-to-right sweep alternating the scatterer and propagation maps fills
-    all quadruples. A repeated mode label raises ValueError.
+    Per mode, one far-side sweep per driven side (module docstring), scaled
+    by its drive, and one more sweep of the mirror image for r_tot and
+    t_tot. A repeated mode label raises ValueError. SingularBoundary is
+    raised for an m22 outside [1e-14, 1e154) and then, once every mode is
+    solved, for a non-finite amplitude.
     """
-    solved = []
-    for mode, const in zip(modes, _mode_constants(chain, modes)):
-        r_tot, t_tot, quads = _solve_mode(const, chain.positions, with_quads=True)
-        solved.append(
-            ModeFields(mode.label, mode.k, quads, r_tot, t_tot, const.left, const.right)
-        )
-    return FieldSolution(chain, tuple(solved))
+    consts = _mode_constants(chain, modes)
+    solved = [(c.label, *_solve_mode(c, chain.positions)) for c in consts]
+    reflections = [_reflection(c, chain.positions) for c in consts]
+    check_amplitudes(solved)
+    return FieldSolution(chain, tuple(
+        ModeFields(label, mode.k, tuple([(a * w / dn, b * w / dn, c * w / dn, d * w / dn)
+                                         for a, b, c, d in quads]),
+                   r_tot, t_tot, const.left, const.right, (quads, w, dn))
+        for mode, const, (label, quads, w, dn), (r_tot, t_tot)
+        in zip(modes, consts, solved, reflections)
+    ))
 
 
 def quads_kernel(chain: ScattererChain, modes: list[Mode]):
-    """The quadruples of solve_fields as a function of positions.
+    """The amplitudes of solve_fields as a function of positions, unscaled.
 
     The per-mode constants of chain's scatterers are built once, here. The
-    returned function takes positions as ScattererChain.with_positions does,
-    raising its ValueError, and gives a (label, quads) pair per mode, bit for
-    bit those of solve_fields(chain.with_positions(positions), modes). It
-    raises what solve_fields raises; a repeated mode label raises here.
+    returned function takes positions as ScattererChain.with_positions
+    does, raising its ValueError; without them it reads chain's own, which
+    its constructor already checked. It gives (label, quads, w, dn) per
+    mode: quadruple j of solve_fields(chain.with_positions(positions),
+    modes) is quads[j] * w / dn, entry by entry and in that order, bit for
+    bit. It raises what solve_fields raises for m22; check_amplitudes finds
+    the non-finite amplitudes. A repeated mode label raises here.
     """
     consts = _mode_constants(chain, modes)
     n = chain.n
 
-    def solve(positions):
-        positions = _placement(positions, n)
-        return [(c.label, _solve_mode(c, positions, True)[2]) for c in consts]
+    def solve(positions=None):
+        positions = chain.positions if positions is None else _placement(positions, n)
+        return [(c.label, *_solve_mode(c, positions)) for c in consts]
 
     return solve
 
@@ -388,34 +457,46 @@ def solve_fields_batch(chain: ScattererChain, modes: list[Mode], positions) -> n
     positions is a float array [B, N] whose rows must be strictly increasing;
     they are not checked. Returns a complex array [M, B, N, 4] whose entry
     [m, b, j] is (A_j, B_j, C_j, D_j) of modes[m] on
-    chain.with_positions(positions[b]). Both solves run _transfer and _sweep,
-    here on numpy complex128 arrays of shape [M, B], so a row agrees with
-    solve_fields to round-off, not bit for bit; its bits do not depend on
-    the other rows. The rows run side by side and the scatterers one after
-    another. A row whose |m22| is below 1e-14, NaN or overflowing, which
-    solve_fields rejects, comes back NaN; every non-finite amplitude stays
-    non-finite. A repeated mode label raises ValueError, as in solve_fields.
+    chain.with_positions(positions[b]). Both solves run _sweep, here once
+    on numpy complex128 arrays [M', B] with a row per sweep that
+    quads_kernel makes, so a row agrees with solve_fields to round-off,
+    not bit for bit; its bits do not depend on the other rows. The rows
+    run side by side and the scatterers one after another. A mode whose |m22| is
+    below 1e-14, not below 1e154 or NaN, which solve_fields rejects, comes
+    back NaN in that row; every non-finite amplitude stays non-finite. A
+    repeated mode label raises ValueError, as in solve_fields.
     """
     pos = np.asarray(positions, dtype=float)
     n_rows, n = pos.shape
     consts = _mode_constants(chain, modes)
     if n == 0 or not modes:
         return np.empty((len(modes), n_rows, n, 4), dtype=complex)
-    # splitters[j, q] is entry q of scatterer j for every mode and row, [M, B]:
-    # operands of one shape take numpy's fastest loops
-    entries = np.array([c.splitters for c in consts], dtype=complex)
-    splitters = np.empty((n, 4, len(modes), n_rows), dtype=complex)
+    sweeps = [(m, mirrored) for m, c in enumerate(consts) for mirrored in c.sides]
+    flip = np.array([[mirrored] for _, mirrored in sweeps])
+    # splitters[j, q] is entry q of scatterer j for every sweep and row,
+    # [M', B]: operands of one shape take numpy's fastest loops
+    entries = np.array([consts[m].mirrored if mirrored else consts[m].splitters
+                        for m, mirrored in sweeps], dtype=complex)
+    splitters = np.empty((n, 4, len(sweeps), n_rows), dtype=complex)
     splitters[...] = entries.transpose(1, 2, 0)[..., None]
-    # per-mode constants as [M, 1] columns that broadcast over rows
-    ik, left, right = np.array([(c.ik, c.left, c.right) for c in consts]).T[..., None]
-    (_, _, m21, m22), phases = _transfer(splitters, ik, pos.T, np.exp)
-    size = np.abs(m22)
-    # [M, B], or [M, 1] for one scatterer, which has no gap; copyto broadcasts it
-    singular = ~(size >= _SINGULAR_M22) | (np.isinf(size) & np.isfinite(m22))
-    a = left * np.exp(ik * pos[:, 0])
-    dn = right * np.exp(-ik * pos[:, -1])
-    quads = np.array(_sweep(splitters, phases, a, (dn - m21 * a) / m22))  # [N, 4, M, B]
-    np.copyto(quads, np.nan, where=singular)
+    # a mirrored sweep runs over the reversed positions with -ik, as _left_pass
+    xs = np.ascontiguousarray(np.where(flip, pos.T[::-1, None], pos.T[:, None]))
+    ik = np.array([[-consts[m].ik if mirrored else consts[m].ik] for m, mirrored in sweeps])
+    drive = np.array([[consts[m].left if mirrored else consts[m].right] for m, mirrored in sweeps])
+    w = drive * np.exp(-ik * xs[-1])  # [M', B], w of _right_pass and _left_pass
+    swept = np.array(_sweep(splitters, ik, xs, np.exp))  # [N, 4, M', B]
+    dn = swept[-1, 3]
+    size = np.abs(dn)
+    bad = ~((size >= _SINGULAR_M22) & (size < _OVERFLOW_M22))
+    scale = w / dn
+    scale[bad] = np.nan  # a rejected sweep leaves its mode NaN
+    quads = np.empty((n, 4, len(modes), n_rows), dtype=complex)
+    for r, (m, mirrored) in enumerate(sweeps):
+        side = swept[::-1, ::-1, r] if mirrored else swept[:, :, r]
+        if r and sweeps[r - 1][0] == m:  # the left sweep of a mode driven from both sides
+            quads[:, :, m] += side * scale[r]
+        else:
+            np.multiply(side, scale[r], out=quads[:, :, m])
     return quads.transpose(2, 3, 0, 1)
 
 

@@ -27,6 +27,7 @@ from lightlattice.dynamics import DynamicsParams, evolve
 from lightlattice.forcefield import forces_exact
 from lightlattice.lattice import build_lattice
 from lightlattice.wavecore import K_REF, Mode, ScattererChain, mode_zetas
+from mp_reference import mp_forces
 
 EXACT_CROSSING_LOW = 0.123416461
 EXACT_CROSSING_HIGH = 0.373400547
@@ -565,32 +566,6 @@ def test_design_candidates_match_hand_loops_closely(d):
 # ---------------------------------------------------------------------------
 # Accuracy of the one force Jacobian, against mpmath.
 
-def _mp_forces(mp, positions, modes, zetas):
-    """Forces at mpmath precision: the transfer-matrix solve written out."""
-    total = [mp.mpf(0)] * len(positions)
-    for mode, zs in zip(modes, zetas):
-        k = mp.mpf(mode.k)
-        splitters = [
-            (1 + 1j * z, 1j * z, -1j * z, 1 - 1j * z) for z in (mp.mpc(z) for z in zs)
-        ]
-        m11, m12, m21, m22 = splitters[0]
-        for x0, x1, (s11, s12, s21, s22) in zip(positions, positions[1:], splitters[1:]):
-            ph = mp.expj(k * (x1 - x0))
-            p11, p12, p21, p22 = ph * m11, ph * m12, m21 / ph, m22 / ph
-            m11, m12 = s11 * p11 + s12 * p21, s11 * p12 + s12 * p22
-            m21, m22 = s21 * p11 + s22 * p21, s21 * p12 + s22 * p22
-        a = mp.mpc(mode.drive_left) * mp.expj(k * positions[0])
-        dn = mp.mpc(mode.drive_right) * mp.expj(-k * positions[-1])
-        b = (dn - m21 * a) / m22
-        for j, (s11, s12, s21, s22) in enumerate(splitters):
-            if j:
-                ph = mp.expj(k * (positions[j] - positions[j - 1]))
-                a, b = ph * c, d / ph
-            c, d = s11 * a + s12 * b, s21 * a + s22 * b
-            total[j] += (abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2) / 2
-    return total
-
-
 @pytest.mark.parametrize(
     "n, zeta, spacing", [(2, 0.05, 0.36), (10, 0.05, 0.47), (10, 0.2, 0.45), (30, 0.05, 0.4968)]
 )
@@ -610,8 +585,8 @@ def test_force_jacobian_matches_mpmath(n, zeta, spacing):
             xp, xm = list(x), list(x)
             xp[j] += h
             xm[j] -= h
-            fp = _mp_forces(mpmath, xp, modes, zetas)
-            fm = _mp_forces(mpmath, xm, modes, zetas)
+            fp = mp_forces(mpmath, xp, modes, zetas)
+            fm = mp_forces(mpmath, xm, modes, zetas)
             ref[:, j] = [float((a - b) / (2 * h)) for a, b in zip(fp, fm)]
     err = np.max(np.abs(force_jacobian(chain, modes) - ref))
     assert err <= 1e-9 * max(1.0, np.max(np.abs(ref)))

@@ -17,7 +17,8 @@ from lightlattice.forcefield import (
     pair_zero_force_distances,
 )
 from lightlattice.wavecore import K_REF, Mode, ScattererChain, solve_fields, solve_fields_batch
-from test_wavecore import varied_chains, varied_modes, well_conditioned
+from mp_reference import reference_forces
+from test_wavecore import THICK_MODES, varied_chains, varied_modes, well_conditioned
 
 # exact zero crossings of the symmetric pair forces at zeta = 0.01,
 # found once by bisection against the exact engine and frozen here
@@ -30,6 +31,15 @@ def symmetric_modes(i_y=1.0, i_z=1.0, k_y=K_REF, k_z=K_REF):
         Mode("y", k_y, drive_left=math.sqrt(2.0 * i_y), zeta_scale=1.0),
         Mode("z", k_z, drive_right=math.sqrt(2.0 * i_z), zeta_scale=k_z / k_y),
     ]
+
+
+@pytest.mark.parametrize("field", ["p", "k_y", "k_z", "zeta", "i_y"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pair_force_params_reject_non_finite_values(field, value):
+    values = dict(p=1.0, k_y=K_REF, k_z=K_REF, zeta=0.01, i_y=1.0)
+    values[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        PairForceParams(**values)
 
 
 def test_single_splitter_radiation_pressure():
@@ -323,6 +333,23 @@ def test_an_overflowing_m22_ends_in_singular_boundary():
         with pytest.raises(SingularBoundary) as batch:
             forces_batch(chain, modes, [chain.positions])
     assert str(batch.value) == str(scalar.value)
+
+
+# |m22| is 2.3e15, 1.5e61, 2.7e14 and 3.4e122: a forward sweep from
+# B_1 = (D_N - m21 A_1)/m22 was off by 3.5, 6.9e92, 2.4e-3 and 8.8e215
+@pytest.mark.parametrize("zeta, n, modes", [
+    (0.3 + 0.05j, 120, [Mode("y", K_REF, drive_left=1.0)]),
+    (1.0, 200, THICK_MODES),
+    (0.05 + 0.1j, 300, THICK_MODES),
+    (1.0, 400, THICK_MODES),
+], ids=["left-driven-120", "band-gap-200", "absorbing-300", "band-gap-400"])
+def test_thick_chain_forces_match_mpmath(zeta, n, modes):
+    mpmath = pytest.importorskip("mpmath")
+    chain = ScattererChain([0.45 * j for j in range(n)], zeta)
+    reference = np.array(reference_forces(mpmath, chain, modes))
+    bound = 1e-12 * max(1.0, np.max(np.abs(reference)))
+    assert np.max(np.abs(np.array(forces_exact(chain, modes).total) - reference)) <= bound
+    assert np.max(np.abs(forces_batch(chain, modes, [chain.positions])[0] - reference)) <= bound
 
 
 def _outcome(evaluate):
