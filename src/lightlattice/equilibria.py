@@ -1,7 +1,10 @@
 """Equilibrium search, stability classification, and design helpers.
 
-Equilibria are roots of the per-scatterer force map. Stability is judged
-from the eigenvalues of the force Jacobian: all real parts below -1e-9 is
+Equilibria are roots of the per-scatterer force map. Every derivative of
+the forces is exact: force_jacobian solves each mode's response to a moved
+scatterer from the mode's two far-side sweeps, and design refinement takes
+its slope in the second wavenumber the same way. Stability is judged from
+the eigenvalues of the force Jacobian: all real parts below -1e-9 is
 stable, any above +1e-9 unstable, otherwise marginal. For scenarios that
 are invariant under rigid translation the Jacobian is projected onto the
 complement of the uniform shift before classification.
@@ -18,15 +21,17 @@ from .errors import (
     InconsistentLinearization,
     NoConvergence,
     NoSolution,
+    SingularBoundary,
     UnstableMode,
 )
 from .forcefield import force_kernel, forces_batch, forces_exact
-from .wavecore import Mode, ScattererChain
+from .wavecore import Mode, ScattererChain, mode_zetas, sweep_pairs
 
 _EIG_TOL = 1e-9
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 80
-_FD_STEP = 1e-6
+# up to this many scatterers a Python loop assembles the Jacobian faster than numpy
+_LOOP_N = 6
 
 
 @dataclass(frozen=True)
@@ -41,18 +46,82 @@ class EquilibriumReport:
     iterations: int
 
 
-def force_jacobian(chain: ScattererChain, modes: list[Mode]) -> np.ndarray:
-    """Central-difference Jacobian dF_i/dx_j of the exact forces.
+def _tangent(chain: ScattererChain, modes: list[Mode], source):
+    """Each mode's forces, and the response of the total force to a source at each scatterer.
 
-    Column j is (F(x + h e_j) - F(x - h e_j)) / (2 h) with h = _FD_STEP. All
-    2N displaced chains go through one forces_batch call, rows x + h e_j
-    first, then x - h e_j; only coordinate j of a row is displaced. A row
-    that forces_exact rejects raises its error.
+    A mode's field is psi = right * w_R / dn_R + left * w_L / dn_L in terms
+    of its two sweeps (sweep_pairs). source(mode, x_k, zeta_k, A_k, B_k) is
+    the jump in (C_k, D_k) that perturbing scatterer k adds to psi, whose
+    incident amplitudes there are (A_k, B_k). The drives fix A_1 and D_N,
+    so psi changes by rho_k * right on scatterers j < k and by gamma_k *
+    left on j > k, where rho_k and gamma_k make the jump. Entry [j, k] of
+    the returned matrix is the change of F_j, Re(conj(psi_j) . dpsi_j) with
+    the signs of the force, summed over modes. Returns (forces per mode, matrix).
     """
-    x = np.array(chain.positions)
-    steps = np.diag(np.full(len(x), _FD_STEP))
-    f = forces_batch(chain, modes, np.concatenate([x + steps, x - steps]))
-    return ((f[:len(x)] - f[len(x):]) / (2.0 * _FD_STEP)).T
+    n = chain.n
+    forces, rows = [], []
+    for mode, ((rq, rw, rd), (lq, lw, ld)) in zip(modes, sweep_pairs(chain, modes)):
+        sr, sl = rw / rd, lw / ld
+        wronskian = -rd  # C^R D^L - C^L D^R, the same at every scatterer
+        mode_forces = []
+        for x, zeta, (ra, rb, rc, rdd), (la, lb, lc, ldd) in zip(
+                chain.positions, mode_zetas(chain, mode), rq, lq):
+            a, b = sr * ra + sl * la, sr * rb + sl * lb
+            c, d = sr * rc + sl * lc, sr * rdd + sl * ldd
+            v1, v2 = source(mode, x, zeta, a, b)
+            rho = (lc * v2 - ldd * v1) / wronskian
+            gamma = (rc * v2 - rdd * v1) / wronskian
+            a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+            incident, outgoing = a * ra + b * rb, c * lc + d * ldd
+            rows.append((incident - c * rc - d * rdd, a * la + b * lb - outgoing, rho, gamma,
+                         rho * incident - gamma * outgoing))
+            # (C, D) = (A + s, B - s) with s = i zeta (A + B): F from s, free
+            # of the cancellation in |A|^2 + |B|^2 - |C|^2 - |D|^2
+            s = 1j * zeta * (a + b).conjugate()
+            mode_forces.append(((b - a - s.conjugate()) * s).real)
+        forces.append(mode_forces)
+    if n <= _LOOP_N:
+        matrix = [[0.0] * n for _ in range(n)]
+        for start in range(0, len(rows), n):
+            block = rows[start:start + n]
+            for j, (y, z, _, _, diagonal), row in zip(range(n), block, matrix):
+                for k, (_, _, rho, gamma, _) in enumerate(block):
+                    row[k] += (rho * y if j < k else gamma * z if j > k else diagonal).real
+        return forces, np.array(matrix)
+    y, z, rho, gamma, diagonal = np.array(rows, dtype=complex).T.reshape(5, len(modes), n)
+
+    def response(psi_dot, amplitude):  # sum over modes of Re(psi_dot[m, j] * amplitude[m, k])
+        return (np.concatenate([psi_dot.real, -psi_dot.imag]).T
+                @ np.concatenate([amplitude.real, amplitude.imag]))
+
+    matrix = np.where(np.arange(n)[:, None] > np.arange(n), response(z, gamma), response(y, rho))
+    matrix[np.diag_indices(n)] = diagonal.real.sum(axis=0)
+    return forces, matrix
+
+
+def _shift(mode, x, zeta, a, b):
+    # moving scatterer k by dx turns its splitter S into D(-dx) S D(dx),
+    # D = diag(e^{ik dx}, e^{-ik dx}), and leaves the drives' A_1 and D_N
+    return 2.0 * mode.k * zeta * b, 2.0 * mode.k * zeta * a
+
+
+def force_jacobian(chain: ScattererChain, modes: list[Mode]) -> np.ndarray:
+    """Exact Jacobian dF_j/dx_k of the exact forces, from each mode's two sweeps.
+
+    Moving scatterer k perturbs its splitter alone; the field's response
+    is the right sweep to the left of k and the left sweep to its right
+    (_tangent), so one pass over the chain gives every column. A mode
+    whose m22 forces_exact rejects raises its SingularBoundary; so does a
+    Jacobian that is not finite, with the error forces_exact raises when it
+    has one.
+    """
+    if chain.n == 0:
+        return np.zeros((0, 0))
+    jac = _tangent(chain, modes, _shift)[1]
+    if not np.isfinite(jac).all():
+        forces_exact(chain, modes)
+        raise SingularBoundary("the force Jacobian is not finite")
+    return jac
 
 
 def classify_stability(
@@ -67,13 +136,10 @@ def classify_stability(
     "marginal" otherwise (also when no eigenvalue is left).
     """
     if translation_projected:
-        n = len(jacobian)
-        shift = np.ones((n, 1)) / math.sqrt(n)
-        q, _ = np.linalg.qr(np.eye(n) - shift @ shift.T)
-        # drop the column aligned with the shift (numerically near-zero norm
-        # in the projected matrix); keep the n-1 best-conditioned columns
-        order = np.argsort(np.abs((q.T @ shift)[:, 0]))
-        q = q[:, order[: n - 1]]
+        # normalised Helmert columns: column i is (1, ..., 1, -i, 0, ...) / sqrt(i (i + 1))
+        i = np.arange(1, len(jacobian))
+        rows = np.arange(len(jacobian))[:, None]
+        q = ((rows < i) - (rows == i) * i) / np.sqrt(i * (i + 1.0))
         jacobian = q.T @ jacobian @ q
     eigs = np.linalg.eigvals(jacobian)
     eigs = eigs[np.argsort(eigs.real)[::-1]]
@@ -344,34 +410,42 @@ def design_wavenumber(
 
 
 def _refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
-    # Newton in (p, k_z) on the exact pair forces at fixed d
+    # Newton in (p, k_z) on the exact pair forces at fixed d. One tangent
+    # pass per iterate gives the forces and their exact slope in k_z. The
+    # root is taken once the forces are below 1e-13 i_y and Newton's step,
+    # relative to (p, k_z), is a few ulp or no longer halves: the forces'
+    # round-off then moves the iterate as much as the step does.
     p, k_z = p0, k_z0
-    h_k = _FD_STEP * k_y
+    last = math.inf
 
-    def profile(p, k_z):
-        return forces_exact(*_pair_design(d, k_y, k_z, zeta, p, i_y))
+    def wavenumber(mode, x, z, a, b):
+        # the z mode reads k_z through k x and z = zeta k_z / k_y, so d/dk_z is
+        # (x / k) d/dx, the jump of _shift times x / k, plus (z / k) d/dz, whose
+        # jump is dS/dz (A, B) = i (A + B) (1, -1) times z / k
+        if mode.label != "z":
+            return 0j, 0j
+        s = 1j * z / mode.k * (a + b)
+        return 2.0 * z * x * b + s, 2.0 * z * x * a - s
 
     for _ in range(25):
-        prof = profile(p, k_z)
-        f1, f2 = prof.total
-        if max(abs(f1), abs(f2)) < 1e-13 * i_y:
-            return p, k_z, True
-        # the z force is linear in p, so its slope in p is exact
-        d_p = np.divide(prof.per_mode["z"], p)
-        # the slope in k_z is a central difference of step h_k
-        d_k = np.subtract(profile(p, k_z + h_k).total, profile(p, k_z - h_k).total) / (2.0 * h_k)
-        try:
-            step = np.linalg.solve(np.column_stack([d_p, d_k]), [-f1, -f2])
-        except np.linalg.LinAlgError:
+        ((y1, y2), (z1, z2)), slopes = _tangent(*_pair_design(d, k_y, k_z, zeta, p, i_y),
+                                                wavenumber)
+        f1, f2 = y1 + z1, y2 + z2
+        k1, k2 = map(sum, slopes.tolist())
+        # Newton step in (p, k_z); the z force is linear in p, so z / p is its slope
+        det = z1 * k2 - k1 * z2
+        if det == 0.0:
             return p0, k_z0, False
-        p_new = p + step[0]
-        k_new = k_z + step[1]
+        d_p, d_k = p * (k1 * f2 - k2 * f1) / det, (z2 * f1 - z1 * f2) / det
+        size = max(abs(d_p / p), abs(d_k / k_z))
+        if max(abs(f1), abs(f2)) < 1e-13 * i_y and (size <= 4 * math.ulp(1.0) or size > last / 2):
+            return p, k_z, True
+        last = size
+        p_new = p + d_p
+        k_new = k_z + d_k
         if p_new <= 0 or not (band[0] <= k_new <= band[1]):
             return p0, k_z0, False
         p, k_z = p_new, k_new
-    f1, f2 = profile(p, k_z).total
-    if max(abs(f1), abs(f2)) < 1e-10 * i_y:
-        return p, k_z, True
     return p0, k_z0, False
 
 
@@ -426,7 +500,7 @@ def linearize_pair_in_lattice(scenario, mass: float = 1.0) -> LinearizedModel:
     i_total = sum(
         (abs(m.drive_left) ** 2 + abs(m.drive_right) ** 2) / 2.0 for m in lat_modes
     )
-    tol = max(1e-8 * i_total, 100.0 * _FD_STEP * _FD_STEP)
+    tol = max(1e-8 * i_total, 1e-10)
     if abs(a) > tol or abs(u) > tol:
         raise InconsistentLinearization(
             f"constant lattice forces a={a:.3e}, u={u:.3e} exceed {tol:.1e}; "

@@ -338,6 +338,27 @@ def _reflection(const: _ModeConstants, positions: tuple[float, ...]) -> tuple[co
     return quads[0][1] / dn, 1.0 / dn
 
 
+def sweep_pairs(chain: ScattererChain, modes: list[Mode]):
+    """Both far-side sweeps of each mode on chain's scatterers, for derivatives.
+
+    Per mode, (right, left): the (quads, w, dn) of its right drive and of
+    its left drive, mapped back to the chain, as _solve_mode combines them.
+    The right sweep has A_1 = 0 and the left one D_N = 0, so together they
+    span every solution of the mode's recurrence. The sweeps quads_kernel
+    makes are checked first, so a mode whose m22 forces_exact rejects
+    raises its SingularBoundary. chain must not be empty.
+    """
+    pairs, x = [], chain.positions
+    for c in _mode_constants(chain, modes):
+        if c.sides[0]:  # no right drive: the kernel sweeps the image alone
+            left = _left_pass(c, x)
+            pairs.append((_right_pass(c, x), left))
+        else:
+            right = _right_pass(c, x)
+            pairs.append((right, _left_pass(c, x)))
+    return pairs
+
+
 def check_amplitudes(solved) -> None:
     """Raise SingularBoundary naming the first mode with a non-finite amplitude.
 

@@ -319,7 +319,7 @@ def test_c07_linearization_identities():
     if failed:
         pytest.fail(
             "criterion asserts the linearization identities a=u=0, c=w, "
-            "K1p=K3p; the finite-difference constants give "
+            "K1p=K3p; the exact constants give "
             f"a={ids['a']:.2e}, u={ids['u']:.2e} (both zero as stated) but "
             f"c={model.constants['c']:.6f} versus w={model.constants['w']:.6f}"
             ": the cross couplings are equal in magnitude and OPPOSITE in "

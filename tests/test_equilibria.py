@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,13 +22,15 @@ from lightlattice.errors import (
     InconsistentLinearization,
     NoConvergence,
     NoSolution,
+    SingularBoundary,
     UnstableMode,
 )
 from lightlattice.dynamics import DynamicsParams, evolve
 from lightlattice.forcefield import forces_exact
 from lightlattice.lattice import build_lattice
 from lightlattice.wavecore import K_REF, Mode, ScattererChain, mode_zetas
-from mp_reference import mp_forces
+from mp_reference import mp_forces, mp_jacobian, mp_k_slope, mp_pair_forces
+from test_wavecore import varied_chains, varied_modes
 
 EXACT_CROSSING_LOW = 0.123416461
 EXACT_CROSSING_HIGH = 0.373400547
@@ -624,24 +627,122 @@ def test_every_position_derivative_reads_force_jacobian(monkeypatch):
             assert len(calls) == 2  # lattice and perturbation modes
 
 
-def test_force_jacobian_is_one_batched_call(monkeypatch):
-    import lightlattice.equilibria as equilibria
+def test_force_jacobian_and_design_refinement_evaluate_once(monkeypatch):
+    # the Jacobian is one pass over each mode's sweeps, with no displaced
+    # chains; a refinement iteration is one pass at its own (p, k_z)
     import lightlattice.forcefield as forcefield
+    import lightlattice.wavecore as wavecore
 
-    shapes = []
+    def refuse(*args):
+        raise AssertionError("a derivative reached a force evaluation")
 
-    def spy(chain, modes, positions):
-        shapes.append(np.shape(positions))
-        return forcefield.forces_batch(chain, modes, positions)
-
-    def scalar(*args):
-        raise AssertionError("force_jacobian reached forces_exact")
-
-    monkeypatch.setattr(equilibria, "forces_batch", spy)
-    monkeypatch.setattr(equilibria, "forces_exact", scalar)
-    monkeypatch.setattr(forcefield, "forces_exact", scalar)
+    seed = next(c for c in design_wavenumber(0.15, K_REF, zeta=0.01, refine=False) if c.physical)
+    for module, name in [(equilibria, "forces_batch"), (equilibria, "forces_exact"),
+                         (forcefield, "forces_batch"), (forcefield, "forces_exact")]:
+        monkeypatch.setattr(module, name, refuse)
+    undriven = [Mode("dark", K_REF)]
     for n in (1, 2, 5):
-        shapes.clear()
         chain = ScattererChain(tuple(0.1 + 0.37 * j for j in range(n)), 0.05)
         assert force_jacobian(chain, symmetric_modes()).shape == (n, n)
-        assert shapes == [(2 * n, n)]
+        for modes in ([], undriven):
+            assert np.array_equal(force_jacobian(chain, modes), np.zeros((n, n)))
+    points = []
+
+    def spy(chain, modes):
+        points.append((modes[1].k, modes[1].drive_right))
+        return wavecore.sweep_pairs(chain, modes)
+
+    monkeypatch.setattr(equilibria, "sweep_pairs", spy)
+    p, k_z, refined = equilibria._refine_design(0.15, K_REF, seed.k_z, 0.01, seed.p, 1.0,
+                                                (1e-9, 4.0 * K_REF))
+    assert refined and len(points) >= 3
+    assert len(set(points)) == len(points)  # one evaluation per iterate
+    assert points[0] == (seed.k_z, math.sqrt(2.0 * seed.p)) and points[-1][0] == k_z
+
+
+@pytest.mark.parametrize("chain, modes, message", [
+    (ScattererChain((0.0,), -1j, allow_gain=True),
+     [Mode("y", K_REF, drive_left=1.0, zeta_scale=1.0)], "below 1e-14"),
+    (ScattererChain((0.0, 0.5), -0.5j, allow_gain=True),
+     [Mode("z", K_REF, drive_right=1.0, zeta_scale=1.0)], "below 1e-14"),
+    (ScattererChain([0.45 * j for j in range(700)], 1.0), symmetric_modes(),
+     "not below 1e+154"),
+    (ScattererChain((0.0, 0.45), 1.0), [Mode("y", K_REF, drive_left=1e308)],
+     "non-finite amplitude"),
+], ids=["singular-m22", "gain-pole", "overflowing-m22", "non-finite"])
+def test_force_jacobian_raises_what_forces_exact_raises(chain, modes, message):
+    with pytest.raises(SingularBoundary) as reference:
+        forces_exact(chain, modes)
+    with pytest.raises(SingularBoundary) as jacobian:
+        force_jacobian(chain, modes)
+    assert message in str(reference.value)
+    assert str(jacobian.value) == str(reference.value)
+
+
+def _chain(n, zeta, spacing):
+    return ScattererChain(tuple(0.1 + j * spacing for j in range(n)), zeta)
+
+
+@pytest.mark.parametrize("chain, modes", [
+    (_chain(2, 0.05, 0.36), symmetric_modes(k_z=1.3 * K_REF)),
+    (_chain(10, 0.05, 0.47), symmetric_modes(k_z=1.3 * K_REF)),
+    (_chain(30, 0.05, 0.4968), symmetric_modes(k_z=1.3 * K_REF)),
+    (_chain(10, 0.2, 0.45), [Mode("sw", K_REF, drive_left=1.0, drive_right=1.1 + 0.3j)]),
+    (_chain(7, 0.1, 0.41), [Mode("p", 0.9 * K_REF, drive_left=0.5, zeta_override=0.1)]),
+    (_chain(10, 0.05 + 0.03j, 0.45),
+     [Mode("sw", K_REF, drive_left=1.0, drive_right=0.8), Mode("z", 1.2 * K_REF, drive_right=1.0)]),
+    (ScattererChain([0.45 * j for j in range(120)], 0.3 + 0.05j), [Mode("y", K_REF, drive_left=1.0)]),
+], ids=["n2", "n10", "n30", "two-sided", "left-only", "lossy", "left-driven-120"])
+def test_force_jacobian_matches_mpmath_to_round_off(chain, modes):
+    mpmath = pytest.importorskip("mpmath")
+    # every column up to N = 30; on the long chain (|m22| = 2.3e15) every
+    # seventh and the last, both sides of the diagonal, keep it to seconds
+    columns = list(range(chain.n)) if chain.n <= 30 else [*range(0, chain.n, 7), chain.n - 1]
+    ref = np.array(mp_jacobian(mpmath, chain, modes, columns))
+    err = np.max(np.abs(force_jacobian(chain, modes)[:, columns] - ref))
+    assert err <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@st.composite
+def one_sided_modes(draw):
+    # a mode driven from both sides keeps its left drive alone
+    return [dataclasses.replace(mode, drive_right=0j) if mode.drive_left else mode
+            for mode in draw(varied_modes())]
+
+
+@given(varied_chains(), one_sided_modes())
+def test_one_sided_force_jacobian_rows_sum_to_zero(chain, modes):
+    # a one-sided drive moves with the chain: translation leaves the forces
+    jac = force_jacobian(chain, modes)
+    assert np.max(np.abs(jac.sum(axis=1))) <= 1e-13 * max(1.0, np.max(np.abs(jac)))
+
+
+@pytest.mark.parametrize("d", [0.15, 0.35])
+def test_design_roots_match_mpmath(d):
+    # the default design grid's cells where a differenced slope left k_z
+    # good to about 1e-9; Newton at 50 digits from each refined candidate
+    mpmath = pytest.importorskip("mpmath")
+    zeta = 0.01
+    cands = [c for c in design_wavenumber(d, K_REF, zeta=zeta) if c.physical]
+    assert cands and all(c.refined for c in cands)
+    with mpmath.workdps(50):
+        for cand in cands:
+            p, k_z = mpmath.mpf(cand.p), mpmath.mpf(cand.k_z)
+            for _ in range(8):
+                f = mp_pair_forces(mpmath, d, K_REF, k_z, zeta, p)
+                f_z = [a - b for a, b in zip(f, mp_pair_forces(mpmath, d, K_REF, k_z, zeta, 0))]
+                slope = mp_k_slope(mpmath, d, K_REF, k_z, zeta, p)
+                step = mpmath.lu_solve(mpmath.matrix([[f_z[0] / p, slope[0]], [f_z[1] / p, slope[1]]]),
+                                       mpmath.matrix([-f[0], -f[1]]))
+                p, k_z = p + step[0], k_z + step[1]
+            assert max(abs(step[0] / p), abs(step[1] / k_z)) < 1e-30
+            assert abs(cand.p / p - 1) <= 1e-12 and abs(cand.k_z / k_z - 1) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_helmert_projection_matches_the_qr_basis(n):
+    jac = np.random.default_rng(n).normal(size=(n, n))
+    eigs, _ = classify_stability(jac, True)
+    ref = _ref_eigenvalues(jac, True)
+    assert eigs.shape == ref.shape == (n - 1,)
+    assert np.max(np.abs(eigs - ref), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(ref), initial=0.0))
