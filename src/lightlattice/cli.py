@@ -29,7 +29,6 @@ from .dynamics import com_velocity, evolve
 from .equilibria import (
     classify_stability,
     design_wavenumber,
-    force_jacobian,
     linearize_pair_in_lattice,
     normal_modes,
     zero_force_grid,
@@ -41,7 +40,7 @@ from .errors import (
     SeparationViolation,
     UnstableMode,
 )
-from .forcefield import PairForceParams, forces_batch, forces_exact, pair_forces_approx
+from .forcefield import ForceField, ForceProfile, PairForceParams, forces_batch, pair_forces_approx
 from .lattice import (
     build_lattice,
     build_perturbation_scenarios,
@@ -382,8 +381,8 @@ def _trajectory_rows(traj, n):
 
 
 def _evolve_to_end(scn: Scenario, keep_partial: bool):
-    """(trajectory, collision message or None, final chain, gaps, sup|F|,
-    co-moving residual sup_j |F_j - <F>|).
+    """(trajectory, collision message or None, force field of the final chain,
+    gaps, sup|F|, co-moving residual sup_j |F_j - <F>|).
 
     With keep_partial a collision's partial trajectory is measured, not raised.
     """
@@ -401,12 +400,12 @@ def _evolve_to_end(scn: Scenario, keep_partial: bool):
             raise
         traj, collision = exc.trajectory, str(exc)
     final = traj.final_positions()
-    chain = scn.chain.with_positions(final)
+    field = ForceField(scn.chain.with_positions(final), scn.mode_list())
     gaps = [final[j + 1] - final[j] for j in range(len(final) - 1)]
-    profile = forces_exact(chain, scn.mode_list())
-    mean = sum(profile.total) / chain.n
+    profile = ForceProfile(*field.forces())
+    mean = sum(profile.total) / len(final)
     comoving = max(abs(f - mean) for f in profile.total)
-    return traj, collision, chain, gaps, profile.sup, comoving
+    return traj, collision, field, gaps, profile.sup, comoving
 
 
 def _run_dynamics(args, command) -> int:
@@ -415,9 +414,9 @@ def _run_dynamics(args, command) -> int:
         raise ScenarioError(f"{command} needs a dynamics block")
     if command == "relax" and scn.dynamics.regime != "overdamped":
         raise ScenarioError("relax requires the overdamped regime")
-    traj, collision, chain, gaps, residual, comoving = _evolve_to_end(scn, keep_partial=True)
+    traj, collision, field, gaps, residual, comoving = _evolve_to_end(scn, keep_partial=True)
     pre = _prefix(scn)
-    cols, rows = _trajectory_rows(traj, chain.n)
+    cols, rows = _trajectory_rows(traj, field.chain.n)
     _write_csv(
         _out_path(args, f"{pre}trajectory.csv"),
         command, scn.sha, scn.name, cols, rows,
@@ -426,7 +425,7 @@ def _run_dynamics(args, command) -> int:
         "termination": traj.termination,
         "diagnostic": collision or traj.diagnostic,
         "partial": collision is not None,
-        "final_positions": list(chain.positions),
+        "final_positions": list(field.chain.positions),
         "final_gaps": gaps,
         "residual_force_sup": residual,
         "comoving_residual": comoving,
@@ -454,8 +453,8 @@ def _sweep_cell(payload):
         doc = apply_axis_values(base, assignments)
         doc.pop("sweep", None)
         scn = scenario_from_document(doc, name="sweep-cell")
-        traj, _, chain, gaps, residual, comoving = _evolve_to_end(scn, keep_partial=False)
-        eigs, stability = classify_stability(force_jacobian(chain, scn.mode_list()), True)
+        traj, _, field, gaps, residual, comoving = _evolve_to_end(scn, keep_partial=False)
+        eigs, stability = classify_stability(field.jacobian(), True)
         dyn = scn.dynamics
         # the stiffness product shows an explicit step too large for the state
         # it ended in; a newtonian run's stiffness also depends on the mass

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import SeparationViolation
-from .forcefield import force_kernel
+from .forcefield import ForceField
 from .wavecore import Mode, ScattererChain
 
 
@@ -65,36 +65,38 @@ class Trajectory:
         return self.positions[-1]
 
 
-def _force_fn(chain: ScattererChain, modes: list[Mode]):
-    kernel = force_kernel(chain, modes)
-
+def _forces(field: ForceField, positions) -> tuple[float, ...]:
     # a crossing inside an RK4 substage is a collision in progress, so it
-    # surfaces as SeparationViolation, not as the ValueError of the kernel's
-    # position check
-    def fn(positions: tuple[float, ...]) -> tuple[float, ...]:
-        try:
-            return kernel(positions)[0]
-        except ValueError as exc:
-            raise SeparationViolation(
-                f"scatterer ordering lost during an integration stage: {exc}"
-            ) from exc
-
-    return fn
+    # surfaces as SeparationViolation, not as the position check's ValueError
+    try:
+        return field.forces(positions)[0]
+    except ValueError as exc:
+        raise SeparationViolation(
+            f"scatterer ordering lost during an integration stage: {exc}"
+        ) from exc
 
 
-def _rhs(force, params: DynamicsParams, n: int, newtonian: bool):
+def _rhs(field: ForceField, params: DynamicsParams, n: int, newtonian: bool):
     """Time derivative of the flat state: x (overdamped) or x then v."""
     mu = params.friction
     if not newtonian:
-        return lambda x: tuple(fi / mu for fi in force(x))
+        return lambda x: tuple(fi / mu for fi in _forces(field, x))
     mass = params.mass
 
     def rhs(state):
         v = state[n:]
-        f = force(state[:n])
+        f = _forces(field, state[:n])
         return v + tuple((fi - mu * vi) / mass for fi, vi in zip(f, v))
 
     return rhs
+
+
+def _newtonian_state(chain: ScattererChain, velocities) -> tuple[float, ...]:
+    """chain's positions followed by velocities, one per scatterer."""
+    velocities = tuple(velocities)
+    if len(velocities) != chain.n:
+        raise ValueError("initial_velocities length must match chain size")
+    return chain.positions + velocities
 
 
 def _rk4(state, rhs, dt, k1=None):
@@ -125,7 +127,7 @@ def _advance(state, rhs, params: DynamicsParams, n: int, k1=None):
 
 def step_overdamped(chain: ScattererChain, modes: list[Mode], params: DynamicsParams) -> tuple[float, ...]:
     """One RK4 step of mu dx/dt = F; returns the new positions."""
-    rhs = _rhs(_force_fn(chain, modes), params, chain.n, False)
+    rhs = _rhs(ForceField(chain, modes), params, chain.n, False)
     return _advance(chain.positions, rhs, params, chain.n)
 
 
@@ -137,8 +139,8 @@ def step_newtonian(
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """One RK4 step of m x'' = F - mu x'; returns (positions, velocities)."""
     n = chain.n
-    rhs = _rhs(_force_fn(chain, modes), params, n, True)
-    new = _advance(chain.positions + tuple(velocities), rhs, params, n)
+    state = _newtonian_state(chain, velocities)
+    new = _advance(state, _rhs(ForceField(chain, modes), params, n, True), params, n)
     return new[:n], new[n:]
 
 
@@ -153,7 +155,7 @@ def evolve(
 
     Snapshots are kept every capture_every steps plus the initial and final
     states. On a separation violation the partial trajectory is attached to
-    the raised exception.
+    the raised exception. Only a newtonian run takes initial_velocities.
     """
     if capture_every < 1:
         raise ValueError("capture_every must be >= 1")
@@ -161,12 +163,12 @@ def evolve(
         raise ValueError("cannot evolve an empty chain")
     newtonian = params.regime == "newtonian"
     n = chain.n
-    v = initial_velocities if initial_velocities is not None else (0.0,) * n
-    if newtonian and len(v) != n:
-        raise ValueError("initial_velocities length must match chain size")
-    force = _force_fn(chain, modes)
-    rhs = _rhs(force, params, n, newtonian)
-    state = chain.positions + tuple(v) if newtonian else chain.positions
+    if not newtonian and initial_velocities is not None:
+        raise ValueError("an overdamped run takes no initial_velocities")
+    v = (0.0,) * n if initial_velocities is None else initial_velocities
+    state = _newtonian_state(chain, v) if newtonian else chain.positions
+    field = ForceField(chain, modes)
+    rhs = _rhs(field, params, n, newtonian)
     traj = Trajectory(velocities=[] if newtonian else None)
 
     def capture(t):
@@ -192,7 +194,7 @@ def evolve(
         if step % capture_every == 0:
             capture(t)
         if not newtonian:
-            f = force(state)
+            f = _forces(field, state)
             if max(abs(fi) for fi in f) < params.force_tol:
                 if step % capture_every != 0:
                     capture(t)

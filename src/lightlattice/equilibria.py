@@ -21,17 +21,14 @@ from .errors import (
     InconsistentLinearization,
     NoConvergence,
     NoSolution,
-    SingularBoundary,
     UnstableMode,
 )
-from .forcefield import force_kernel, forces_batch, forces_exact
-from .wavecore import Mode, ScattererChain, mode_zetas, sweep_pairs
+from .forcefield import ForceField, forces_batch
+from .wavecore import Mode, ScattererChain
 
 _EIG_TOL = 1e-9
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 80
-# up to this many scatterers a Python loop assembles the Jacobian faster than numpy
-_LOOP_N = 6
 
 
 @dataclass(frozen=True)
@@ -46,82 +43,12 @@ class EquilibriumReport:
     iterations: int
 
 
-def _tangent(chain: ScattererChain, modes: list[Mode], source):
-    """Each mode's forces, and the response of the total force to a source at each scatterer.
-
-    A mode's field is psi = right * w_R / dn_R + left * w_L / dn_L in terms
-    of its two sweeps (sweep_pairs). source(mode, x_k, zeta_k, A_k, B_k) is
-    the jump in (C_k, D_k) that perturbing scatterer k adds to psi, whose
-    incident amplitudes there are (A_k, B_k). The drives fix A_1 and D_N,
-    so psi changes by rho_k * right on scatterers j < k and by gamma_k *
-    left on j > k, where rho_k and gamma_k make the jump. Entry [j, k] of
-    the returned matrix is the change of F_j, Re(conj(psi_j) . dpsi_j) with
-    the signs of the force, summed over modes. Returns (forces per mode, matrix).
-    """
-    n = chain.n
-    forces, rows = [], []
-    for mode, ((rq, rw, rd), (lq, lw, ld)) in zip(modes, sweep_pairs(chain, modes)):
-        sr, sl = rw / rd, lw / ld
-        wronskian = -rd  # C^R D^L - C^L D^R, the same at every scatterer
-        mode_forces = []
-        for x, zeta, (ra, rb, rc, rdd), (la, lb, lc, ldd) in zip(
-                chain.positions, mode_zetas(chain, mode), rq, lq):
-            a, b = sr * ra + sl * la, sr * rb + sl * lb
-            c, d = sr * rc + sl * lc, sr * rdd + sl * ldd
-            v1, v2 = source(mode, x, zeta, a, b)
-            rho = (lc * v2 - ldd * v1) / wronskian
-            gamma = (rc * v2 - rdd * v1) / wronskian
-            a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-            incident, outgoing = a * ra + b * rb, c * lc + d * ldd
-            rows.append((incident - c * rc - d * rdd, a * la + b * lb - outgoing, rho, gamma,
-                         rho * incident - gamma * outgoing))
-            # (C, D) = (A + s, B - s) with s = i zeta (A + B): F from s, free
-            # of the cancellation in |A|^2 + |B|^2 - |C|^2 - |D|^2
-            s = 1j * zeta * (a + b).conjugate()
-            mode_forces.append(((b - a - s.conjugate()) * s).real)
-        forces.append(mode_forces)
-    if n <= _LOOP_N:
-        matrix = [[0.0] * n for _ in range(n)]
-        for start in range(0, len(rows), n):
-            block = rows[start:start + n]
-            for j, (y, z, _, _, diagonal), row in zip(range(n), block, matrix):
-                for k, (_, _, rho, gamma, _) in enumerate(block):
-                    row[k] += (rho * y if j < k else gamma * z if j > k else diagonal).real
-        return forces, np.array(matrix)
-    y, z, rho, gamma, diagonal = np.array(rows, dtype=complex).T.reshape(5, len(modes), n)
-
-    def response(psi_dot, amplitude):  # sum over modes of Re(psi_dot[m, j] * amplitude[m, k])
-        return (np.concatenate([psi_dot.real, -psi_dot.imag]).T
-                @ np.concatenate([amplitude.real, amplitude.imag]))
-
-    matrix = np.where(np.arange(n)[:, None] > np.arange(n), response(z, gamma), response(y, rho))
-    matrix[np.diag_indices(n)] = diagonal.real.sum(axis=0)
-    return forces, matrix
-
-
-def _shift(mode, x, zeta, a, b):
-    # moving scatterer k by dx turns its splitter S into D(-dx) S D(dx),
-    # D = diag(e^{ik dx}, e^{-ik dx}), and leaves the drives' A_1 and D_N
-    return 2.0 * mode.k * zeta * b, 2.0 * mode.k * zeta * a
-
-
 def force_jacobian(chain: ScattererChain, modes: list[Mode]) -> np.ndarray:
-    """Exact Jacobian dF_j/dx_k of the exact forces, from each mode's two sweeps.
+    """Exact Jacobian dF_j/dx_k of the exact forces (ForceField.jacobian).
 
-    Moving scatterer k perturbs its splitter alone; the field's response
-    is the right sweep to the left of k and the left sweep to its right
-    (_tangent), so one pass over the chain gives every column. A mode
-    whose m22 forces_exact rejects raises its SingularBoundary; so does a
-    Jacobian that is not finite, with the error forces_exact raises when it
-    has one.
+    It raises what forces_exact raises, or SingularBoundary when not finite.
     """
-    if chain.n == 0:
-        return np.zeros((0, 0))
-    jac = _tangent(chain, modes, _shift)[1]
-    if not np.isfinite(jac).all():
-        forces_exact(chain, modes)
-        raise SingularBoundary("the force Jacobian is not finite")
-    return jac
+    return ForceField(chain, modes).jacobian()
 
 
 def classify_stability(
@@ -179,10 +106,10 @@ def find_equilibrium(
             out.append(out[-1] + g)
         return tuple(out)
 
-    kernel = force_kernel(chain, modes)
+    field = ForceField(chain, modes)
 
     def residual_vec(u: np.ndarray) -> np.ndarray:
-        f = kernel(positions_from(u))[0]
+        f = field.forces(positions_from(u))[0]
         if relative_only:
             return np.array([f[j + 1] - f[j] for j in range(n - 1)])
         return np.array(f)
@@ -209,7 +136,7 @@ def find_equilibrium(
                 best_residual=best_merit,
             )
         iterations += 1
-        jac = force_jacobian(chain.with_positions(positions_from(u)), modes)
+        jac = field.jacobian(positions_from(u))
         if relative_only:
             # gap j moves scatterer j and every scatterer to its right
             jac = np.diff(jac, axis=0)[:, 1:] @ np.tril(np.ones((n - 1, n - 1)))
@@ -239,8 +166,8 @@ def find_equilibrium(
             )
 
     positions = positions_from(u)
-    com_force = sum(kernel(positions)[0]) / n
-    jac_full = force_jacobian(chain.with_positions(positions), modes)
+    com_force = sum(field.forces(positions)[0]) / n
+    jac_full = field.jacobian(positions)
     eigs, classification = classify_stability(jac_full, relative_only)
     return EquilibriumReport(
         positions=positions,
@@ -259,8 +186,8 @@ def pair_stationary_distances(k: float, n_max: int) -> list[tuple[float, str]]:
 
     Odd n are stable, even n unstable (small-zeta symmetric drive).
     """
-    if k <= 0:
-        raise ValueError("wavenumber must be positive")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     out = []
     for n in range(n_max + 1):
         d = (2 * n + 1) * math.pi / (4.0 * k)
@@ -385,11 +312,11 @@ def design_wavenumber(
         if physical and refine:
             p, k_z, refined = _refine_design(d, k_y, k_z, zeta, p, i_y, band)
         if physical:
-            chain, modes = _pair_design(d, k_y, k_z, zeta, p, i_y)
-            f1, f2 = forces_exact(chain, modes).total
+            field = ForceField(*_pair_design(d, k_y, k_z, zeta, p, i_y))
+            f1, f2 = field.forces()[0]
             # counter-propagating single-sided drives: rigid translation is
             # a symmetry, classify the gap coordinate only
-            stab = classify_stability(force_jacobian(chain, modes), True)[1]
+            stab = classify_stability(field.jacobian(), True)[1]
         else:
             f1 = f2 = math.nan
             stab = "n/a"
@@ -418,18 +345,18 @@ def _refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
     p, k_z = p0, k_z0
     last = math.inf
 
-    def wavenumber(mode, x, z, a, b):
+    def wavenumber(const, x, z, a, b):
         # the z mode reads k_z through k x and z = zeta k_z / k_y, so d/dk_z is
-        # (x / k) d/dx, the jump of _shift times x / k, plus (z / k) d/dz, whose
+        # (x / k) d/dx, the jump of a shift times x / k, plus (z / k) d/dz, whose
         # jump is dS/dz (A, B) = i (A + B) (1, -1) times z / k
-        if mode.label != "z":
+        if const.label != "z":
             return 0j, 0j
-        s = 1j * z / mode.k * (a + b)
+        s = 1j * z / const.k * (a + b)
         return 2.0 * z * x * b + s, 2.0 * z * x * a - s
 
     for _ in range(25):
-        ((y1, y2), (z1, z2)), slopes = _tangent(*_pair_design(d, k_y, k_z, zeta, p, i_y),
-                                                wavenumber)
+        field = ForceField(*_pair_design(d, k_y, k_z, zeta, p, i_y))
+        ((y1, y2), (z1, z2)), slopes = field.tangent(wavenumber)
         f1, f2 = y1 + z1, y2 + z2
         k1, k2 = map(sum, slopes.tolist())
         # Newton step in (p, k_z); the z force is linear in p, so z / p is its slope
@@ -479,6 +406,8 @@ def linearize_pair_in_lattice(scenario, mass: float = 1.0) -> LinearizedModel:
     Raises InconsistentLinearization when the constant lattice terms do not
     vanish, i.e. the scenario is not at its equilibrium.
     """
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass}")
     chain = scenario.chain()
     if chain.n != 2:
         raise ValueError("linearization is defined for exactly two scatterers")
@@ -487,12 +416,14 @@ def linearize_pair_in_lattice(scenario, mass: float = 1.0) -> LinearizedModel:
 
     # F1 in (dx1, Delta): dx1 moves both scatterers, Delta moves x2 alone;
     # F2 in (dx2, Delta): dx2 moves both, Delta moves x1 by -Delta
-    a, u = forces_exact(chain, lat_modes).total
-    (j11, j12), (j21, j22) = force_jacobian(chain, lat_modes).tolist()
+    lattice = ForceField(chain, lat_modes)
+    a, u = lattice.forces()[0]
+    (j11, j12), (j21, j22) = lattice.jacobian().tolist()
     b, c, v, w = j11 + j12, j12, j21 + j22, -j21
     if pert_modes:
-        k1p, k3p = forces_exact(chain, pert_modes).total
-        (_, k2p), (p21, _) = force_jacobian(chain, pert_modes).tolist()
+        perturbation = ForceField(chain, pert_modes)
+        k1p, k3p = perturbation.forces()[0]
+        (_, k2p), (p21, _) = perturbation.jacobian().tolist()
         k4p = -p21
     else:
         k1p = k2p = k3p = k4p = 0.0

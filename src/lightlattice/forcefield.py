@@ -15,19 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularBoundary, WavenumberMismatch
-from .wavecore import (
-    FieldSolution,
-    Mode,
-    ScattererChain,
-    check_amplitudes,
-    quads_kernel,
-    solve_fields_batch,
-)
+from .wavecore import ChainSweeps, FieldSolution, Mode, ScattererChain, check_amplitudes
 
 # rows per block of forces_batch: about 0.5 MB of working set. At 1024 rows
 # (1.6 MB) a block outgrew what the zerolines CSV rows take and raised the
 # peak RSS of a grid scan.
 _BATCH_ROWS = 256
+# up to this many scatterers a Python loop assembles the Jacobian faster than numpy
+_LOOP_N = 6
 
 
 @dataclass(frozen=True)
@@ -46,7 +41,7 @@ def _mode_forces(quads, w, dn) -> tuple[float, ...] | None:
     """F(j) = (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2 of one mode, or None if not finite.
 
     The mode's amplitudes are those of quads scaled by w / dn, as
-    quads_kernel gives them, so each force is |w / dn|^2 times that of
+    ChainSweeps.solve gives them, so each force is |w / dn|^2 times that of
     quads.
     """
     try:
@@ -88,55 +83,127 @@ def forces_from_solution(solution: FieldSolution) -> ForceProfile:
         solution.chain.n))
 
 
-def force_kernel(chain: ScattererChain, modes: list[Mode]):
-    """forces_exact as a function of positions, prepared once per chain and modes.
+class ForceField(ChainSweeps):
+    """Forces and their exact Jacobian at any placement of chain's scatterers under modes.
 
-    The returned function takes positions as ScattererChain.with_positions
-    does, raising its ValueError, and gives (total, per_mode) of forces_exact
-    on chain's scatterers moved there, bit for bit; without positions it
-    reads chain's own, unchecked (quads_kernel). It raises what
-    forces_exact raises: every mode is solved before any is reduced.
+    Build one per chain and mode set: forces_exact, forces_batch (through
+    solve_batch) and force_jacobian each read one.
     """
-    solve = quads_kernel(chain, modes)
-    n = chain.n
-    return lambda positions=None: _reduce(solve(positions), n)
+
+    def forces(self, positions=None):
+        """(total, per_mode) of forces_exact at positions, bit for bit, raising what it raises."""
+        return _reduce(self.solve(positions), self.n)
+
+    def tangent(self, source, positions=None):
+        """Each mode's forces, and the response of the total force to a source at each scatterer.
+
+        A mode's field is psi = right * w_R / dn_R + left * w_L / dn_L (pairs).
+        source(constants, x_k, zeta_k, A_k, B_k) is the jump in (C_k, D_k)
+        that perturbing scatterer k adds to psi, whose incident amplitudes
+        there are (A_k, B_k). The drives fix A_1 and D_N, so psi changes by
+        rho_k * right on j < k and by gamma_k * left on j > k, where rho_k
+        and gamma_k make the jump. Returns (forces per mode, matrix), whose
+        [j, k] sums Re(conj(psi_j) . dpsi_j), the change of F_j, over modes.
+        """
+        x, pairs = self.pairs(positions)
+        n, forces, rows = self.n, [], []
+        for const, (rq, rw, rd), (lq, lw, ld) in pairs:
+            sr, sl = rw / rd, lw / ld
+            wronskian = -rd  # C^R D^L - C^L D^R, the same at every scatterer
+            mode_forces = []
+            for xk, zeta, (ra, rb, rc, rdd), (la, lb, lc, ldd) in zip(x, const.zetas, rq, lq):
+                a, b = sr * ra + sl * la, sr * rb + sl * lb
+                c, d = sr * rc + sl * lc, sr * rdd + sl * ldd
+                v1, v2 = source(const, xk, zeta, a, b)
+                rho = (lc * v2 - ldd * v1) / wronskian
+                gamma = (rc * v2 - rdd * v1) / wronskian
+                a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+                incident, outgoing = a * ra + b * rb, c * lc + d * ldd
+                rows.append((incident - c * rc - d * rdd, a * la + b * lb - outgoing, rho, gamma,
+                             rho * incident - gamma * outgoing))
+                # (C, D) = (A + s, B - s) with s = i zeta (A + B): F from s, free
+                # of the cancellation in |A|^2 + |B|^2 - |C|^2 - |D|^2
+                s = 1j * zeta * (a + b).conjugate()
+                mode_forces.append(((b - a - s.conjugate()) * s).real)
+            forces.append(mode_forces)
+        if n <= _LOOP_N:
+            matrix = [[0.0] * n for _ in range(n)]
+            for start in range(0, len(rows), n):
+                block = rows[start:start + n]
+                for j, (y, z, _, _, diagonal), row in zip(range(n), block, matrix):
+                    for k, (_, _, rho, gamma, _) in enumerate(block):
+                        row[k] += (rho * y if j < k else gamma * z if j > k else diagonal).real
+            return forces, np.array(matrix)
+        y, z, rho, gamma, diagonal = np.array(rows, dtype=complex).T.reshape(5, len(pairs), n)
+
+        def response(psi_dot, amplitude):  # sum over modes of Re(psi_dot[m, j] * amplitude[m, k])
+            return (np.concatenate([psi_dot.real, -psi_dot.imag]).T
+                    @ np.concatenate([amplitude.real, amplitude.imag]))
+
+        below = np.arange(n)[:, None] > np.arange(n)
+        matrix = np.where(below, response(z, gamma), response(y, rho))
+        matrix[np.diag_indices(n)] = diagonal.real.sum(axis=0)
+        return forces, matrix
+
+    def jacobian(self, positions=None) -> np.ndarray:
+        """Exact Jacobian dF_j/dx_k of the forces at positions.
+
+        Moving scatterer k perturbs its splitter alone; the field's response
+        is the right sweep to the left of k and the left sweep to its right,
+        so one tangent pass gives every column. A mode whose m22 forces
+        rejects raises its SingularBoundary; so does a Jacobian that is not
+        finite, with the error forces raises when it has one.
+        """
+        if not self.n:
+            return np.zeros((0, 0))
+        jac = self.tangent(_shift, positions)[1]
+        if not np.isfinite(jac).all():
+            self.forces(positions)
+            raise SingularBoundary("the force Jacobian is not finite")
+        return jac
+
+
+def _shift(const, x, zeta, a, b):
+    # moving scatterer k by dx turns its splitter S into D(-dx) S D(dx),
+    # D = diag(e^{ik dx}, e^{-ik dx}), and leaves the drives' A_1 and D_N
+    return 2.0 * const.k * zeta * b, 2.0 * const.k * zeta * a
 
 
 def forces_exact(chain: ScattererChain, modes: list[Mode]) -> ForceProfile:
-    # the chain's constructor checked its positions: the kernel does not again
-    return ForceProfile(*force_kernel(chain, modes)())
+    # the chain's constructor checked its positions: the field does not again
+    return ForceProfile(*ForceField(chain, modes).forces())
 
 
 def forces_batch(chain: ScattererChain, modes: list[Mode], positions) -> np.ndarray:
     """Total forces [B, N] on chain's scatterers placed at each row of positions [B, N].
 
     Row b is forces_exact(chain.with_positions(positions[b]), modes).total
-    to round-off (solve_fields_batch runs in complex128). A row's bits do not
-    depend on the other rows, so the result is byte-stable across block
-    sizes. Rows are solved side by side in blocks of _BATCH_ROWS. A block
-    holding a row that forces_exact rejects (not strictly increasing,
-    singular, non-finite or overflowing) is re-run row by row through
-    forces_exact, which raises its own error.
+    to round-off, byte-stable across block sizes (solve_batch). Rows are
+    solved in blocks of _BATCH_ROWS from one ForceField. A block holding a
+    row that forces_exact rejects (not strictly increasing, singular,
+    non-finite or overflowing) is re-run row by row through its forces,
+    which raise their own error.
     """
+    field = ForceField(chain, modes)
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2:
         raise ValueError(f"positions must be a [B, N] array, got shape {positions.shape}")
     total = np.empty(positions.shape)
     for start in range(0, len(positions), _BATCH_ROWS):
         rows = positions[start:start + _BATCH_ROWS]
-        block = _block_forces(chain, modes, rows)
+        block = _block_forces(field, rows)
         if block is None:
-            block = [forces_exact(chain.with_positions(row), modes).total for row in rows]
+            block = [field.forces(row)[0] for row in rows]
         total[start:start + len(rows)] = block
     return total
 
 
 @np.errstate(all="ignore")  # a row forces_exact rejects may overflow on the way
-def _block_forces(chain: ScattererChain, modes: list[Mode], rows: np.ndarray):
+def _block_forces(field: ForceField, rows: np.ndarray):
     """forces_batch of one block, or None when forces_exact must judge it."""
-    if rows.shape[1] != chain.n or not (rows[:, 1:] > rows[:, :-1]).all():
+    if rows.shape[1] != field.n or not (rows[:, 1:] > rows[:, :-1]).all():
         return None
-    quads = solve_fields_batch(chain, modes, rows)
+    quads = field.solve_batch(rows)
     squares = quads.real * quads.real + quads.imag * quads.imag
     per_mode = 0.5 * (squares[..., 0] + squares[..., 1] - squares[..., 2] - squares[..., 3])
     total = sum(per_mode, 0.0)
@@ -163,6 +230,9 @@ class PairForceParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.p < 0 or self.i_y < 0:
             raise ValueError("intensities must be non-negative")
+        for name in ("k_y", "k_z"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if isinstance(self.zeta, complex):
             raise ValueError("closed forms hold for real zeta only")
         if abs(self.zeta) > 0.2:

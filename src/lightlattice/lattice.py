@@ -29,6 +29,11 @@ def lattice_constant(zeta: float, asymmetry: float, k: float = K_REF) -> float:
     """
     if isinstance(zeta, complex):
         raise ValueError("lattice constant is defined for real zeta")
+    for name, value in (("zeta", zeta), ("asymmetry", asymmetry)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     z2 = zeta * zeta
     a2 = asymmetry * asymmetry
     rad = 4.0 - z2 * a2

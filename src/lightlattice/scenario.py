@@ -250,6 +250,8 @@ def _decode_dynamics(node, path, n: int):
         raise ScenarioError("a dynamics block needs at least one scatterer")
     if "initial_velocities" not in node:
         return dynamics, None
+    if dynamics.regime == "overdamped":
+        _fail(path + ("initial_velocities",), "an overdamped run takes no velocities")
     velocities = _numbers(node["initial_velocities"], path + ("initial_velocities",))
     if len(velocities) != n:
         raise ScenarioError("initial_velocities length must equal the chain size")

@@ -213,16 +213,13 @@ def mode_zetas(chain: ScattererChain, mode: Mode) -> tuple[complex, ...]:
     return tuple(z * s for z in chain.zeta_base)
 
 
-def _splitters(chain: ScattererChain, mode: Mode) -> list[tuple[complex, ...]]:
-    """beam_splitter_matrix entries (m11, m12, m21, m22) of each scatterer."""
-    return [(1.0 + iz, iz, -iz, 1.0 - iz)
-            for iz in [1j * z for z in mode_zetas(chain, mode)]]
-
-
 class _ModeConstants(NamedTuple):
     """What a solve of one mode reads that does not depend on positions."""
 
     label: str
+    k: float
+    zetas: tuple[complex, ...]  # mode_zetas
+    # beam_splitter_matrix entries (m11, m12, m21, m22) of each scatterer
     splitters: list[tuple[complex, ...]]
     mirrored: list[tuple[complex, ...]]  # the splitters of the mirror image
     ik: complex
@@ -235,7 +232,7 @@ class _ModeConstants(NamedTuple):
 
 
 def _mode_constants(chain: ScattererChain, modes: list[Mode]) -> list[_ModeConstants]:
-    """The splitter entries, i*k, complex drives and sweeps of each mode on chain's scatterers.
+    """The couplings, splitter entries, i*k, drives and sweeps of each mode on chain's scatterers.
 
     A label names one mode: a repeated label raises ValueError. A thin slab
     is mirror symmetric, so the image's splitters are the chain's reversed.
@@ -246,11 +243,12 @@ def _mode_constants(chain: ScattererChain, modes: list[Mode]) -> list[_ModeConst
             raise ValueError(f"mode label {label!r} is repeated")
     consts = []
     for mode in modes:
-        splitters = _splitters(chain, mode)
+        zetas = mode_zetas(chain, mode)
+        splitters = [(1.0 + iz, iz, -iz, 1.0 - iz) for iz in [1j * z for z in zetas]]
         left, right = complex(mode.drive_left), complex(mode.drive_right)
         sides = (False,) * bool(right) + (True,) * bool(left or not right)
-        consts.append(_ModeConstants(mode.label, splitters, splitters[::-1], 1j * mode.k,
-                                     left, right, sides))
+        consts.append(_ModeConstants(mode.label, mode.k, zetas, splitters, splitters[::-1],
+                                     1j * mode.k, left, right, sides))
     return consts
 
 
@@ -338,31 +336,10 @@ def _reflection(const: _ModeConstants, positions: tuple[float, ...]) -> tuple[co
     return quads[0][1] / dn, 1.0 / dn
 
 
-def sweep_pairs(chain: ScattererChain, modes: list[Mode]):
-    """Both far-side sweeps of each mode on chain's scatterers, for derivatives.
-
-    Per mode, (right, left): the (quads, w, dn) of its right drive and of
-    its left drive, mapped back to the chain, as _solve_mode combines them.
-    The right sweep has A_1 = 0 and the left one D_N = 0, so together they
-    span every solution of the mode's recurrence. The sweeps quads_kernel
-    makes are checked first, so a mode whose m22 forces_exact rejects
-    raises its SingularBoundary. chain must not be empty.
-    """
-    pairs, x = [], chain.positions
-    for c in _mode_constants(chain, modes):
-        if c.sides[0]:  # no right drive: the kernel sweeps the image alone
-            left = _left_pass(c, x)
-            pairs.append((_right_pass(c, x), left))
-        else:
-            right = _right_pass(c, x)
-            pairs.append((right, _left_pass(c, x)))
-    return pairs
-
-
 def check_amplitudes(solved) -> None:
     """Raise SingularBoundary naming the first mode with a non-finite amplitude.
 
-    solved holds (label, quads, w, dn) per mode, as quads_kernel gives them.
+    solved holds (label, quads, w, dn) per mode, as ChainSweeps.solve gives them.
     """
     for label, quads, w, dn in solved:
         if not all(cmath.isfinite(v * w / dn) for quad in quads for v in quad):
@@ -399,7 +376,7 @@ def reflection_transmission(chain: ScattererChain, mode: Mode) -> tuple[complex,
 class ModeFields:
     """Solved amplitudes of one mode: quadruples (A_j, B_j, C_j, D_j) per scatterer.
 
-    sweep is the unscaled (quads, w, dn) of quads_kernel that quads were
+    sweep is the unscaled (quads, w, dn) of ChainSweeps.solve that quads were
     scaled from, or None; forces_from_solution reads it, so that its
     forces are those of forces_exact bit for bit.
     """
@@ -448,77 +425,89 @@ def solve_fields(chain: ScattererChain, modes: list[Mode]) -> FieldSolution:
     ))
 
 
-def quads_kernel(chain: ScattererChain, modes: list[Mode]):
-    """The amplitudes of solve_fields as a function of positions, unscaled.
+class ChainSweeps:
+    """Each mode's constants and per-scatterer couplings on chain's scatterers, built once.
 
-    The per-mode constants of chain's scatterers are built once, here. The
-    returned function takes positions as ScattererChain.with_positions
-    does, raising its ValueError; without them it reads chain's own, which
-    its constructor already checked. It gives (label, quads, w, dn) per
-    mode: quadruple j of solve_fields(chain.with_positions(positions),
-    modes) is quads[j] * w / dn, entry by entry and in that order, bit for
-    bit. It raises what solve_fields raises for m22; check_amplitudes finds
-    the non-finite amplitudes. A repeated mode label raises here.
+    A method given positions checks them as ScattererChain.with_positions
+    does; without them it reads chain's own. A repeated label raises here.
     """
-    consts = _mode_constants(chain, modes)
-    n = chain.n
 
-    def solve(positions=None):
-        positions = chain.positions if positions is None else _placement(positions, n)
-        return [(c.label, *_solve_mode(c, positions)) for c in consts]
+    def __init__(self, chain: ScattererChain, modes: list[Mode]):
+        self.chain, self.n = chain, chain.n  # n is read on every evaluation
+        self.constants = _mode_constants(chain, modes)
 
-    return solve
+    def solve(self, positions=None):
+        """The amplitudes of solve_fields at positions, unscaled: (label, quads, w, dn) per mode.
 
+        Quadruple j is quads[j] * w / dn, bit for bit. It raises what
+        solve_fields raises for m22; check_amplitudes finds non-finite ones.
+        """
+        x = self.chain.positions if positions is None else _placement(positions, self.n)
+        return [(c.label, *_solve_mode(c, x)) for c in self.constants]
 
-# a singular row divides by zero and overflows on its way to NaN
-@np.errstate(all="ignore")
-def solve_fields_batch(chain: ScattererChain, modes: list[Mode], positions) -> np.ndarray:
-    """The quadruples of solve_fields for many placements of chain's scatterers.
+    def pairs(self, positions=None):
+        """The positions, and per mode (constants, right, left) there, for derivatives.
 
-    positions is a float array [B, N] whose rows must be strictly increasing;
-    they are not checked. Returns a complex array [M, B, N, 4] whose entry
-    [m, b, j] is (A_j, B_j, C_j, D_j) of modes[m] on
-    chain.with_positions(positions[b]). Both solves run _sweep, here once
-    on numpy complex128 arrays [M', B] with a row per sweep that
-    quads_kernel makes, so a row agrees with solve_fields to round-off,
-    not bit for bit; its bits do not depend on the other rows. The rows
-    run side by side and the scatterers one after another. A mode whose |m22| is
-    below 1e-14, not below 1e154 or NaN, which solve_fields rejects, comes
-    back NaN in that row; every non-finite amplitude stays non-finite. A
-    repeated mode label raises ValueError, as in solve_fields.
-    """
-    pos = np.asarray(positions, dtype=float)
-    n_rows, n = pos.shape
-    consts = _mode_constants(chain, modes)
-    if n == 0 or not modes:
-        return np.empty((len(modes), n_rows, n, 4), dtype=complex)
-    sweeps = [(m, mirrored) for m, c in enumerate(consts) for mirrored in c.sides]
-    flip = np.array([[mirrored] for _, mirrored in sweeps])
-    # splitters[j, q] is entry q of scatterer j for every sweep and row,
-    # [M', B]: operands of one shape take numpy's fastest loops
-    entries = np.array([consts[m].mirrored if mirrored else consts[m].splitters
-                        for m, mirrored in sweeps], dtype=complex)
-    splitters = np.empty((n, 4, len(sweeps), n_rows), dtype=complex)
-    splitters[...] = entries.transpose(1, 2, 0)[..., None]
-    # a mirrored sweep runs over the reversed positions with -ik, as _left_pass
-    xs = np.ascontiguousarray(np.where(flip, pos.T[::-1, None], pos.T[:, None]))
-    ik = np.array([[-consts[m].ik if mirrored else consts[m].ik] for m, mirrored in sweeps])
-    drive = np.array([[consts[m].left if mirrored else consts[m].right] for m, mirrored in sweeps])
-    w = drive * np.exp(-ik * xs[-1])  # [M', B], w of _right_pass and _left_pass
-    swept = np.array(_sweep(splitters, ik, xs, np.exp))  # [N, 4, M', B]
-    dn = swept[-1, 3]
-    size = np.abs(dn)
-    bad = ~((size >= _SINGULAR_M22) & (size < _OVERFLOW_M22))
-    scale = w / dn
-    scale[bad] = np.nan  # a rejected sweep leaves its mode NaN
-    quads = np.empty((n, 4, len(modes), n_rows), dtype=complex)
-    for r, (m, mirrored) in enumerate(sweeps):
-        side = swept[::-1, ::-1, r] if mirrored else swept[:, :, r]
-        if r and sweeps[r - 1][0] == m:  # the left sweep of a mode driven from both sides
-            quads[:, :, m] += side * scale[r]
-        else:
-            np.multiply(side, scale[r], out=quads[:, :, m])
-    return quads.transpose(2, 3, 0, 1)
+        right and left are the (quads, w, dn) of the mode's two drives, mapped
+        to the chain; with A_1 = 0 and D_N = 0 they span every solution. The
+        sweeps solve makes are checked first, so m22 raises as in solve.
+        """
+        x = self.chain.positions if positions is None else _placement(positions, self.n)
+        pairs = []
+        for c in self.constants:
+            if c.sides[0]:  # no right drive: solve sweeps the image alone
+                left = _left_pass(c, x)
+                pairs.append((c, _right_pass(c, x), left))
+            else:
+                right = _right_pass(c, x)
+                pairs.append((c, right, _left_pass(c, x)))
+        return x, pairs
+
+    # a singular row divides by zero and overflows on its way to NaN
+    @np.errstate(all="ignore")
+    def solve_batch(self, positions) -> np.ndarray:
+        """The quadruples [M, B, N, 4] of solve_fields at each row of positions [B, N].
+
+        The rows must be strictly increasing; they are not checked. _sweep
+        runs once on numpy complex128 arrays [M', B], a row per sweep that
+        solve makes, rows side by side and scatterers one after another, so
+        a row agrees with solve_fields to round-off and its bits do not
+        depend on the other rows. A mode whose |m22| solve_fields rejects
+        comes back NaN in that row; a non-finite amplitude stays non-finite.
+        """
+        pos = np.asarray(positions, dtype=float)
+        n_rows, n = pos.shape
+        consts = self.constants
+        if n == 0 or not consts:
+            return np.empty((len(consts), n_rows, n, 4), dtype=complex)
+        sweeps = [(m, mirrored) for m, c in enumerate(consts) for mirrored in c.sides]
+        flip = np.array([[mirrored] for _, mirrored in sweeps])
+        # splitters[j, q] is entry q of scatterer j for every sweep and row,
+        # [M', B]: operands of one shape take numpy's fastest loops
+        entries = np.array([consts[m].mirrored if mirrored else consts[m].splitters
+                            for m, mirrored in sweeps], dtype=complex)
+        splitters = np.empty((n, 4, len(sweeps), n_rows), dtype=complex)
+        splitters[...] = entries.transpose(1, 2, 0)[..., None]
+        # a mirrored sweep runs over the reversed positions with -ik, as _left_pass
+        xs = np.ascontiguousarray(np.where(flip, pos.T[::-1, None], pos.T[:, None]))
+        ik = np.array([[-consts[m].ik if mirrored else consts[m].ik] for m, mirrored in sweeps])
+        drive = np.array([[consts[m].left if mirrored else consts[m].right]
+                          for m, mirrored in sweeps])
+        w = drive * np.exp(-ik * xs[-1])  # [M', B], w of _right_pass and _left_pass
+        swept = np.array(_sweep(splitters, ik, xs, np.exp))  # [N, 4, M', B]
+        dn = swept[-1, 3]
+        size = np.abs(dn)
+        bad = ~((size >= _SINGULAR_M22) & (size < _OVERFLOW_M22))
+        scale = w / dn
+        scale[bad] = np.nan  # a rejected sweep leaves its mode NaN
+        quads = np.empty((n, 4, len(consts), n_rows), dtype=complex)
+        for r, (m, mirrored) in enumerate(sweeps):
+            side = swept[::-1, ::-1, r] if mirrored else swept[:, :, r]
+            if r and sweeps[r - 1][0] == m:  # the left sweep of a mode driven from both sides
+                quads[:, :, m] += side * scale[r]
+            else:
+                np.multiply(side, scale[r], out=quads[:, :, m])
+        return quads.transpose(2, 3, 0, 1)
 
 
 def _mode_field_at(chain: ScattererChain, mf: ModeFields, x: float) -> complex:

@@ -502,15 +502,15 @@ def test_write_csv_matches_formatting_cell_by_cell(tmp_path_factory, rows):
 
 
 def test_grid_commands_make_no_per_point_forces_exact_calls(tmp_path, monkeypatch):
+    # forces_exact and the row-by-row fallback both evaluate ForceField.forces
     calls = []
-    forces_exact = forcefield.forces_exact
+    forces = forcefield.ForceField.forces
 
-    def counted(chain, modes):
-        calls.append(chain.positions)
-        return forces_exact(chain, modes)
+    def counted(self, positions=None):
+        calls.append(positions)
+        return forces(self, positions)
 
-    for module in (cli, equilibria, forcefield):
-        monkeypatch.setattr(module, "forces_exact", counted)
+    monkeypatch.setattr(forcefield.ForceField, "forces", counted)
     pair = write_doc(tmp_path, pair_doc(), "pair.json")
     triple = pair_doc()
     triple["chain"]["positions"] = [0.0, 0.3, 0.6]

@@ -10,7 +10,7 @@ from lightlattice.dynamics import (
     step_overdamped,
 )
 from lightlattice.errors import SeparationViolation
-from lightlattice.forcefield import force_kernel, forces_exact
+from lightlattice.forcefield import ForceField, forces_exact
 from lightlattice.wavecore import K_REF, Mode, ScattererChain
 
 EXACT_CROSSING_HIGH = 0.373400547
@@ -204,21 +204,32 @@ def test_initial_velocities_validated():
         evolve(chain, symmetric_modes(), params, capture_every=0)
 
 
-def test_overdamped_evolve_reuses_the_tolerance_force(monkeypatch):
-    import lightlattice.dynamics as dynamics
+@pytest.mark.parametrize("velocities", [(0.0,), (), (0.0, 0.0, 0.0)])
+def test_step_newtonian_refuses_a_wrong_velocity_count(velocities):
+    # RK4's zip would truncate the state and report a lost ordering instead
+    chain = ScattererChain((0.0, 0.4), 0.01)
+    params = DynamicsParams(regime="newtonian", dt=0.1, t_end=1.0)
+    with pytest.raises(ValueError, match="^initial_velocities length must match chain size$"):
+        step_newtonian(chain, velocities, symmetric_modes(), params)
 
+
+@pytest.mark.parametrize("velocities", [(1.0, 2.0, 3.0), (0.0, 0.0)])
+def test_an_overdamped_run_refuses_initial_velocities(velocities):
+    # an overdamped state has no velocities: a value the run cannot use is an error
+    chain = ScattererChain((0.0, 0.4), 0.01)
+    params = DynamicsParams(regime="overdamped", dt=0.1, t_end=1.0)
+    with pytest.raises(ValueError, match="^an overdamped run takes no initial_velocities$"):
+        evolve(chain, symmetric_modes(), params, initial_velocities=velocities)
+
+
+def test_overdamped_evolve_reuses_the_tolerance_force(monkeypatch):
     calls = []
 
-    def counted(chain, modes):
-        kernel = force_kernel(chain, modes)
+    def counted(self, positions=None, _forces=ForceField.forces):
+        calls.append(positions)
+        return _forces(self, positions)
 
-        def fn(positions):
-            calls.append(positions)
-            return kernel(positions)
-
-        return fn
-
-    monkeypatch.setattr(dynamics, "force_kernel", counted)
+    monkeypatch.setattr(ForceField, "forces", counted)
     chain = ScattererChain((0.0, 0.36), 0.01)
     modes = symmetric_modes(i_z=1.2)  # drifts, so force_tol never fires
     steps = 7
@@ -244,13 +255,13 @@ def test_evolve_builds_the_splitters_once_per_mode(monkeypatch, regime):
     from lightlattice import wavecore
 
     calls = []
-    splitters = wavecore._splitters
+    couplings = wavecore.mode_zetas
 
     def spy(chain, mode):
         calls.append(mode.label)
-        return splitters(chain, mode)
+        return couplings(chain, mode)
 
-    monkeypatch.setattr(wavecore, "_splitters", spy)
+    monkeypatch.setattr(wavecore, "mode_zetas", spy)
     chain = ScattererChain((0.0, 0.36), 0.01)
     modes = symmetric_modes(i_z=1.2)
     for steps in (1, 5, 40):
@@ -275,7 +286,7 @@ def test_a_crossing_inside_a_stage_raises_separation_violation():
 
 
 def test_evolve_raises_a_repeated_label_as_it_is():
-    # rejected while the kernel is prepared, before any stage; a
+    # rejected while the ForceField is prepared, before any stage; a
     # SeparationViolation is no ValueError
     chain = ScattererChain((0.0, 0.3), 0.05)
     modes = [Mode("y", K_REF, drive_left=1.0), Mode("y", 1.3 * K_REF, drive_right=1.0)]

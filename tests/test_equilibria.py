@@ -26,7 +26,7 @@ from lightlattice.errors import (
     UnstableMode,
 )
 from lightlattice.dynamics import DynamicsParams, evolve
-from lightlattice.forcefield import forces_exact
+from lightlattice.forcefield import ForceField, forces_batch, forces_exact
 from lightlattice.lattice import build_lattice
 from lightlattice.wavecore import K_REF, Mode, ScattererChain, mode_zetas
 from mp_reference import mp_forces, mp_jacobian, mp_k_slope, mp_pair_forces
@@ -254,6 +254,14 @@ def test_linearization_couplings_equal_without_perturbation():
     assert modes.omega2 > modes.omega1
     assert modes.vector1 == pytest.approx((1.0, 1.0))
     assert modes.offset == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf])
+def test_linearization_rejects_a_mass_that_is_not_positive_and_finite(mass):
+    # normal_modes would divide by it, take its root or return NaN frequencies
+    scenario = build_lattice(2, 1.0, 1.0, 0.1)
+    with pytest.raises(ValueError, match="^mass must be positive and finite, got "):
+        linearize_pair_in_lattice(scenario, mass=mass)
 
 
 def test_linearization_rejects_off_equilibrium_state():
@@ -596,16 +604,19 @@ def test_force_jacobian_matches_mpmath(n, zeta, spacing):
 
 
 def test_every_position_derivative_reads_force_jacobian(monkeypatch):
+    # force_jacobian is ForceField.jacobian, which Newton and the pair
+    # analyses read on their prepared fields
     import lightlattice.equilibria as equilibria
 
     calls = []
+    jacobian = ForceField.jacobian
 
-    def spy(chain, modes):
-        calls.append(chain.n)
-        return force_jacobian(chain, modes)
+    def spy(self, positions=None):
+        calls.append(self.chain.n)
+        return jacobian(self, positions)
 
     lattice = build_lattice(2, 1.0, 1.0, 0.1, i_p=0.5, k_p=K_REF / 0.99, zeta_p=0.1)
-    monkeypatch.setattr(equilibria, "force_jacobian", spy)
+    monkeypatch.setattr(ForceField, "jacobian", spy)
     modes = symmetric_modes()
     runs = {
         "newton relative": lambda: equilibria.find_equilibrium(
@@ -627,19 +638,60 @@ def test_every_position_derivative_reads_force_jacobian(monkeypatch):
             assert len(calls) == 2  # lattice and perturbation modes
 
 
+def test_each_run_prepares_its_modes_once(monkeypatch):
+    # one ForceField per run serves Newton's iterates and Jacobians, every
+    # block of a batch and its row-by-row fallback, and every RK4 stage
+    from lightlattice import wavecore
+
+    builds = []
+    build = wavecore._mode_constants
+
+    def spy(chain, modes):
+        builds.append(tuple(mode.label for mode in modes))
+        return build(chain, modes)
+
+    monkeypatch.setattr(wavecore, "_mode_constants", spy)
+    drifting = ScattererChain(tuple(0.41 * j for j in range(10)), 0.05)
+    rows = np.array([(0.0, 0.1 + 0.001 * b, 0.7) for b in range(600)])
+    crossed = rows.copy()
+    crossed[-1] = (0.0, 0.8, 0.7)
+    perturbed = build_lattice(2, 1.0, 1.0, 0.1, i_p=0.5, k_p=K_REF / 0.99, zeta_p=0.1)
+    plain = build_lattice(2, 1.0, 1.0, 0.1)
+    runs = [
+        (lambda: find_equilibrium(drifting, symmetric_modes(i_z=1.2), relative_only=True), 1),
+        (lambda: find_equilibrium(ScattererChain((0.01, 0.49), 0.05),
+                                  [Mode("sw", K_REF, drive_left=1.0, drive_right=1.1)]), 1),
+        (lambda: forces_batch(ScattererChain((0.0, 0.3, 0.7), 0.05), symmetric_modes(), rows), 1),
+        (lambda: evolve(ScattererChain((0.0, 0.36), 0.01), symmetric_modes(i_z=1.2),
+                        DynamicsParams(regime="overdamped", dt=1.0, t_end=20.0)), 1),
+        (lambda: evolve(ScattererChain((0.0, 0.36), 0.01), symmetric_modes(),
+                        DynamicsParams(regime="newtonian", dt=0.5, t_end=10.0)), 1),
+        (lambda: linearize_pair_in_lattice(perturbed), 2),
+        (lambda: linearize_pair_in_lattice(plain), 1),
+    ]
+    for i, (run, count) in enumerate(runs):
+        builds.clear()
+        run()
+        assert len(builds) == count, i
+    builds.clear()
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        forces_batch(ScattererChain((0.0, 0.3, 0.7), 0.05), symmetric_modes(), crossed)
+    assert len(builds) == 1
+
+
 def test_force_jacobian_and_design_refinement_evaluate_once(monkeypatch):
     # the Jacobian is one pass over each mode's sweeps, with no displaced
     # chains; a refinement iteration is one pass at its own (p, k_z)
     import lightlattice.forcefield as forcefield
-    import lightlattice.wavecore as wavecore
 
     def refuse(*args):
         raise AssertionError("a derivative reached a force evaluation")
 
     seed = next(c for c in design_wavenumber(0.15, K_REF, zeta=0.01, refine=False) if c.physical)
-    for module, name in [(equilibria, "forces_batch"), (equilibria, "forces_exact"),
-                         (forcefield, "forces_batch"), (forcefield, "forces_exact")]:
-        monkeypatch.setattr(module, name, refuse)
+    pairs = ForceField.pairs
+    for owner, name in [(equilibria, "forces_batch"), (forcefield, "forces_batch"),
+                        (forcefield, "forces_exact"), (ForceField, "forces")]:
+        monkeypatch.setattr(owner, name, refuse)
     undriven = [Mode("dark", K_REF)]
     for n in (1, 2, 5):
         chain = ScattererChain(tuple(0.1 + 0.37 * j for j in range(n)), 0.05)
@@ -648,11 +700,11 @@ def test_force_jacobian_and_design_refinement_evaluate_once(monkeypatch):
             assert np.array_equal(force_jacobian(chain, modes), np.zeros((n, n)))
     points = []
 
-    def spy(chain, modes):
-        points.append((modes[1].k, modes[1].drive_right))
-        return wavecore.sweep_pairs(chain, modes)
+    def spy(self, positions=None):
+        points.append((self.constants[1].k, self.constants[1].right))
+        return pairs(self, positions)
 
-    monkeypatch.setattr(equilibria, "sweep_pairs", spy)
+    monkeypatch.setattr(ForceField, "pairs", spy)
     p, k_z, refined = equilibria._refine_design(0.15, K_REF, seed.k_z, 0.01, seed.p, 1.0,
                                                 (1e-9, 4.0 * K_REF))
     assert refined and len(points) >= 3

@@ -7,8 +7,8 @@ from hypothesis import assume, given, strategies as st
 
 from lightlattice.errors import LightLatticeError, SingularBoundary, WavenumberMismatch
 from lightlattice.forcefield import (
+    ForceField,
     PairForceParams,
-    force_kernel,
     forces_batch,
     forces_exact,
     forces_from_solution,
@@ -16,7 +16,7 @@ from lightlattice.forcefield import (
     pair_forces_approx,
     pair_zero_force_distances,
 )
-from lightlattice.wavecore import K_REF, Mode, ScattererChain, solve_fields, solve_fields_batch
+from lightlattice.wavecore import K_REF, ChainSweeps, Mode, ScattererChain, solve_fields
 from mp_reference import reference_forces
 from test_wavecore import THICK_MODES, varied_chains, varied_modes, well_conditioned
 
@@ -282,15 +282,13 @@ def test_batch_edge_shapes(n, n_rows, mode_set):
              "mixed": symmetric_modes() + undriven, "relabelled": relabelled}[mode_set]
     rows = np.asarray(chain.positions) + 0.01 * np.arange(n_rows)[:, None]
     if mode_set == "relabelled":
-        # a label names one mode, whatever the number of rows; forces_batch
-        # has nothing to solve, and so nothing to reject, without rows
-        with pytest.raises(ValueError, match="mode label 'y' is repeated"):
-            solve_fields_batch(chain, modes, rows)
-        if n_rows:
+        # a label names one mode, whatever the number of rows
+        for batch in (lambda: ChainSweeps(chain, modes).solve_batch(rows),
+                      lambda: forces_batch(chain, modes, rows)):
             with pytest.raises(ValueError, match="mode label 'y' is repeated"):
-                forces_batch(chain, modes, rows)
+                batch()
         return
-    quads = solve_fields_batch(chain, modes, rows)
+    quads = ChainSweeps(chain, modes).solve_batch(rows)
     forces = forces_batch(chain, modes, rows)
     assert quads.shape == (len(modes), n_rows, n, 4)
     assert forces.shape == (n_rows, n)
@@ -310,7 +308,7 @@ def test_forces_batch_ends_a_gain_pole_in_singular_boundary(zeta, rows, singular
     modes = [Mode("y", K_REF, zeta_scale=1.0, drive_left=1.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        quads = solve_fields_batch(chain, modes, rows)
+        quads = ChainSweeps(chain, modes).solve_batch(rows)
         assert [bool(np.isnan(q).all()) for q in quads[0]] == singular
         assert np.isfinite(quads[0][np.logical_not(singular)]).all()
         with pytest.raises(SingularBoundary) as scalar:
@@ -327,7 +325,7 @@ def test_an_overflowing_m22_ends_in_singular_boundary():
     modes = [Mode("y", K_REF, drive_left=1.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isnan(solve_fields_batch(chain, modes, [chain.positions])).all()
+        assert np.isnan(ChainSweeps(chain, modes).solve_batch([chain.positions])).all()
         with pytest.raises(SingularBoundary, match="overflows") as scalar:
             forces_exact(chain, modes)
         with pytest.raises(SingularBoundary) as batch:
@@ -362,11 +360,12 @@ def _outcome(evaluate):
 
 @given(varied_chains(), varied_modes(), st.floats(-1.0, 1.0))
 def test_force_kernel_matches_forces_exact_bit_for_bit(chain, modes, shift):
-    # prepared once, the kernel serves every placement of the same scatterers
-    kernel = force_kernel(chain, modes)
+    # the force kernel is a ForceField: prepared once, it serves every
+    # placement of the same scatterers
+    field = ForceField(chain, modes)
     for positions in (chain.positions, [x + shift for x in chain.positions]):
         moved = chain.with_positions(positions)
-        got = _outcome(lambda: kernel(moved.positions)[0])
+        got = _outcome(lambda: field.forces(moved.positions)[0])
         assert got == _outcome(lambda: forces_exact(moved, modes).total)
         assert got == _outcome(lambda: forces_from_solution(solve_fields(moved, modes)).total)
 
@@ -398,11 +397,11 @@ def _gain_pole(label="y", **coupling):
 def test_force_kernel_raises_what_forces_exact_raises(chain, modes, message):
     with pytest.raises((SingularBoundary, ValueError)) as reference:
         forces_from_solution(solve_fields(chain, modes))
-    with pytest.raises((SingularBoundary, ValueError)) as kernel:
-        force_kernel(chain, modes)(chain.positions)
+    with pytest.raises((SingularBoundary, ValueError)) as field:
+        ForceField(chain, modes).forces(chain.positions)
     assert message in str(reference.value)
-    assert type(kernel.value) is type(reference.value)
-    assert str(kernel.value) == str(reference.value)
+    assert type(field.value) is type(reference.value)
+    assert str(field.value) == str(reference.value)
 
 
 def test_force_kernel_rejects_a_repeated_label():
@@ -410,7 +409,7 @@ def test_force_kernel_rejects_a_repeated_label():
     chain = ScattererChain((0.0, 0.3), 0.05)
     modes = [Mode("y", K_REF, drive_left=math.sqrt(2.0)),
              Mode("y", 1.3 * K_REF, drive_right=math.sqrt(2.0))]
-    for call in (lambda: forces_exact(chain, modes), lambda: force_kernel(chain, modes),
+    for call in (lambda: forces_exact(chain, modes), lambda: ForceField(chain, modes),
                  lambda: solve_fields(chain, modes),
                  lambda: forces_batch(chain, modes, [chain.positions])):
         with pytest.raises(ValueError, match="^mode label 'y' is repeated$"):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lightlattice import lattice
-from lightlattice.equilibria import find_equilibrium
+from lightlattice.equilibria import find_equilibrium, pair_stationary_distances
 from lightlattice.errors import NoConvergence, NoLattice, NoTrap, SingularDenominator
-from lightlattice.forcefield import forces_exact
+from lightlattice.forcefield import PairForceParams, forces_exact
 from lightlattice.lattice import (
     LatticeScenario,
     build_lattice,
@@ -27,6 +27,24 @@ D_SW_BALANCED = 0.4682744826  # zeta = 0.1, equal drives
 
 def test_lattice_constant_balanced_value():
     assert lattice_constant(0.1, 0.0) == pytest.approx(D_SW_BALANCED, abs=1e-9)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: lattice_constant(math.nan, 0.0), "zeta"),
+    (lambda: lattice_constant(0.1, math.inf), "asymmetry"),
+    (lambda: lattice_constant(0.1, 0.0, k=0.0), "k"),
+    (lambda: lattice_constant(0.1, 0.0, k=math.nan), "k"),
+    (lambda: pair_stationary_distances(math.inf, 2), "k"),
+    (lambda: pair_stationary_distances(-K_REF, 2), "k"),
+    (lambda: PairForceParams(p=1.0, k_y=0.0, k_z=1.0, zeta=0.1), "k_y"),
+    (lambda: PairForceParams(p=1.0, k_y=1.0, k_z=-1.0, zeta=0.1), "k_z"),
+], ids=["nan-zeta", "inf-asymmetry", "zero-k", "nan-k", "inf-k", "negative-k",
+        "zero-k_y", "negative-k_z"])
+def test_closed_forms_refuse_a_bad_field_by_name(call, field):
+    # each used to return finite garbage (0.0 spacings or distances) or leak
+    # a ZeroDivisionError
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        call()
 
 
 def test_lattice_constant_weak_coupling_limit():

@@ -174,6 +174,16 @@ def test_dynamics_block():
         validate_document(doc)
 
 
+def test_an_overdamped_block_refuses_initial_velocities():
+    # a value the run cannot use is an error, not silently dropped
+    doc = base_doc()
+    doc["dynamics"] = {"regime": "overdamped", "dt": 1.0, "t_end": 10.0,
+                       "initial_velocities": [5.0, 7.0]}
+    with pytest.raises(ScenarioError, match="^invalid scenario at dynamics/initial_velocities: "
+                                            "an overdamped run takes no velocities$"):
+        scenario_from_document(doc)
+
+
 def test_sweep_axes_and_structural_leaves():
     doc = base_doc()
     doc["sweep"] = {"axes": [{"path": "modes.z.intensity_right",
@@ -294,8 +304,9 @@ def full_doc():
              "phase_left": 0.0, "phase_right": 0.0, "zeta_override": [0.01, 0.0]},
             {"label": "z", "k": 1.0, "intensity_right": 1.0},
         ],
+        # newtonian: only a newtonian run takes initial velocities
         "dynamics": {
-            "regime": "overdamped", "dt": 1.0, "t_end": 10.0, "mass": 1.0,
+            "regime": "newtonian", "dt": 1.0, "t_end": 10.0, "mass": 1.0,
             "friction": 1.0, "min_separation": 1e-3, "force_tol": 1e-10,
             "initial_velocities": [0.0, 0.0],
         },

@@ -8,10 +8,11 @@ from hypothesis import assume, given, strategies as st
 
 from lightlattice import wavecore
 from lightlattice.errors import NegativeDistance, SingularBoundary
-from lightlattice.forcefield import force_kernel, forces_batch, forces_exact
+from lightlattice.forcefield import ForceField, forces_batch, forces_exact
 from lightlattice.wavecore import (
     K_REF,
     IDENTITY,
+    ChainSweeps,
     Mode,
     ScattererChain,
     beam_splitter_matrix,
@@ -20,7 +21,6 @@ from lightlattice.wavecore import (
     propagation_matrix,
     reflection_transmission,
     solve_fields,
-    solve_fields_batch,
     total_transfer_matrix,
 )
 
@@ -411,7 +411,7 @@ def well_conditioned(chain, modes, bound=10.0):
 def test_batched_solve_matches_solve_fields_closely(chain, modes, shift):
     assume(well_conditioned(chain, modes))
     rows = np.array([chain.positions, [x + shift for x in chain.positions]])
-    quads = solve_fields_batch(chain, modes, rows)
+    quads = ChainSweeps(chain, modes).solve_batch(rows)
     assert quads.shape == (len(modes), 2, chain.n, 4)
     for b, row in enumerate(rows):
         sol = solve_fields(chain.with_positions(row), modes)
@@ -496,13 +496,13 @@ def test_scalar_and_batched_solves_share_one_sweep(monkeypatch):
     two_sided = [Mode("sw", K_REF, drive_left=1.0, drive_right=0.5)]
     for modes, sweeps in ((one_sided, 2), (two_sided, 2), (one_sided + two_sided, 4)):
         calls.clear()
-        force_kernel(chain, modes)(chain.positions)
+        ForceField(chain, modes).forces(chain.positions)
         assert calls == [()] * sweeps
         calls.clear()
         forces_exact(chain, modes)
         assert calls == [()] * sweeps
         calls.clear()
-        solve_fields_batch(chain, modes, np.array([chain.positions] * 3))
+        ChainSweeps(chain, modes).solve_batch(np.array([chain.positions] * 3))
         assert calls == [(sweeps, 3)]
     # solve_fields sweeps each mode's mirror image once more, for r_tot and t_tot
     for modes, sweeps in ((one_sided, 4), (two_sided, 3)):
@@ -512,7 +512,8 @@ def test_scalar_and_batched_solves_share_one_sweep(monkeypatch):
 
 
 def test_forces_exact_does_not_recheck_its_chain(monkeypatch):
-    # the chain's constructor checked the ordering; kernel callers still do
+    # the chain's constructor checked the ordering; callers that move the
+    # scatterers still do
     calls = []
 
     def spy(positions, _check=wavecore._increasing_floats):
@@ -524,7 +525,7 @@ def test_forces_exact_does_not_recheck_its_chain(monkeypatch):
     monkeypatch.setattr(wavecore, "_increasing_floats", spy)
     forces_exact(chain, modes)
     assert calls == []
-    force_kernel(chain, modes)(chain.positions)
+    ForceField(chain, modes).forces(chain.positions)
     assert calls == [chain.positions]
 
 
