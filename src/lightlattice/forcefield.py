@@ -37,32 +37,42 @@ class ForceProfile:
         return max((abs(f) for f in self.total), default=0.0)
 
 
-def _mode_forces(quads, w, dn) -> tuple[float, ...] | None:
-    """F(j) = (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2 of one mode, or None if not finite.
+def _mode_forces(const, triples, w, dn, mirrored) -> tuple[float, ...] | None:
+    """F_j = |w / dn|^2 Re(conj(B - A - s) s) of one mode, or None if not finite.
 
-    The mode's amplitudes are those of quads scaled by w / dn, as
-    ChainSweeps.solve gives them, so each force is |w / dn|^2 times that of
-    quads.
+    (A_j, B_j, s_j) are triples scaled by w / dn, as ChainSweeps.solve
+    gives them; mirrored ones are the image's, whose forces are the
+    chain's reversed and negated. F is (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2,
+    and with s = i zeta (A + B) it is -Re(conj(2A + s) s) +
+    Re(i zeta) |A + B|^2, read here: A is the smaller wave (solve), so
+    this form does not cancel however weak the coupling.
     """
     try:
-        g = 0.5 * abs(w / dn) ** 2
-        forces = tuple([g * (abs(a) ** 2 + abs(b) ** 2 - abs(c) ** 2 - abs(d) ** 2)
-                        for a, b, c, d in quads])
+        g = abs(w / dn) ** 2
+        if mirrored:  # chain order, and the image's sign turned
+            triples = reversed(triples)
+        else:
+            g = -g
+        if const.lossy:
+            forces = tuple([g * (((a + a + s).conjugate() * s).real - iz.real * abs(a + b) ** 2)
+                            for iz, (a, b, s) in zip(const.couplings, triples)])
+        else:
+            forces = tuple([g * ((a + a + s).conjugate() * s).real for a, _, s in triples])
     except OverflowError:
         return None
     return forces if math.isfinite(sum(forces)) else None
 
 
 def _reduce(solved, n: int) -> tuple[tuple[float, ...], dict[str, tuple[float, ...]]]:
-    """Total and per-mode forces from (label, quads, w, dn) per mode on n scatterers.
+    """Total and per-mode forces from ChainSweeps.solve's sweeps on n scatterers.
 
     A mode whose forces are not finite raises SingularBoundary: for the
     first mode with a non-finite amplitude, as solve_fields reports it, and
     otherwise for that mode's overflowing square.
     """
     per_mode = {}
-    for label, quads, w, dn in solved:
-        forces = _mode_forces(quads, w, dn)
+    for sweep in solved:
+        forces, label = _mode_forces(*sweep), sweep[0].label
         if forces is None:
             check_amplitudes(solved)
             raise SingularBoundary(f"|amplitude|^2 overflows in mode {label!r}")
@@ -75,19 +85,17 @@ def _reduce(solved, n: int) -> tuple[tuple[float, ...], dict[str, tuple[float, .
 def forces_from_solution(solution: FieldSolution) -> ForceProfile:
     """F_mode(j) = (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2, summed over modes.
 
-    A mode that solve_fields solved is reduced from its unscaled sweep,
-    as forces_exact reduces it.
+    Each mode is reduced from the sweep that solve_fields kept with it
+    (ModeFields.sweep), as forces_exact reduces it.
     """
-    return ForceProfile(*_reduce(
-        [(mf.label, *(mf.sweep or (mf.quads, 1.0, 1.0))) for mf in solution.fields],
-        solution.chain.n))
+    return ForceProfile(*_reduce([mf.sweep for mf in solution.fields], solution.chain.n))
 
 
 class ForceField(ChainSweeps):
     """Forces and their exact Jacobian at any placement of chain's scatterers under modes.
 
     Build one per chain and mode set: forces_exact, forces_batch (through
-    solve_batch) and force_jacobian each read one.
+    sweep_batch) and force_jacobian each read one.
     """
 
     def forces(self, positions=None):
@@ -110,21 +118,23 @@ class ForceField(ChainSweeps):
         for const, (rq, rw, rd), (lq, lw, ld) in pairs:
             sr, sl = rw / rd, lw / ld
             wronskian = -rd  # C^R D^L - C^L D^R, the same at every scatterer
-            mode_forces = []
-            for xk, zeta, (ra, rb, rc, rdd), (la, lb, lc, ldd) in zip(x, const.zetas, rq, lq):
-                a, b = sr * ra + sl * la, sr * rb + sl * lb
-                c, d = sr * rc + sl * lc, sr * rdd + sl * ldd
+            image, mode_forces = abs(const.left) > abs(const.right), []
+            for xk, zeta, (ra, rb, rs), (la, lb, ls) in zip(x, const.zetas, rq, lq):
+                rc, rdd, lc, ldd = ra + rs, rb - rs, la + ls, lb - ls
+                a, b, s = sr * ra + sl * la, sr * rb + sl * lb, sr * rs + sl * ls
                 v1, v2 = source(const, xk, zeta, a, b)
                 rho = (lc * v2 - ldd * v1) / wronskian
                 gamma = (rc * v2 - rdd * v1) / wronskian
-                a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+                # _mode_forces' form, inline (a call per mode cost design 10%); image: A' = B - s
+                u = b - s if image else a
+                f = ((u + u + s).conjugate() * s).real
+                if const.lossy:
+                    f += zeta.imag * ((a + b) * (a + b).conjugate()).real
+                mode_forces.append(f if image else -f)
+                a, b, c, d = a.conjugate(), b.conjugate(), (a + s).conjugate(), (b - s).conjugate()
                 incident, outgoing = a * ra + b * rb, c * lc + d * ldd
                 rows.append((incident - c * rc - d * rdd, a * la + b * lb - outgoing, rho, gamma,
                              rho * incident - gamma * outgoing))
-                # (C, D) = (A + s, B - s) with s = i zeta (A + B): F from s, free
-                # of the cancellation in |A|^2 + |B|^2 - |C|^2 - |D|^2
-                s = 1j * zeta * (a + b).conjugate()
-                mode_forces.append(((b - a - s.conjugate()) * s).real)
             forces.append(mode_forces)
         if n <= _LOOP_N:
             matrix = [[0.0] * n for _ in range(n)]
@@ -178,7 +188,7 @@ def forces_batch(chain: ScattererChain, modes: list[Mode], positions) -> np.ndar
     """Total forces [B, N] on chain's scatterers placed at each row of positions [B, N].
 
     Row b is forces_exact(chain.with_positions(positions[b]), modes).total
-    to round-off, byte-stable across block sizes (solve_batch). Rows are
+    to round-off, byte-stable across block sizes (sweep_batch). Rows are
     solved in blocks of _BATCH_ROWS from one ForceField. A block holding a
     row that forces_exact rejects (not strictly increasing, singular,
     non-finite or overflowing) is re-run row by row through its forces,
@@ -203,10 +213,15 @@ def _block_forces(field: ForceField, rows: np.ndarray):
     """forces_batch of one block, or None when forces_exact must judge it."""
     if rows.shape[1] != field.n or not (rows[:, 1:] > rows[:, :-1]).all():
         return None
-    quads = field.solve_batch(rows)
-    squares = quads.real * quads.real + quads.imag * quads.imag
-    per_mode = 0.5 * (squares[..., 0] + squares[..., 1] - squares[..., 2] - squares[..., 3])
-    total = sum(per_mode, 0.0)
+    total = np.zeros(rows.shape)
+    for const, (a, b, s), mirrored in field.sweep_batch(rows):  # as _mode_forces reads them
+        u = a + a + s
+        forces = u.real * s.real + u.imag * s.imag
+        if const.lossy:
+            u = a + b
+            iz = np.array(const.mirrored if mirrored else const.couplings)
+            forces -= iz.real * (u.real * u.real + u.imag * u.imag)
+        total += forces[:, ::-1] if mirrored else -forces
     return total if np.isfinite(total).all() else None
 
 

@@ -13,15 +13,17 @@ A_j/B_j are the right/left moving amplitudes just left of scatterer j.
 
 Every solve runs one far-side sweep per driven side. A right drive leaves
 only a transmitted wave past scatterer 1, so the sweep starts exactly
-there, at (A_1, B_1) = (0, 1), and walks toward the drive, one splitter
+there, at (A_1, B_1) = (0, 1), and walks toward the drive, one scatterer
 and one gap at a time; the drive fixes the scale at the end, where D_N
-of the unnormalised sweep equals the total matrix's m22. A left drive is
-the same sweep of the chain's mirror image (x -> -x, couplings reversed),
-mapped back. Heading toward the drive the physical solution is the one
-that grows (Rouard's method; Ko & Inkson, PRB 38, 9945 (1988)), so
-round-off never outgrows it, however thick the chain. The unnormalised
-amplitudes grow to about |m22|; past 1e154 their squares overflow, and a
-solve raises SingularBoundary instead.
+of the unnormalised sweep equals the total matrix's m22. Scatterer j
+costs one complex multiply, its scattered wave s_j = i zeta_j (A_j + B_j),
+and the sweep records (A_j, B_j, s_j): (C_j, D_j) = (A_j + s_j, B_j - s_j).
+A left drive is the same sweep of the chain's mirror image (x -> -x,
+couplings reversed), mapped back where needed. Heading toward the drive
+the physical solution is the one that grows (Rouard's method; Ko &
+Inkson, PRB 38, 9945 (1988)), so round-off never outgrows it, however
+thick the chain. The unnormalised amplitudes grow to about |m22|; past
+1e154 their squares overflow, and a solve raises SingularBoundary instead.
 """
 
 from __future__ import annotations
@@ -219,9 +221,8 @@ class _ModeConstants(NamedTuple):
     label: str
     k: float
     zetas: tuple[complex, ...]  # mode_zetas
-    # beam_splitter_matrix entries (m11, m12, m21, m22) of each scatterer
-    splitters: list[tuple[complex, ...]]
-    mirrored: list[tuple[complex, ...]]  # the splitters of the mirror image
+    couplings: list[complex]  # i*zeta of each scatterer
+    mirrored: list[complex]  # the couplings of the mirror image
     ik: complex
     left: complex
     right: complex
@@ -229,13 +230,14 @@ class _ModeConstants(NamedTuple):
     # drive sweeps the chain, a left drive its image, and an undriven mode
     # the image too, which checks its m22
     sides: tuple[bool, ...]
+    lossy: bool  # some coupling has Re(i*zeta) != 0
 
 
 def _mode_constants(chain: ScattererChain, modes: list[Mode]) -> list[_ModeConstants]:
-    """The couplings, splitter entries, i*k, drives and sweeps of each mode on chain's scatterers.
+    """The couplings zeta and i*zeta, i*k, drives and sweeps of each mode on chain's scatterers.
 
     A label names one mode: a repeated label raises ValueError. A thin slab
-    is mirror symmetric, so the image's splitters are the chain's reversed.
+    is mirror symmetric, so the image's couplings are the chain's reversed.
     """
     labels = [mode.label for mode in modes]
     for label in labels:
@@ -244,106 +246,116 @@ def _mode_constants(chain: ScattererChain, modes: list[Mode]) -> list[_ModeConst
     consts = []
     for mode in modes:
         zetas = mode_zetas(chain, mode)
-        splitters = [(1.0 + iz, iz, -iz, 1.0 - iz) for iz in [1j * z for z in zetas]]
+        couplings = [1j * z for z in zetas]
         left, right = complex(mode.drive_left), complex(mode.drive_right)
         sides = (False,) * bool(right) + (True,) * bool(left or not right)
-        consts.append(_ModeConstants(mode.label, mode.k, zetas, splitters, splitters[::-1],
-                                     1j * mode.k, left, right, sides))
+        consts.append(_ModeConstants(mode.label, mode.k, zetas, couplings, couplings[::-1],
+                                     1j * mode.k, left, right, sides,
+                                     any(iz.real for iz in couplings)))
     return consts
 
 
-def _sweep(splitters, ik, positions, exp):
-    """Unnormalised quadruples (A_j, B_j, C_j, D_j) of a drive from the right alone.
+def _sweep(couplings, ik, positions, exp):
+    """Unnormalised triples (A_j, B_j, s_j) of a drive from the right alone.
 
-    Past scatterer 1 only the transmitted wave leaves, so the sweep starts
-    exactly at (A_1, B_1) = (0, 1) and applies each splitter and gap in
-    turn; its D_N equals the total matrix's m22. splitters holds the
-    splitter entries per scatterer and ik is i*k. exp is cmath.exp for
-    Python complex, or np.exp when every entry is an array of one shape.
+    Scatterer j sends s_j = i zeta_j (A_j + B_j) both ways, so (C_j, D_j) =
+    (A_j + s_j, B_j - s_j). The sweep starts at (A_1, B_1) = (0, 1), and its
+    D_N = B_N - s_N is the total matrix's m22. couplings holds i*zeta per
+    scatterer and ik is i*k; exp is cmath.exp, or np.exp when every
+    coupling is an array of one shape.
     """
-    _, c, _, d = splitters[0]  # (C_1, D_1) = S_1 (0, 1)
-    zero = 0 * c
-    quads = [(zero, zero + 1, c, d)]
-    for x0, x1, (s11, s12, s21, s22) in zip(positions, positions[1:], splitters[1:]):
+    s = couplings[0]  # i zeta_1 (0 + 1)
+    zero = 0 * s
+    triples = [(zero, zero + 1, s)]
+    c, d = s, 1 - s
+    for x0, x1, iz in zip(positions, positions[1:], couplings[1:]):
         ph = exp(ik * (x1 - x0))
         a, b = ph * c, d / ph
-        c = s11 * a + s12 * b
-        d = s21 * a + s22 * b
-        quads.append((a, b, c, d))
-    return quads
+        s = iz * (a + b)
+        triples.append((a, b, s))
+        c, d = a + s, b - s
+    return triples
 
 
-def _far_end(label: str, quads) -> complex:
-    """D_N of a sweep, which is m22, once checked to lie in [1e-14, 1e154)."""
-    dn = quads[-1][3]
+def _pass(const: _ModeConstants, positions, mirrored: bool):
+    """(triples, w, dn) of one drive: the right one on the chain, or the left one on its image.
+
+    Its (A, B, s)_j are triples[j] * w / dn, and dn = B_N - s_N = D_N is
+    m22, checked to lie in [1e-14, 1e154). The image's scatterers sit at
+    -x_N, ..., -x_1: -ik over the reversed positions gives its phases exactly.
+    """
+    if mirrored:
+        triples = _sweep(const.mirrored, -const.ik, positions[::-1], cmath.exp)
+        w = const.left * cmath.exp(const.ik * positions[0])
+    else:
+        triples = _sweep(const.couplings, const.ik, positions, cmath.exp)
+        w = const.right * cmath.exp(-const.ik * positions[-1])
+    _, b, s = triples[-1]
+    dn, label = b - s, const.label
     try:
         size = abs(dn)
     except OverflowError:
         raise SingularBoundary(f"|m22| overflows for mode {label!r}") from None
     if size < _SINGULAR_M22:
-        raise SingularBoundary(
-            f"|m22| = {size:.3e} below {_SINGULAR_M22} for mode {label!r}"
-        )
+        raise SingularBoundary(f"|m22| = {size:.3e} below {_SINGULAR_M22} for mode {label!r}")
     if not size < _OVERFLOW_M22:
-        raise SingularBoundary(
-            f"|m22| = {size:.3e} not below {_OVERFLOW_M22}: "
-            f"|amplitude|^2 overflows in mode {label!r}"
-        )
-    return dn
+        raise SingularBoundary(f"|m22| = {size:.3e} not below {_OVERFLOW_M22}: "
+                               f"|amplitude|^2 overflows in mode {label!r}")
+    return triples, w, dn
 
 
-def _right_pass(const: _ModeConstants, positions):
-    """(quads, w, dn) of the right drive: its amplitudes are quads[j] * w / dn."""
-    quads = _sweep(const.splitters, const.ik, positions, cmath.exp)
-    return quads, const.right * cmath.exp(-const.ik * positions[-1]), _far_end(const.label, quads)
-
-
-def _left_pass(const: _ModeConstants, positions):
-    """(quads, w, dn) of the left drive, swept on the mirror image."""
-    # the image's scatterers sit at -x_N, ..., -x_1: its gaps are the chain's
-    # reversed, and -ik over the reversed positions gives their phases exactly
-    image = _sweep(const.mirrored, -const.ik, positions[::-1], cmath.exp)
-    dn = _far_end(const.label, image)
-    image.reverse()
-    # (A, B, C, D)_j of the chain are (D, C, B, A)_{N+1-j} of its image
-    quads = [(d, c, b, a) for a, b, c, d in image]
-    return quads, const.left * cmath.exp(const.ik * positions[0]), dn
+def _mapped(sweep):
+    """An image's sweep (triples, w, dn) mapped to the chain, or back."""
+    triples, w, dn = sweep  # (A, B, C, D)_j of the chain are (D', C', B', A')_{N+1-j}
+    return [(b - s, a + s, s) for a, b, s in reversed(triples)], w, dn
 
 
 def _solve_mode(const: _ModeConstants, positions: tuple[float, ...]):
-    """(quads, w, dn) of one mode on scatterers at positions, strictly increasing floats.
+    """(triples, w, dn, mirrored) of one mode at positions, strictly increasing floats.
 
-    Quadruple j of the mode is quads[j] * w / dn, entry by entry and
-    evaluated in that order. A one-sided mode keeps its one sweep
-    unscaled. A mode driven from both sides adds its left sweep to its
-    right one, in the right one's units.
+    The mode's (A, B, s)_j are triples[j] * w / dn, evaluated in that
+    order, or when mirrored its image's (_mapped). A one-sided mode keeps
+    its one sweep, a left drive's on the image. A two-sided mode adds the
+    other sweep, mapped, to its stronger drive's, in the latter's units:
+    either way A is the smaller wave where the drive comes in.
     """
     if not positions:
-        return (), 1.0, 1.0
+        return (), 1.0, 1.0, False
     if len(const.sides) == 1:
-        return _left_pass(const, positions) if const.sides[0] else _right_pass(const, positions)
-    (q1, w1, d1), (q2, w2, d2) = _right_pass(const, positions), _left_pass(const, positions)
+        return (*_pass(const, positions, const.sides[0]), const.sides[0])
+    sweeps = [_pass(const, positions, mirrored) for mirrored in (False, True)]
+    mirrored = abs(const.left) > abs(const.right)
+    (q1, w1, d1), (q2, w2, d2) = sweeps[mirrored], _mapped(sweeps[not mirrored])
     u = (w2 / d2) / (w1 / d1)
-    return [(a + u * e, b + u * f, c + u * g, d + u * h)
-            for (a, b, c, d), (e, f, g, h) in zip(q1, q2)], w1, d1
+    return [(a + u * e, b + u * f, s + u * g)
+            for (a, b, s), (e, f, g) in zip(q1, q2)], w1, d1, mirrored
+
+
+def _amplitudes(triples, w, dn, mirrored):
+    """The quadruples (A_j, B_j, C_j, D_j) of a mode solved as (triples, w, dn, mirrored)."""
+    quads = ([(b - s, a + s, b, a) for a, b, s in reversed(triples)] if mirrored
+             else [(a, b, a + s, b - s) for a, b, s in triples])
+    return tuple([(a * w / dn, b * w / dn, c * w / dn, d * w / dn) for a, b, c, d in quads])
 
 
 def _reflection(const: _ModeConstants, positions: tuple[float, ...]) -> tuple[complex, complex]:
     """r_tot and t_tot: the reflected B_1 and transmitted C_N = 1 of a left sweep over its A_1."""
     if not positions:
         return 0j, 1 + 0j
-    quads, _, dn = _left_pass(const, positions)
-    return quads[0][1] / dn, 1.0 / dn
+    image, _, dn = _pass(const, positions, True)
+    a, _, s = image[-1]  # B_1 of the chain is C_N = A_N + s_N of its image
+    return (a + s) / dn, 1.0 / dn
 
 
 def check_amplitudes(solved) -> None:
     """Raise SingularBoundary naming the first mode with a non-finite amplitude.
 
-    solved holds (label, quads, w, dn) per mode, as ChainSweeps.solve gives them.
+    solved holds (constants, triples, w, dn, mirrored) per mode, as
+    ChainSweeps.solve gives them.
     """
-    for label, quads, w, dn in solved:
-        if not all(cmath.isfinite(v * w / dn) for quad in quads for v in quad):
-            raise SingularBoundary(f"non-finite amplitude in mode {label!r}")
+    for const, *sweep in solved:
+        if not all(cmath.isfinite(v) for quad in _amplitudes(*sweep) for v in quad):
+            raise SingularBoundary(f"non-finite amplitude in mode {const.label!r}")
 
 
 def total_transfer_matrix(chain: ScattererChain, mode: Mode) -> TransferMatrix:
@@ -376,9 +388,11 @@ def reflection_transmission(chain: ScattererChain, mode: Mode) -> tuple[complex,
 class ModeFields:
     """Solved amplitudes of one mode: quadruples (A_j, B_j, C_j, D_j) per scatterer.
 
-    sweep is the unscaled (quads, w, dn) of ChainSweeps.solve that quads were
-    scaled from, or None; forces_from_solution reads it, so that its
-    forces are those of forces_exact bit for bit.
+    sweep is the unscaled (constants, triples, w, dn, mirrored) of
+    ChainSweeps.solve that quads were scaled from: triples hold
+    (A_j, B_j, s_j), with s_j the scattered wave, so C_j = A_j + s_j and
+    D_j = B_j - s_j. forces_from_solution reduces it, so that its forces
+    are those of forces_exact bit for bit.
     """
 
     label: str
@@ -413,15 +427,13 @@ def solve_fields(chain: ScattererChain, modes: list[Mode]) -> FieldSolution:
     solved, for a non-finite amplitude.
     """
     consts = _mode_constants(chain, modes)
-    solved = [(c.label, *_solve_mode(c, chain.positions)) for c in consts]
+    solved = [(c, *_solve_mode(c, chain.positions)) for c in consts]
     reflections = [_reflection(c, chain.positions) for c in consts]
     check_amplitudes(solved)
     return FieldSolution(chain, tuple(
-        ModeFields(label, mode.k, tuple([(a * w / dn, b * w / dn, c * w / dn, d * w / dn)
-                                         for a, b, c, d in quads]),
-                   r_tot, t_tot, const.left, const.right, (quads, w, dn))
-        for mode, const, (label, quads, w, dn), (r_tot, t_tot)
-        in zip(modes, consts, solved, reflections)
+        ModeFields(c.label, mode.k, _amplitudes(*sweep), r_tot, t_tot, c.left, c.right,
+                   (c, *sweep))
+        for mode, (c, *sweep), (r_tot, t_tot) in zip(modes, solved, reflections)
     ))
 
 
@@ -437,77 +449,91 @@ class ChainSweeps:
         self.constants = _mode_constants(chain, modes)
 
     def solve(self, positions=None):
-        """The amplitudes of solve_fields at positions, unscaled: (label, quads, w, dn) per mode.
+        """The sweeps of solve_fields at positions: (constants, triples, w, dn, mirrored) per mode.
 
-        Quadruple j is quads[j] * w / dn, bit for bit. It raises what
-        solve_fields raises for m22; check_amplitudes finds non-finite ones.
+        Its quadruples are _amplitudes(triples, w, dn, mirrored), bit for bit.
+        It raises what solve_fields raises for m22; check_amplitudes finds
+        non-finite amplitudes.
         """
         x = self.chain.positions if positions is None else _placement(positions, self.n)
-        return [(c.label, *_solve_mode(c, x)) for c in self.constants]
+        return [(c, *_solve_mode(c, x)) for c in self.constants]
 
     def pairs(self, positions=None):
         """The positions, and per mode (constants, right, left) there, for derivatives.
 
-        right and left are the (quads, w, dn) of the mode's two drives, mapped
-        to the chain; with A_1 = 0 and D_N = 0 they span every solution. The
-        sweeps solve makes are checked first, so m22 raises as in solve.
+        right and left are the (triples, w, dn) of the mode's two drives,
+        mapped to the chain; with A_1 = 0 and D_N = 0 they span every
+        solution. The sweeps solve makes are checked first, so m22 raises
+        as in solve.
         """
         x = self.chain.positions if positions is None else _placement(positions, self.n)
         pairs = []
         for c in self.constants:
-            if c.sides[0]:  # no right drive: solve sweeps the image alone
-                left = _left_pass(c, x)
-                pairs.append((c, _right_pass(c, x), left))
-            else:
-                right = _right_pass(c, x)
-                pairs.append((c, right, _left_pass(c, x)))
+            sweeps = {mirrored: _pass(c, x, mirrored) for mirrored in (c.sides[0], not c.sides[0])}
+            pairs.append((c, sweeps[False], _mapped(sweeps[True])))
         return x, pairs
 
     # a singular row divides by zero and overflows on its way to NaN
     @np.errstate(all="ignore")
-    def solve_batch(self, positions) -> np.ndarray:
-        """The quadruples [M, B, N, 4] of solve_fields at each row of positions [B, N].
+    def sweep_batch(self, positions):
+        """(constants, (A, B, s), mirrored) per mode at each row of positions [B, N], A [B, N].
 
         The rows must be strictly increasing; they are not checked. _sweep
-        runs once on numpy complex128 arrays [M', B], a row per sweep that
-        solve makes, rows side by side and scatterers one after another, so
-        a row agrees with solve_fields to round-off and its bits do not
-        depend on the other rows. A mode whose |m22| solve_fields rejects
-        comes back NaN in that row; a non-finite amplitude stays non-finite.
+        runs once on numpy complex128 couplings [N, M', B], a row per sweep
+        that solve makes, rows side by side and scatterers one after
+        another, so a row agrees with solve to round-off and its bits do not
+        depend on the other rows. The triples are scaled by w / dn and
+        framed as in solve; a mode whose |m22| solve rejects is NaN there.
         """
         pos = np.asarray(positions, dtype=float)
         n_rows, n = pos.shape
         consts = self.constants
         if n == 0 or not consts:
-            return np.empty((len(consts), n_rows, n, 4), dtype=complex)
-        sweeps = [(m, mirrored) for m, c in enumerate(consts) for mirrored in c.sides]
+            return [(c, np.empty((3, n_rows, n), dtype=complex), False) for c in consts]
+        sweeps = [(c, mirrored) for c in consts for mirrored in c.sides]
         flip = np.array([[mirrored] for _, mirrored in sweeps])
-        # splitters[j, q] is entry q of scatterer j for every sweep and row,
-        # [M', B]: operands of one shape take numpy's fastest loops
-        entries = np.array([consts[m].mirrored if mirrored else consts[m].splitters
-                            for m, mirrored in sweeps], dtype=complex)
-        splitters = np.empty((n, 4, len(sweeps), n_rows), dtype=complex)
-        splitters[...] = entries.transpose(1, 2, 0)[..., None]
-        # a mirrored sweep runs over the reversed positions with -ik, as _left_pass
+        # couplings[j] is i*zeta_j for every sweep and row, [M', B]: operands
+        # of one shape take numpy's fastest loops
+        couplings = np.empty((n, len(sweeps), n_rows), dtype=complex)
+        couplings[...] = np.array([c.mirrored if mirrored else c.couplings
+                                   for c, mirrored in sweeps], dtype=complex).T[..., None]
+        # a mirrored sweep runs over the reversed positions with -ik, as in _pass
         xs = np.ascontiguousarray(np.where(flip, pos.T[::-1, None], pos.T[:, None]))
-        ik = np.array([[-consts[m].ik if mirrored else consts[m].ik] for m, mirrored in sweeps])
-        drive = np.array([[consts[m].left if mirrored else consts[m].right]
-                          for m, mirrored in sweeps])
-        w = drive * np.exp(-ik * xs[-1])  # [M', B], w of _right_pass and _left_pass
-        swept = np.array(_sweep(splitters, ik, xs, np.exp))  # [N, 4, M', B]
-        dn = swept[-1, 3]
+        ik = np.array([[-c.ik if mirrored else c.ik] for c, mirrored in sweeps])
+        drive = np.array([[c.left if mirrored else c.right] for c, mirrored in sweeps])
+        w = drive * np.exp(-ik * xs[-1])  # [M', B], w of _pass
+        swept = np.array(_sweep(couplings, ik, xs, np.exp))  # [N, 3, M', B]
+        dn = swept[-1, 1] - swept[-1, 2]
         size = np.abs(dn)
-        bad = ~((size >= _SINGULAR_M22) & (size < _OVERFLOW_M22))
         scale = w / dn
-        scale[bad] = np.nan  # a rejected sweep leaves its mode NaN
-        quads = np.empty((n, 4, len(consts), n_rows), dtype=complex)
-        for r, (m, mirrored) in enumerate(sweeps):
-            side = swept[::-1, ::-1, r] if mirrored else swept[:, :, r]
-            if r and sweeps[r - 1][0] == m:  # the left sweep of a mode driven from both sides
-                quads[:, :, m] += side * scale[r]
+        scale[~((size >= _SINGULAR_M22) & (size < _OVERFLOW_M22))] = np.nan
+        swept *= scale
+        modes, r = [], 0
+        for c in consts:
+            mirrored, triples = c.sides[0], swept[:, :, r].transpose(1, 2, 0)
+            if len(c.sides) == 2:  # as in _solve_mode; sweep r is the right drive's
+                mirrored = abs(c.left) > abs(c.right)
+                e, f, g = swept[::-1, :, r + 1 - mirrored].transpose(1, 2, 0)
+                triples = swept[:, :, r + mirrored].transpose(1, 2, 0) + np.stack([f - g, e + g, g])
+            modes.append((c, triples, mirrored))
+            r += len(c.sides)
+        return modes
+
+    @np.errstate(all="ignore")
+    def solve_batch(self, positions) -> np.ndarray:
+        """The quadruples [M, B, N, 4] of solve_fields at each row of positions [B, N].
+
+        They are sweep_batch's: a rejected mode is NaN, a non-finite amplitude stays so.
+        """
+        pos = np.asarray(positions, dtype=float)
+        quads = np.empty((len(self.constants), *pos.shape, 4), dtype=complex)
+        for m, (_, (a, b, s), mirrored) in enumerate(self.sweep_batch(pos)):
+            if mirrored:  # the image's (D', C', B', A') at N+1-j
+                a, b, s = a[:, ::-1], b[:, ::-1], s[:, ::-1]
+                quads[m] = np.stack([b - s, a + s, b, a], axis=-1)
             else:
-                np.multiply(side, scale[r], out=quads[:, :, m])
-        return quads.transpose(2, 3, 0, 1)
+                quads[m] = np.stack([a, b, a + s, b - s], axis=-1)
+        return quads
 
 
 def _mode_field_at(chain: ScattererChain, mf: ModeFields, x: float) -> complex:
@@ -527,9 +553,11 @@ def _mode_field_at(chain: ScattererChain, mf: ModeFields, x: float) -> complex:
 
 
 def intensity_profile(solution: FieldSolution, x_samples) -> list[tuple[float, float, dict]]:
-    """Sample I(x) per mode and in total. Modes do not interfere: no cross terms."""
+    """Sample I(x) per mode and in total (no cross terms); a non-finite x raises ValueError."""
     rows = []
     for x in x_samples:
+        if not math.isfinite(x):
+            raise ValueError(f"sample position {x} is not finite")
         per_mode = {}
         for mf in solution.fields:
             e = _mode_field_at(solution.chain, mf, x)

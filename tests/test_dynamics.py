@@ -278,7 +278,7 @@ def test_a_crossing_inside_a_stage_raises_separation_violation():
         evolve(chain, symmetric_modes(), params)
     assert str(exc.value) == (
         "step 1: scatterer ordering lost during an integration stage: positions not "
-        "strictly increasing: 0.1152770960109356 !< -0.055277096010935556"
+        "strictly increasing: 0.11527709601093389 !< -0.05527709601093389"
     )
     assert exc.value.step == 1
     assert exc.value.trajectory.termination == "separation_violation"

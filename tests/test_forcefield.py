@@ -350,6 +350,28 @@ def test_thick_chain_forces_match_mpmath(zeta, n, modes):
     assert np.max(np.abs(forces_batch(chain, modes, [chain.positions])[0] - reference)) <= bound
 
 
+@pytest.mark.parametrize("zeta", [0.01, 0.001, 0.01 + 0.002j], ids=["0.01", "0.001", "lossy"])
+@pytest.mark.parametrize("n", [1, 2, 10, 200])
+@pytest.mark.parametrize("modes", [
+    [Mode("y", K_REF, drive_left=math.sqrt(2.0)),
+     Mode("z", 1.3 * K_REF, drive_right=math.sqrt(2.0))],
+    [Mode("sw", K_REF, drive_left=1.0, drive_right=0.7),
+     Mode("sx", 1.3 * K_REF, drive_left=0.02, drive_right=1.0)],
+], ids=["one-sided", "two-sided"])
+def test_forces_match_mpmath_at_small_zeta(zeta, n, modes):
+    # A one-sided force is O(zeta^2) out of squares O(1): a reduction that
+    # subtracts the four squares keeps only a few of its digits. The chain
+    # is centred on x = 0, where the drive phases k x_1 and k x_N of a
+    # two-sided mode are equal and opposite and so is their rounding; at
+    # x_N ~ 100 that rounding alone moves its forces by up to 5e-14.
+    mpmath = pytest.importorskip("mpmath")
+    chain = ScattererChain([(j - (n - 1) / 2) * 0.4968 for j in range(n)], zeta)
+    reference = np.array(reference_forces(mpmath, chain, modes))
+    bound = 1e-14 * max(np.max(np.abs(reference_forces(mpmath, chain, [mode]))) for mode in modes)
+    assert np.max(np.abs(np.array(forces_exact(chain, modes).total) - reference)) <= bound
+    assert np.max(np.abs(forces_batch(chain, modes, [chain.positions])[0] - reference)) <= bound
+
+
 def _outcome(evaluate):
     """repr of each total force evaluate() returns, or the error it raises."""
     try:

@@ -277,6 +277,14 @@ def test_intensity_normalization():
     assert prof[0][1] == pytest.approx(i_in)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_intensity_profile_refuses_a_non_finite_sample(x):
+    # unchecked, a NaN sample gives a NaN row and inf a NaN total, with no error
+    solution = solve_fields(ScattererChain((0.0, 0.4), 0.05), [Mode("y", K_REF, drive_left=1.0)])
+    with pytest.raises(ValueError, match=f"^sample position {x} is not finite$"):
+        intensity_profile(solution, [0.1, x])
+
+
 def test_one_sided_drives_are_translation_invariant():
     # with every mode driven from a single side a rigid shift of the chain
     # only rotates phases; amplitude magnitudes stay put
@@ -486,7 +494,7 @@ def test_scalar_and_batched_solves_share_one_sweep(monkeypatch):
     calls = []
 
     def spy(*args, _kernel=wavecore._sweep):
-        calls.append(np.shape(args[0][0][0]))
+        calls.append(np.shape(args[0][0]))
         return _kernel(*args)
 
     monkeypatch.setattr(wavecore, "_sweep", spy)
