@@ -38,26 +38,17 @@ class ForceProfile:
 
 
 def _mode_forces(const, triples, w, dn, mirrored) -> tuple[float, ...] | None:
-    """F_j = |w / dn|^2 Re(conj(B - A - s) s) of one mode, or None if not finite.
+    """F_j = (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2 of one mode solved by ChainSweeps.solve, or None.
 
-    (A_j, B_j, s_j) are triples scaled by w / dn, as ChainSweeps.solve
-    gives them; mirrored ones are the image's, whose forces are the
-    chain's reversed and negated. F is (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2,
-    and with s = i zeta (A + B) it is -Re(conj(2A + s) s) +
-    Re(i zeta) |A + B|^2, read here: A is the smaller wave (solve), so
-    this form does not cancel however weak the coupling.
+    None if a force is not finite. With s = i zeta (A + B), F = -Re(conj(2A + s) s) +
+    Re(i zeta)|A + B|^2, which does not cancel where A is the smaller wave, as in the frame
+    the mode is solved in; an image's forces are the chain's reversed and negated.
     """
     try:
-        g = abs(w / dn) ** 2
-        if mirrored:  # chain order, and the image's sign turned
-            triples = reversed(triples)
-        else:
-            g = -g
-        if const.lossy:
-            forces = tuple([g * (((a + a + s).conjugate() * s).real - iz.real * abs(a + b) ** 2)
-                            for iz, (a, b, s) in zip(const.couplings, triples)])
-        else:
-            forces = tuple([g * ((a + a + s).conjugate() * s).real for a, _, s in triples])
+        g = abs(w / dn) ** 2 if mirrored else -abs(w / dn) ** 2
+        triples = reversed(triples) if mirrored else triples  # in chain order
+        forces = tuple([g * (((a + a + s).conjugate() * s).real - iz.real * abs(a + b) ** 2)
+                        for iz, (a, b, s) in zip(const.couplings, triples)])
     except OverflowError:
         return None
     return forces if math.isfinite(sum(forces)) else None
@@ -77,17 +68,11 @@ def _reduce(solved, n: int) -> tuple[tuple[float, ...], dict[str, tuple[float, .
             check_amplitudes(solved)
             raise SingularBoundary(f"|amplitude|^2 overflows in mode {label!r}")
         per_mode[label] = forces
-    if per_mode:
-        return tuple(map(sum, zip(*per_mode.values()))), per_mode
-    return (0.0,) * n, per_mode
+    return (tuple(map(sum, zip(*per_mode.values()))) if per_mode else (0.0,) * n), per_mode
 
 
 def forces_from_solution(solution: FieldSolution) -> ForceProfile:
-    """F_mode(j) = (|A|^2 + |B|^2 - |C|^2 - |D|^2)/2, summed over modes.
-
-    Each mode is reduced from the sweep that solve_fields kept with it
-    (ModeFields.sweep), as forces_exact reduces it.
-    """
+    """Each mode's forces from its ModeFields.sweep, and their sum, as forces_exact gives them."""
     return ForceProfile(*_reduce([mf.sweep for mf in solution.fields], solution.chain.n))
 
 
@@ -118,7 +103,7 @@ class ForceField(ChainSweeps):
         for const, (rq, rw, rd), (lq, lw, ld) in pairs:
             sr, sl = rw / rd, lw / ld
             wronskian = -rd  # C^R D^L - C^L D^R, the same at every scatterer
-            image, mode_forces = abs(const.left) > abs(const.right), []
+            image, mode_forces = const.sides[0], []
             for xk, zeta, (ra, rb, rs), (la, lb, ls) in zip(x, const.zetas, rq, lq):
                 rc, rdd, lc, ldd = ra + rs, rb - rs, la + ls, lb - ls
                 a, b, s = sr * ra + sl * la, sr * rb + sl * lb, sr * rs + sl * ls
@@ -127,9 +112,8 @@ class ForceField(ChainSweeps):
                 gamma = (rc * v2 - rdd * v1) / wronskian
                 # _mode_forces' form, inline (a call per mode cost design 10%); image: A' = B - s
                 u = b - s if image else a
-                f = ((u + u + s).conjugate() * s).real
-                if const.lossy:
-                    f += zeta.imag * ((a + b) * (a + b).conjugate()).real
+                f = (((u + u + s).conjugate() * s).real
+                     + zeta.imag * ((a + b) * (a + b).conjugate()).real)
                 mode_forces.append(f if image else -f)
                 a, b, c, d = a.conjugate(), b.conjugate(), (a + s).conjugate(), (b - s).conjugate()
                 incident, outgoing = a * ra + b * rb, c * lc + d * ldd
@@ -215,12 +199,9 @@ def _block_forces(field: ForceField, rows: np.ndarray):
         return None
     total = np.zeros(rows.shape)
     for const, (a, b, s), mirrored in field.sweep_batch(rows):  # as _mode_forces reads them
-        u = a + a + s
-        forces = u.real * s.real + u.imag * s.imag
-        if const.lossy:
-            u = a + b
-            iz = np.array(const.mirrored if mirrored else const.couplings)
-            forces -= iz.real * (u.real * u.real + u.imag * u.imag)
+        u, v = a + a + s, a + b
+        iz = np.array(const.mirrored if mirrored else const.couplings)
+        forces = u.real * s.real + u.imag * s.imag - iz.real * (v.real * v.real + v.imag * v.imag)
         total += forces[:, ::-1] if mirrored else -forces
     return total if np.isfinite(total).all() else None
 

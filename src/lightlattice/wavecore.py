@@ -11,19 +11,17 @@ K_REF = 2*pi.
 The field between scatterers j and j+1 is C_j e^{ik(x-x_j)} + D_j e^{-ik(x-x_j)};
 A_j/B_j are the right/left moving amplitudes just left of scatterer j.
 
-Every solve runs one far-side sweep per driven side. A right drive leaves
-only a transmitted wave past scatterer 1, so the sweep starts exactly
-there, at (A_1, B_1) = (0, 1), and walks toward the drive, one scatterer
-and one gap at a time; the drive fixes the scale at the end, where D_N
-of the unnormalised sweep equals the total matrix's m22. Scatterer j
-costs one complex multiply, its scattered wave s_j = i zeta_j (A_j + B_j),
-and the sweep records (A_j, B_j, s_j): (C_j, D_j) = (A_j + s_j, B_j - s_j).
-A left drive is the same sweep of the chain's mirror image (x -> -x,
-couplings reversed), mapped back where needed. Heading toward the drive
-the physical solution is the one that grows (Rouard's method; Ko &
-Inkson, PRB 38, 9945 (1988)), so round-off never outgrows it, however
-thick the chain. The unnormalised amplitudes grow to about |m22|; past
-1e154 their squares overflow, and a solve raises SingularBoundary instead.
+Every solve runs one far-side sweep per driven side. A right drive leaves only a
+transmitted wave past scatterer 1, so the sweep starts exactly there, at (A_1, B_1) =
+(0, 1), and walks toward the drive, one scatterer and one gap at a time; the drive fixes
+the scale at the end, where D_N of the unnormalised sweep equals the total matrix's m22.
+Scatterer j costs one complex multiply, its scattered wave s_j = i zeta_j (A_j + B_j),
+and the sweep records (A_j, B_j, s_j): (C_j, D_j) = (A_j + s_j, B_j - s_j). A left drive
+is the same sweep of the chain's mirror image (x -> -x, couplings reversed), mapped back
+where needed. Heading toward the drive the physical solution is the one that grows
+(Rouard's method; Ko & Inkson, PRB 38, 9945 (1988)), so round-off never outgrows it,
+however thick the chain. The unnormalised amplitudes grow to about |m22|; past 1e154
+their squares overflow, and a solve raises SingularBoundary instead.
 """
 
 from __future__ import annotations
@@ -226,11 +224,10 @@ class _ModeConstants(NamedTuple):
     ik: complex
     left: complex
     right: complex
-    # the sweeps that solve the mode, True for the mirror image: a right
-    # drive sweeps the chain, a left drive its image, and an undriven mode
-    # the image too, which checks its m22
+    # the sweeps that solve the mode, True for the mirror image: a right drive sweeps the
+    # chain, a left drive its image, and an undriven mode the image too, which checks its
+    # m22. The first, the stronger drive's, is the frame the mode is solved in: A is smaller
     sides: tuple[bool, ...]
-    lossy: bool  # some coupling has Re(i*zeta) != 0
 
 
 def _mode_constants(chain: ScattererChain, modes: list[Mode]) -> list[_ModeConstants]:
@@ -250,19 +247,18 @@ def _mode_constants(chain: ScattererChain, modes: list[Mode]) -> list[_ModeConst
         left, right = complex(mode.drive_left), complex(mode.drive_right)
         sides = (False,) * bool(right) + (True,) * bool(left or not right)
         consts.append(_ModeConstants(mode.label, mode.k, zetas, couplings, couplings[::-1],
-                                     1j * mode.k, left, right, sides,
-                                     any(iz.real for iz in couplings)))
+                                     1j * mode.k, left, right,
+                                     sides[::-1] if abs(left) > abs(right) else sides))
     return consts
 
 
 def _sweep(couplings, ik, positions, exp):
     """Unnormalised triples (A_j, B_j, s_j) of a drive from the right alone.
 
-    Scatterer j sends s_j = i zeta_j (A_j + B_j) both ways, so (C_j, D_j) =
-    (A_j + s_j, B_j - s_j). The sweep starts at (A_1, B_1) = (0, 1), and its
-    D_N = B_N - s_N is the total matrix's m22. couplings holds i*zeta per
-    scatterer and ik is i*k; exp is cmath.exp, or np.exp when every
-    coupling is an array of one shape.
+    Scatterer j sends s_j = i zeta_j (A_j + B_j) both ways, so (C_j, D_j) = (A_j + s_j,
+    B_j - s_j). The sweep starts at (A_1, B_1) = (0, 1); its D_N = B_N - s_N is m22.
+    couplings holds i*zeta per scatterer and ik is i*k; exp is cmath.exp, or np.exp
+    when every coupling is an array of one shape.
     """
     s = couplings[0]  # i zeta_1 (0 + 1)
     zero = 0 * s
@@ -280,9 +276,9 @@ def _sweep(couplings, ik, positions, exp):
 def _pass(const: _ModeConstants, positions, mirrored: bool):
     """(triples, w, dn) of one drive: the right one on the chain, or the left one on its image.
 
-    Its (A, B, s)_j are triples[j] * w / dn, and dn = B_N - s_N = D_N is
-    m22, checked to lie in [1e-14, 1e154). The image's scatterers sit at
-    -x_N, ..., -x_1: -ik over the reversed positions gives its phases exactly.
+    Its (A, B, s)_j are triples[j] * w / dn, and dn = D_N is m22, checked to lie in
+    [1e-14, 1e154). The image's scatterers sit at -x_N, ..., -x_1: -ik over the
+    reversed positions gives its phases exactly.
     """
     if mirrored:
         triples = _sweep(const.mirrored, -const.ik, positions[::-1], cmath.exp)
@@ -304,38 +300,34 @@ def _pass(const: _ModeConstants, positions, mirrored: bool):
     return triples, w, dn
 
 
-def _mapped(sweep):
-    """An image's sweep (triples, w, dn) mapped to the chain, or back."""
-    triples, w, dn = sweep  # (A, B, C, D)_j of the chain are (D', C', B', A')_{N+1-j}
-    return [(b - s, a + s, s) for a, b, s in reversed(triples)], w, dn
+def _image(a, b, s):
+    """(A, B, s)_j = (D', C', s')_{N+1-j} of the chain from its image's (A', B', s'), or back."""
+    return b - s, a + s, s
 
 
 def _solve_mode(const: _ModeConstants, positions: tuple[float, ...]):
     """(triples, w, dn, mirrored) of one mode at positions, strictly increasing floats.
 
-    The mode's (A, B, s)_j are triples[j] * w / dn, evaluated in that
-    order, or when mirrored its image's (_mapped). A one-sided mode keeps
-    its one sweep, a left drive's on the image. A two-sided mode adds the
-    other sweep, mapped, to its stronger drive's, in the latter's units:
-    either way A is the smaller wave where the drive comes in.
+    The mode's (A, B, s)_j are triples[j] * w / dn, evaluated in that order, or when
+    mirrored its image's: its first sweep's frame (_ModeConstants.sides), to which a
+    two-sided mode adds the other sweep, mapped, in the first one's units.
     """
     if not positions:
-        return (), 1.0, 1.0, False
-    if len(const.sides) == 1:
-        return (*_pass(const, positions, const.sides[0]), const.sides[0])
-    sweeps = [_pass(const, positions, mirrored) for mirrored in (False, True)]
-    mirrored = abs(const.left) > abs(const.right)
-    (q1, w1, d1), (q2, w2, d2) = sweeps[mirrored], _mapped(sweeps[not mirrored])
-    u = (w2 / d2) / (w1 / d1)
-    return [(a + u * e, b + u * f, s + u * g)
-            for (a, b, s), (e, f, g) in zip(q1, q2)], w1, d1, mirrored
+        return (), 1.0, 1.0, const.sides[0]
+    (q1, w1, d1), *other = [_pass(const, positions, side) for side in const.sides]
+    for q2, w2, d2 in other:
+        u = (w2 / d2) / (w1 / d1)
+        q1 = [(a + u * e, b + u * f, s + u * g) for (a, b, s), (e, f, g)
+              in zip(q1, [_image(*t) for t in reversed(q2)])]
+    return q1, w1, d1, const.sides[0]
 
 
 def _amplitudes(triples, w, dn, mirrored):
     """The quadruples (A_j, B_j, C_j, D_j) of a mode solved as (triples, w, dn, mirrored)."""
-    quads = ([(b - s, a + s, b, a) for a, b, s in reversed(triples)] if mirrored
-             else [(a, b, a + s, b - s) for a, b, s in triples])
-    return tuple([(a * w / dn, b * w / dn, c * w / dn, d * w / dn) for a, b, c, d in quads])
+    if mirrored:
+        triples = [_image(*t) for t in reversed(triples)]
+    return tuple([(a * w / dn, b * w / dn, (a + s) * w / dn, (b - s) * w / dn)
+                  for a, b, s in triples])
 
 
 def _reflection(const: _ModeConstants, positions: tuple[float, ...]) -> tuple[complex, complex]:
@@ -348,11 +340,7 @@ def _reflection(const: _ModeConstants, positions: tuple[float, ...]) -> tuple[co
 
 
 def check_amplitudes(solved) -> None:
-    """Raise SingularBoundary naming the first mode with a non-finite amplitude.
-
-    solved holds (constants, triples, w, dn, mirrored) per mode, as
-    ChainSweeps.solve gives them.
-    """
+    """Raise SingularBoundary naming the first solved mode (ChainSweeps.solve) not finite."""
     for const, *sweep in solved:
         if not all(cmath.isfinite(v) for quad in _amplitudes(*sweep) for v in quad):
             raise SingularBoundary(f"non-finite amplitude in mode {const.label!r}")
@@ -388,11 +376,9 @@ def reflection_transmission(chain: ScattererChain, mode: Mode) -> tuple[complex,
 class ModeFields:
     """Solved amplitudes of one mode: quadruples (A_j, B_j, C_j, D_j) per scatterer.
 
-    sweep is the unscaled (constants, triples, w, dn, mirrored) of
-    ChainSweeps.solve that quads were scaled from: triples hold
-    (A_j, B_j, s_j), with s_j the scattered wave, so C_j = A_j + s_j and
-    D_j = B_j - s_j. forces_from_solution reduces it, so that its forces
-    are those of forces_exact bit for bit.
+    sweep is the (constants, triples, w, dn, mirrored) of ChainSweeps.solve that quads
+    were scaled from: triples hold (A_j, B_j, s_j), s_j the scattered wave, so (C_j, D_j) =
+    (A_j + s_j, B_j - s_j). forces_from_solution reduces it, as forces_exact, bit for bit.
     """
 
     label: str
@@ -402,7 +388,7 @@ class ModeFields:
     t_tot: complex
     drive_left: complex
     drive_right: complex
-    sweep: tuple | None = field(default=None, repr=False, compare=False)
+    sweep: tuple = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -451,9 +437,8 @@ class ChainSweeps:
     def solve(self, positions=None):
         """The sweeps of solve_fields at positions: (constants, triples, w, dn, mirrored) per mode.
 
-        Its quadruples are _amplitudes(triples, w, dn, mirrored), bit for bit.
-        It raises what solve_fields raises for m22; check_amplitudes finds
-        non-finite amplitudes.
+        Its quadruples are _amplitudes(triples, w, dn, mirrored), bit for bit. It raises
+        what solve_fields raises for m22; check_amplitudes finds non-finite amplitudes.
         """
         x = self.chain.positions if positions is None else _placement(positions, self.n)
         return [(c, *_solve_mode(c, x)) for c in self.constants]
@@ -461,16 +446,16 @@ class ChainSweeps:
     def pairs(self, positions=None):
         """The positions, and per mode (constants, right, left) there, for derivatives.
 
-        right and left are the (triples, w, dn) of the mode's two drives,
-        mapped to the chain; with A_1 = 0 and D_N = 0 they span every
-        solution. The sweeps solve makes are checked first, so m22 raises
-        as in solve.
+        right and left are the (triples, w, dn) of the mode's two drives, mapped to the
+        chain; with A_1 = 0 and D_N = 0 they span every solution. The sweeps solve
+        makes are checked first, so m22 raises as in solve.
         """
         x = self.chain.positions if positions is None else _placement(positions, self.n)
         pairs = []
         for c in self.constants:
             sweeps = {mirrored: _pass(c, x, mirrored) for mirrored in (c.sides[0], not c.sides[0])}
-            pairs.append((c, sweeps[False], _mapped(sweeps[True])))
+            image, w, dn = sweeps[True]
+            pairs.append((c, sweeps[False], ([_image(*t) for t in reversed(image)], w, dn)))
         return x, pairs
 
     # a singular row divides by zero and overflows on its way to NaN
@@ -478,12 +463,10 @@ class ChainSweeps:
     def sweep_batch(self, positions):
         """(constants, (A, B, s), mirrored) per mode at each row of positions [B, N], A [B, N].
 
-        The rows must be strictly increasing; they are not checked. _sweep
-        runs once on numpy complex128 couplings [N, M', B], a row per sweep
-        that solve makes, rows side by side and scatterers one after
-        another, so a row agrees with solve to round-off and its bits do not
-        depend on the other rows. The triples are scaled by w / dn and
-        framed as in solve; a mode whose |m22| solve rejects is NaN there.
+        The rows must be strictly increasing; they are not checked. _sweep runs once on
+        numpy complex128 couplings [N, M', B], a row per sweep that solve makes, so a row
+        agrees with solve to round-off and its bits do not depend on the other rows. The
+        triples are scaled by w / dn and framed as in solve; an |m22| solve rejects is NaN.
         """
         pos = np.asarray(positions, dtype=float)
         n_rows, n = pos.shape
@@ -492,8 +475,7 @@ class ChainSweeps:
             return [(c, np.empty((3, n_rows, n), dtype=complex), False) for c in consts]
         sweeps = [(c, mirrored) for c in consts for mirrored in c.sides]
         flip = np.array([[mirrored] for _, mirrored in sweeps])
-        # couplings[j] is i*zeta_j for every sweep and row, [M', B]: operands
-        # of one shape take numpy's fastest loops
+        # couplings[j] is i*zeta_j for every sweep and row, [M', B]: numpy's fastest loops
         couplings = np.empty((n, len(sweeps), n_rows), dtype=complex)
         couplings[...] = np.array([c.mirrored if mirrored else c.couplings
                                    for c, mirrored in sweeps], dtype=complex).T[..., None]
@@ -510,29 +492,21 @@ class ChainSweeps:
         swept *= scale
         modes, r = [], 0
         for c in consts:
-            mirrored, triples = c.sides[0], swept[:, :, r].transpose(1, 2, 0)
-            if len(c.sides) == 2:  # as in _solve_mode; sweep r is the right drive's
-                mirrored = abs(c.left) > abs(c.right)
-                e, f, g = swept[::-1, :, r + 1 - mirrored].transpose(1, 2, 0)
-                triples = swept[:, :, r + mirrored].transpose(1, 2, 0) + np.stack([f - g, e + g, g])
-            modes.append((c, triples, mirrored))
+            triples = swept[:, :, r].transpose(1, 2, 0)
+            if len(c.sides) == 2:  # as in _solve_mode
+                triples = triples + np.stack(_image(*swept[::-1, :, r + 1].transpose(1, 2, 0)))
+            modes.append((c, triples, c.sides[0]))
             r += len(c.sides)
         return modes
 
     @np.errstate(all="ignore")
     def solve_batch(self, positions) -> np.ndarray:
-        """The quadruples [M, B, N, 4] of solve_fields at each row of positions [B, N].
-
-        They are sweep_batch's: a rejected mode is NaN, a non-finite amplitude stays so.
-        """
+        """solve_fields' quadruples [M, B, N, 4] at each row of positions [B, N], from sweep_batch."""
         pos = np.asarray(positions, dtype=float)
         quads = np.empty((len(self.constants), *pos.shape, 4), dtype=complex)
-        for m, (_, (a, b, s), mirrored) in enumerate(self.sweep_batch(pos)):
-            if mirrored:  # the image's (D', C', B', A') at N+1-j
-                a, b, s = a[:, ::-1], b[:, ::-1], s[:, ::-1]
-                quads[m] = np.stack([b - s, a + s, b, a], axis=-1)
-            else:
-                quads[m] = np.stack([a, b, a + s, b - s], axis=-1)
+        for m, (_, triples, mirrored) in enumerate(self.sweep_batch(pos)):
+            a, b, s = _image(*triples[..., ::-1]) if mirrored else triples
+            quads[m] = np.stack([a, b, a + s, b - s], axis=-1)
         return quads
 
 

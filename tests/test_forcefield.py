@@ -372,6 +372,19 @@ def test_forces_match_mpmath_at_small_zeta(zeta, n, modes):
     assert np.max(np.abs(forces_batch(chain, modes, [chain.positions])[0] - reference)) <= bound
 
 
+@pytest.mark.xfail(strict=True, reason="drive phases e^{-ik x_N}, e^{ik x_1} are rounded: "
+                   "a two-sided force is off by about ulp(k x_N), 5e-14 here")
+def test_two_sided_forces_far_from_the_origin_match_mpmath():
+    # as test_forces_match_mpmath_at_small_zeta, with the chain from x = 0.1 to 99
+    mpmath = pytest.importorskip("mpmath")
+    modes = [Mode("sw", K_REF, drive_left=1.0, drive_right=0.7),
+             Mode("sx", 1.3 * K_REF, drive_left=0.02, drive_right=1.0)]
+    chain = ScattererChain([0.1 + 0.4968 * j for j in range(200)], 0.001)
+    reference = np.array(reference_forces(mpmath, chain, modes))
+    bound = 1e-14 * max(np.max(np.abs(reference_forces(mpmath, chain, [mode]))) for mode in modes)
+    assert np.max(np.abs(np.array(forces_exact(chain, modes).total) - reference)) <= bound
+
+
 def _outcome(evaluate):
     """repr of each total force evaluate() returns, or the error it raises."""
     try:
