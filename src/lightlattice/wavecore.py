@@ -224,10 +224,10 @@ class _ModeConstants(NamedTuple):
     ik: complex
     left: complex
     right: complex
-    # the sweeps that solve the mode, True for the mirror image: a right drive sweeps the
-    # chain, a left drive its image, and an undriven mode the image too, which checks its
-    # m22. The first, the stronger drive's, is the frame the mode is solved in: A is smaller
+    # the sweeps that solve the mode, True for the image (a left drive's, or an undriven
+    # mode's m22 check); the stronger drive's first, the frame where A is the smaller wave
     sides: tuple[bool, ...]
+    lossy: bool  # some coupling has Re(i*zeta) != 0
 
 
 def _mode_constants(chain: ScattererChain, modes: list[Mode]) -> list[_ModeConstants]:
@@ -248,7 +248,8 @@ def _mode_constants(chain: ScattererChain, modes: list[Mode]) -> list[_ModeConst
         sides = (False,) * bool(right) + (True,) * bool(left or not right)
         consts.append(_ModeConstants(mode.label, mode.k, zetas, couplings, couplings[::-1],
                                      1j * mode.k, left, right,
-                                     sides[::-1] if abs(left) > abs(right) else sides))
+                                     sides[::-1] if abs(left) > abs(right) else sides,
+                                     any(iz.real for iz in couplings)))
     return consts
 
 
@@ -314,8 +315,9 @@ def _solve_mode(const: _ModeConstants, positions: tuple[float, ...]):
     """
     if not positions:
         return (), 1.0, 1.0, const.sides[0]
-    (q1, w1, d1), *other = [_pass(const, positions, side) for side in const.sides]
-    for q2, w2, d2 in other:
+    q1, w1, d1 = _pass(const, positions, const.sides[0])
+    for side in const.sides[1:]:  # a two-sided mode
+        q2, w2, d2 = _pass(const, positions, side)
         u = (w2 / d2) / (w1 / d1)
         q1 = [(a + u * e, b + u * f, s + u * g) for (a, b, s), (e, f, g)
               in zip(q1, [_image(*t) for t in reversed(q2)])]
@@ -324,8 +326,7 @@ def _solve_mode(const: _ModeConstants, positions: tuple[float, ...]):
 
 def _amplitudes(triples, w, dn, mirrored):
     """The quadruples (A_j, B_j, C_j, D_j) of a mode solved as (triples, w, dn, mirrored)."""
-    if mirrored:
-        triples = [_image(*t) for t in reversed(triples)]
+    triples = [_image(*t) for t in reversed(triples)] if mirrored else triples
     return tuple([(a * w / dn, b * w / dn, (a + s) * w / dn, (b - s) * w / dn)
                   for a, b, s in triples])
 
@@ -487,9 +488,7 @@ class ChainSweeps:
         swept = np.array(_sweep(couplings, ik, xs, np.exp))  # [N, 3, M', B]
         dn = swept[-1, 1] - swept[-1, 2]
         size = np.abs(dn)
-        scale = w / dn
-        scale[~((size >= _SINGULAR_M22) & (size < _OVERFLOW_M22))] = np.nan
-        swept *= scale
+        swept *= np.where((size >= _SINGULAR_M22) & (size < _OVERFLOW_M22), w / dn, np.nan)
         modes, r = [], 0
         for c in consts:
             triples = swept[:, :, r].transpose(1, 2, 0)
@@ -501,7 +500,7 @@ class ChainSweeps:
 
     @np.errstate(all="ignore")
     def solve_batch(self, positions) -> np.ndarray:
-        """solve_fields' quadruples [M, B, N, 4] at each row of positions [B, N], from sweep_batch."""
+        """solve_fields' quadruples [M, B, N, 4] at each row of positions [B, N] (sweep_batch)."""
         pos = np.asarray(positions, dtype=float)
         quads = np.empty((len(self.constants), *pos.shape, 4), dtype=complex)
         for m, (_, triples, mirrored) in enumerate(self.sweep_batch(pos)):
