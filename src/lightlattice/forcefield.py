@@ -50,7 +50,7 @@ def _mode_forces(const, triples, w, dn, mirrored) -> tuple[float, ...] | None:
         if const.lossy:
             forces = tuple([g * (((a + a + s).conjugate() * s).real - iz.real * abs(a + b) ** 2)
                             for iz, (a, b, s) in zip(const.couplings, triples)])
-        else:  # the same bits without the zero term, a fifth faster (BENCH_20.json)
+        else:  # the same bits without the zero term, which took a sixth of a long-chain run
             forces = tuple([g * ((a + a + s).conjugate() * s).real for a, _, s in triples])
     except OverflowError:
         return None
