@@ -20,9 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
 
 from . import __version__
 from .dynamics import com_velocity, evolve
@@ -62,9 +59,10 @@ def _fmt(x) -> str:
         return "%.17g" % x
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if isinstance(x, (int, np.integer) if np else int):
         return str(int(x))
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, (float, np.floating) if np else float):
         return "%.17g" % float(x)
     return str(x)
 
@@ -448,6 +446,7 @@ def cmd_evolve(args) -> int:
 
 
 def _sweep_cell(payload):
+    import numpy as np
     base, assignments = payload
     try:
         doc = apply_axis_values(base, assignments)
@@ -507,6 +506,7 @@ def cmd_sweep(args) -> int:
     if threads <= 1 or len(cells) <= 2:
         results = [_sweep_cell(payload) for _, payload in cells]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_cell, [p for _, p in cells]))
     axis_cols = [ax.path.replace(".", "_") for ax in axes]
@@ -678,6 +678,7 @@ def cmd_modes(args) -> int:
 
 
 def cmd_zerolines(args) -> int:
+    import numpy as np
     scn = _load(args)
     chain, modes = scn.chain, scn.mode_list()
     if chain.n != 3:

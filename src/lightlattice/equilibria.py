@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (
     InconsistentLinearization,
     NoConvergence,
@@ -62,6 +60,7 @@ def classify_stability(
     real parts are below -1e-9, "unstable" when any is above +1e-9, and
     "marginal" otherwise (also when no eigenvalue is left).
     """
+    import numpy as np
     if translation_projected:
         # normalised Helmert columns: column i is (1, ..., 1, -i, 0, ...) / sqrt(i (i + 1))
         i = np.arange(1, len(jacobian))
@@ -90,6 +89,7 @@ def find_equilibrium(
     use it for translation-invariant scenarios that drift as a whole.
     Raises NoConvergence with the best iterate attached.
     """
+    import numpy as np
     n = chain.n
     if n == 0:
         raise ValueError("cannot search an empty chain")
@@ -523,6 +523,7 @@ def zero_force_grid(
     d2_values,
 ) -> ZeroForceGrid:
     """Forces on a three-scatterer chain over a (d1, d2) separation grid."""
+    import numpy as np
     if chain_template.n != 3:
         raise ValueError("grid is defined for three scatterers")
     x1 = chain_template.positions[0]

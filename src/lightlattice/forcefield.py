@@ -12,8 +12,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SingularBoundary, WavenumberMismatch
 from .wavecore import ChainSweeps, FieldSolution, Mode, ScattererChain, check_amplitudes
 
@@ -101,6 +99,7 @@ class ForceField(ChainSweeps):
         and gamma_k make the jump. Returns (forces per mode, matrix), whose
         [j, k] sums Re(conj(psi_j) . dpsi_j), the change of F_j, over modes.
         """
+        import numpy as np
         x, pairs = self.pairs(positions)
         n, forces, rows = self.n, [], []
         for const, (rq, rw, rd), (lq, lw, ld) in pairs:
@@ -151,6 +150,7 @@ class ForceField(ChainSweeps):
         rejects raises its SingularBoundary; so does a Jacobian that is not
         finite, with the error forces raises when it has one.
         """
+        import numpy as np
         if not self.n:
             return np.zeros((0, 0))
         jac = self.tangent(_shift, positions)[1]
@@ -181,6 +181,7 @@ def forces_batch(chain: ScattererChain, modes: list[Mode], positions) -> np.ndar
     non-finite or overflowing) is re-run row by row through its forces,
     which raise their own error.
     """
+    import numpy as np
     field = ForceField(chain, modes)
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2:
@@ -195,18 +196,20 @@ def forces_batch(chain: ScattererChain, modes: list[Mode], positions) -> np.ndar
     return total
 
 
-@np.errstate(all="ignore")  # a row forces_exact rejects may overflow on the way
 def _block_forces(field: ForceField, rows: np.ndarray):
     """forces_batch of one block, or None when forces_exact must judge it."""
-    if rows.shape[1] != field.n or not (rows[:, 1:] > rows[:, :-1]).all():
-        return None
-    total = np.zeros(rows.shape)
-    for const, (a, b, s), mirrored in field.sweep_batch(rows):  # as _mode_forces reads them
-        u, v = a + a + s, a + b
-        iz = np.array(const.mirrored if mirrored else const.couplings)
-        forces = u.real * s.real + u.imag * s.imag - iz.real * (v.real * v.real + v.imag * v.imag)
-        total += forces[:, ::-1] if mirrored else -forces
-    return total if np.isfinite(total).all() else None
+    import numpy as np
+    with np.errstate(all="ignore"):  # a row forces_exact rejects may overflow on the way
+        if rows.shape[1] != field.n or not (rows[:, 1:] > rows[:, :-1]).all():
+            return None
+        total = np.zeros(rows.shape)
+        for const, (a, b, s), mirrored in field.sweep_batch(rows):  # as _mode_forces reads them
+            u, v = a + a + s, a + b
+            iz = np.array(const.mirrored if mirrored else const.couplings)
+            forces = (u.real * s.real + u.imag * s.imag
+                      - iz.real * (v.real * v.real + v.imag * v.imag))
+            total += forces[:, ::-1] if mirrored else -forces
+        return total if np.isfinite(total).all() else None
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import NegativeDistance, SingularBoundary
 
 # reference wavenumber: one reference wavelength per unit length
@@ -306,18 +304,18 @@ def _image(a, b, s):
     return b - s, a + s, s
 
 
-def _solve_mode(const: _ModeConstants, positions: tuple[float, ...]):
+def _solve_mode(const: _ModeConstants, positions: tuple[float, ...], sweep=_pass):
     """(triples, w, dn, mirrored) of one mode at positions, strictly increasing floats.
 
     The mode's (A, B, s)_j are triples[j] * w / dn, evaluated in that order, or when
     mirrored its image's: its first sweep's frame (_ModeConstants.sides), to which a
-    two-sided mode adds the other sweep, mapped, in the first one's units.
+    two-sided mode adds the other sweep, mapped, in the first one's units (sweep: _pass).
     """
     if not positions:
         return (), 1.0, 1.0, const.sides[0]
-    q1, w1, d1 = _pass(const, positions, const.sides[0])
+    q1, w1, d1 = sweep(const, positions, const.sides[0])
     for side in const.sides[1:]:  # a two-sided mode
-        q2, w2, d2 = _pass(const, positions, side)
+        q2, w2, d2 = sweep(const, positions, side)
         u = (w2 / d2) / (w1 / d1)
         q1 = [(a + u * e, b + u * f, s + u * g) for (a, b, s), (e, f, g)
               in zip(q1, [_image(*t) for t in reversed(q2)])]
@@ -331,11 +329,11 @@ def _amplitudes(triples, w, dn, mirrored):
                   for a, b, s in triples])
 
 
-def _reflection(const: _ModeConstants, positions: tuple[float, ...]) -> tuple[complex, complex]:
-    """r_tot and t_tot: the reflected B_1 and transmitted C_N = 1 of a left sweep over its A_1."""
+def _reflection(const: _ModeConstants, positions, image=None) -> tuple[complex, complex]:
+    """r_tot and t_tot, B_1 and C_N = 1 over A_1 of the image's _pass (swept if not given)."""
     if not positions:
         return 0j, 1 + 0j
-    image, _, dn = _pass(const, positions, True)
+    image, _, dn = image or _pass(const, positions, True)
     a, _, s = image[-1]  # B_1 of the chain is C_N = A_N + s_N of its image
     return (a + s) / dn, 1.0 / dn
 
@@ -408,14 +406,20 @@ def solve_fields(chain: ScattererChain, modes: list[Mode]) -> FieldSolution:
     """Solve every mode independently against the same chain.
 
     Per mode, one far-side sweep per driven side (module docstring), scaled
-    by its drive, and one more sweep of the mirror image for r_tot and
-    t_tot. A repeated mode label raises ValueError. SingularBoundary is
-    raised for an m22 outside [1e-14, 1e154) and then, once every mode is
-    solved, for a non-finite amplitude.
+    by its drive; r_tot and t_tot read the mirror image's, which a mode
+    driven from the right alone sweeps once more. A repeated mode label
+    raises ValueError. SingularBoundary is raised for an m22 outside
+    [1e-14, 1e154) and then, once every mode is solved, for a non-finite amplitude.
     """
-    consts = _mode_constants(chain, modes)
-    solved = [(c, *_solve_mode(c, chain.positions)) for c in consts]
-    reflections = [_reflection(c, chain.positions) for c in consts]
+    consts, x = _mode_constants(chain, modes), chain.positions
+    passes = {}  # (label, mirrored): the _pass the solve made
+
+    def keep(const, positions, mirrored):
+        passes[const.label, mirrored] = made = _pass(const, positions, mirrored)
+        return made
+
+    solved = [(c, *_solve_mode(c, x, keep)) for c in consts]
+    reflections = [_reflection(c, x, passes.get((c.label, True))) for c in consts]
     check_amplitudes(solved)
     return FieldSolution(chain, tuple(
         ModeFields(c.label, mode.k, _amplitudes(*sweep), r_tot, t_tot, c.left, c.right,
@@ -459,8 +463,6 @@ class ChainSweeps:
             pairs.append((c, sweeps[False], ([_image(*t) for t in reversed(image)], w, dn)))
         return x, pairs
 
-    # a singular row divides by zero and overflows on its way to NaN
-    @np.errstate(all="ignore")
     def sweep_batch(self, positions):
         """(constants, (A, B, s), mirrored) per mode at each row of positions [B, N], A [B, N].
 
@@ -469,44 +471,48 @@ class ChainSweeps:
         agrees with solve to round-off and its bits do not depend on the other rows. The
         triples are scaled by w / dn and framed as in solve; an |m22| solve rejects is NaN.
         """
-        pos = np.asarray(positions, dtype=float)
-        n_rows, n = pos.shape
-        consts = self.constants
-        if n == 0 or not consts:
-            return [(c, np.empty((3, n_rows, n), dtype=complex), False) for c in consts]
-        sweeps = [(c, mirrored) for c in consts for mirrored in c.sides]
-        flip = np.array([[mirrored] for _, mirrored in sweeps])
-        # couplings[j] is i*zeta_j for every sweep and row, [M', B]: numpy's fastest loops
-        couplings = np.empty((n, len(sweeps), n_rows), dtype=complex)
-        couplings[...] = np.array([c.mirrored if mirrored else c.couplings
-                                   for c, mirrored in sweeps], dtype=complex).T[..., None]
-        # a mirrored sweep runs over the reversed positions with -ik, as in _pass
-        xs = np.ascontiguousarray(np.where(flip, pos.T[::-1, None], pos.T[:, None]))
-        ik = np.array([[-c.ik if mirrored else c.ik] for c, mirrored in sweeps])
-        drive = np.array([[c.left if mirrored else c.right] for c, mirrored in sweeps])
-        w = drive * np.exp(-ik * xs[-1])  # [M', B], w of _pass
-        swept = np.array(_sweep(couplings, ik, xs, np.exp))  # [N, 3, M', B]
-        dn = swept[-1, 1] - swept[-1, 2]
-        size = np.abs(dn)
-        swept *= np.where((size >= _SINGULAR_M22) & (size < _OVERFLOW_M22), w / dn, np.nan)
-        modes, r = [], 0
-        for c in consts:
-            triples = swept[:, :, r].transpose(1, 2, 0)
-            if len(c.sides) == 2:  # as in _solve_mode
-                triples = triples + np.stack(_image(*swept[::-1, :, r + 1].transpose(1, 2, 0)))
-            modes.append((c, triples, c.sides[0]))
-            r += len(c.sides)
-        return modes
+        import numpy as np
+        # a singular row divides by zero and overflows on its way to NaN
+        with np.errstate(all="ignore"):
+            pos = np.asarray(positions, dtype=float)
+            n_rows, n = pos.shape
+            consts = self.constants
+            if n == 0 or not consts:
+                return [(c, np.empty((3, n_rows, n), dtype=complex), False) for c in consts]
+            sweeps = [(c, mirrored) for c in consts for mirrored in c.sides]
+            flip = np.array([[mirrored] for _, mirrored in sweeps])
+            # couplings[j] is i*zeta_j for every sweep and row, [M', B]: numpy's fastest loops
+            couplings = np.empty((n, len(sweeps), n_rows), dtype=complex)
+            couplings[...] = np.array([c.mirrored if mirrored else c.couplings
+                                       for c, mirrored in sweeps], dtype=complex).T[..., None]
+            # a mirrored sweep runs over the reversed positions with -ik, as in _pass
+            xs = np.ascontiguousarray(np.where(flip, pos.T[::-1, None], pos.T[:, None]))
+            ik = np.array([[-c.ik if mirrored else c.ik] for c, mirrored in sweeps])
+            drive = np.array([[c.left if mirrored else c.right] for c, mirrored in sweeps])
+            w = drive * np.exp(-ik * xs[-1])  # [M', B], w of _pass
+            swept = np.array(_sweep(couplings, ik, xs, np.exp))  # [N, 3, M', B]
+            dn = swept[-1, 1] - swept[-1, 2]
+            size = np.abs(dn)
+            swept *= np.where((size >= _SINGULAR_M22) & (size < _OVERFLOW_M22), w / dn, np.nan)
+            modes, r = [], 0
+            for c in consts:
+                triples = swept[:, :, r].transpose(1, 2, 0)
+                if len(c.sides) == 2:  # as in _solve_mode
+                    triples = triples + np.stack(_image(*swept[::-1, :, r + 1].transpose(1, 2, 0)))
+                modes.append((c, triples, c.sides[0]))
+                r += len(c.sides)
+            return modes
 
-    @np.errstate(all="ignore")
     def solve_batch(self, positions) -> np.ndarray:
         """solve_fields' quadruples [M, B, N, 4] at each row of positions [B, N] (sweep_batch)."""
-        pos = np.asarray(positions, dtype=float)
-        quads = np.empty((len(self.constants), *pos.shape, 4), dtype=complex)
-        for m, (_, triples, mirrored) in enumerate(self.sweep_batch(pos)):
-            a, b, s = _image(*triples[..., ::-1]) if mirrored else triples
-            quads[m] = np.stack([a, b, a + s, b - s], axis=-1)
-        return quads
+        import numpy as np
+        with np.errstate(all="ignore"):
+            pos = np.asarray(positions, dtype=float)
+            quads = np.empty((len(self.constants), *pos.shape, 4), dtype=complex)
+            for m, (_, triples, mirrored) in enumerate(self.sweep_batch(pos)):
+                a, b, s = _image(*triples[..., ::-1]) if mirrored else triples
+                quads[m] = np.stack([a, b, a + s, b - s], axis=-1)
+            return quads
 
 
 def _mode_field_at(chain: ScattererChain, mf: ModeFields, x: float) -> complex:

@@ -501,6 +501,20 @@ def test_write_csv_matches_formatting_cell_by_cell(tmp_path_factory, rows):
     assert body == "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
 
 
+@pytest.mark.parametrize("value, text", [
+    (np.float32(0.1), "0.10000000149011612"),
+    (np.float32(-0.0), "-0"),
+    (np.float32(math.inf), "inf"),
+    (np.float32(math.nan), "nan"),
+    (np.int32(-7), "-7"),
+    (np.int32(2 ** 31 - 1), "2147483647"),
+    (np.bool_(True), "True"),
+    (np.bool_(False), "False"),
+])
+def test_numpy_scalars_the_cell_strategy_does_not_draw(value, text):
+    assert cli._fmt(value) == text
+
+
 def test_grid_commands_make_no_per_point_forces_exact_calls(tmp_path, monkeypatch):
     # forces_exact and the row-by-row fallback both evaluate ForceField.forces
     calls = []

@@ -1,7 +1,9 @@
 """Package layout rules: modules share only public names, import only from
-the layers below them, and need nothing beyond numpy at run time."""
+the layers below them, need nothing beyond numpy at run time, and load numpy
+only where a command uses it."""
 
 import ast
+import json
 import os
 import pathlib
 import re
@@ -73,18 +75,54 @@ def _loaded_modules(code):
     code += "; import sys; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return {name.split(".")[0] for name in out.split()}
+    return set(out.split())
 
 
-def test_the_command_line_loads_only_numpy_beyond_the_standard_library():
+def _beyond_the_standard_library(loaded):
     # a bare interpreter's modules include site hooks such as .pth imports
-    bare = _loaded_modules("pass")
-    loaded = _loaded_modules("import lightlattice.cli")
-    third_party = {
-        name for name in loaded - bare - set(sys.stdlib_module_names)
+    bare = {name.split(".")[0] for name in _loaded_modules("pass")}
+    top = {name.split(".")[0] for name in loaded}
+    return {
+        name for name in top - bare - set(sys.stdlib_module_names)
         if not name.startswith("_")
     }
-    assert third_party == {"lightlattice", "numpy"}
+
+
+def test_importing_the_command_line_loads_neither_numpy_nor_a_process_pool():
+    loaded = _loaded_modules("import lightlattice, lightlattice.cli")
+    assert _beyond_the_standard_library(loaded) == {"lightlattice"}
+    assert "multiprocessing" not in loaded
+    assert "concurrent.futures.process" not in loaded
+
+
+# three scatterers, so every command below accepts it
+SCENARIO = {
+    "version": "1",
+    "chain": {"zeta": [0.01, 0.0], "positions": [0.0, 0.36, 0.72]},
+    "modes": [
+        {"label": "y", "k": 1.0, "intensity_left": 1.0},
+        {"label": "z", "k": 1.0, "intensity_right": 1.0},
+    ],
+    "dynamics": {"regime": "newtonian", "dt": 0.25, "t_end": 2.0},
+}
+
+
+def _command_line_loads(tmp_path, *argv):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(SCENARIO), encoding="utf-8")
+    argv = [*argv, "--scenario", str(path), "--out", str(tmp_path / "out")]
+    return _beyond_the_standard_library(_loaded_modules(
+        f"from lightlattice.cli import main; assert main({argv!r}) == 0"))
+
+
+def test_evolve_and_fields_run_without_numpy(tmp_path):
+    assert _command_line_loads(tmp_path, "evolve") == {"lightlattice"}
+    assert _command_line_loads(tmp_path, "fields", "--samples", "3") == {"lightlattice"}
+
+
+def test_zerolines_loads_only_numpy_beyond_the_standard_library(tmp_path):
+    argv = ["zerolines", "--d1-steps", "3", "--d2-steps", "3"]
+    assert _command_line_loads(tmp_path, *argv) == {"lightlattice", "numpy"}
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -512,11 +512,30 @@ def test_scalar_and_batched_solves_share_one_sweep(monkeypatch):
         calls.clear()
         ChainSweeps(chain, modes).solve_batch(np.array([chain.positions] * 3))
         assert calls == [(sweeps, 3)]
-    # solve_fields sweeps each mode's mirror image once more, for r_tot and t_tot
-    for modes, sweeps in ((one_sided, 4), (two_sided, 3)):
+
+
+def test_solve_fields_reads_r_and_t_from_the_mirror_image_it_swept(monkeypatch):
+    # r_tot and t_tot come from the image's sweep; only a mode driven from
+    # the right alone makes none while solving, so it sweeps its image once more
+    calls = []
+
+    def spy(*args, _kernel=wavecore._sweep):
+        calls.append(args)
+        return _kernel(*args)
+
+    monkeypatch.setattr(wavecore, "_sweep", spy)
+    chain = ScattererChain((0.0, 0.31, 0.9), 0.05 + 0.01j)
+    left = Mode("y", K_REF, drive_left=1.0)
+    right = Mode("z", 1.3 * K_REF, drive_right=0.5)
+    both = Mode("sw", K_REF, drive_left=1.0, drive_right=0.5)
+    undriven = Mode("u", K_REF)
+    for modes, sweeps in (([left], 1), ([right], 2), ([both], 2), ([undriven], 1),
+                          ([left, right, both], 5)):
         calls.clear()
-        solve_fields(chain, modes)
-        assert calls == [()] * sweeps
+        solution = solve_fields(chain, modes)
+        assert len(calls) == sweeps
+        for mode, mf in zip(modes, solution.fields):
+            assert (mf.r_tot, mf.t_tot) == reflection_transmission(chain, mode)
 
 
 def test_forces_exact_does_not_recheck_its_chain(monkeypatch):
