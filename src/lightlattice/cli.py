@@ -57,9 +57,9 @@ def _fmt(x) -> str:
     # plain floats are nearly every cell, so they skip the isinstance ladder
     if type(x) is float:
         return "%.17g" % x
-    if isinstance(x, bool):
-        return "true" if x else "false"
     np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if isinstance(x, (bool, np.bool_) if np else bool):
+        return "true" if x else "false"
     if isinstance(x, (int, np.integer) if np else int):
         return str(int(x))
     if isinstance(x, (float, np.floating) if np else float):

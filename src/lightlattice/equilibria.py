@@ -270,6 +270,8 @@ def design_wavenumber(
     """
     if not (0.0 < d < math.inf and 0.0 < k_y < math.inf):
         raise ValueError("d and k_y must be positive and finite")
+    if isinstance(zeta, complex) or not math.isfinite(zeta):
+        raise ValueError(f"zeta must be real and finite, got {zeta}")
     if not 0.0 <= i_y < math.inf:
         raise ValueError("i_y must be finite and non-negative")
     if band is None:
@@ -337,11 +339,12 @@ def design_wavenumber(
 
 
 def _refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
-    # Newton in (p, k_z) on the exact pair forces at fixed d. One tangent
-    # pass per iterate gives the forces and their exact slope in k_z. The
-    # root is taken once the forces are below 1e-13 i_y and Newton's step,
-    # relative to (p, k_z), is a few ulp or no longer halves: the forces'
-    # round-off then moves the iterate as much as the step does.
+    # Newton in (p, k_z) on the exact pair forces at fixed d. y's forces are
+    # solved once; each iterate is one tangent pass of z alone, for its forces
+    # and their exact slope in k_z (y's is 0). The root is taken once the
+    # forces are below 1e-13 i_y and Newton's step, relative to (p, k_z), is a
+    # few ulp or no longer halves: the forces' round-off then moves the
+    # iterate as much as the step does.
     p, k_z = p0, k_z0
     last = math.inf
 
@@ -354,9 +357,11 @@ def _refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
         s = 1j * z / const.k * (a + b)
         return 2.0 * z * x * b + s, 2.0 * z * x * a - s
 
+    chain, (y, _) = _pair_design(d, k_y, k_z, zeta, p, i_y)
+    ((y1, y2),), _ = ForceField(chain, [y]).tangent(wavenumber)
     for _ in range(25):
-        field = ForceField(*_pair_design(d, k_y, k_z, zeta, p, i_y))
-        ((y1, y2), (z1, z2)), slopes = field.tangent(wavenumber)
+        z = _pair_design(d, k_y, k_z, zeta, p, i_y)[1][1]
+        ((z1, z2),), slopes = ForceField(chain, [z]).tangent(wavenumber)
         f1, f2 = y1 + z1, y2 + z2
         k1, k2 = map(sum, slopes.tolist())
         # Newton step in (p, k_z); the z force is linear in p, so z / p is its slope

@@ -508,11 +508,21 @@ def test_write_csv_matches_formatting_cell_by_cell(tmp_path_factory, rows):
     (np.float32(math.nan), "nan"),
     (np.int32(-7), "-7"),
     (np.int32(2 ** 31 - 1), "2147483647"),
-    (np.bool_(True), "True"),
-    (np.bool_(False), "False"),
+    (np.bool_(True), "true"),
+    (np.bool_(False), "false"),
 ])
 def test_numpy_scalars_the_cell_strategy_does_not_draw(value, text):
     assert cli._fmt(value) == text
+
+
+def test_a_row_of_numpy_bools_writes_the_bytes_of_python_bools(tmp_path):
+    rows = [[True, False, 0.5, 3], [False, True, -0.0, -1]]
+    numpy_rows = [[np.bool_(v) if isinstance(v, bool) else v for v in row] for row in rows]
+    python, numpy = tmp_path / "python.csv", tmp_path / "numpy.csv"
+    cli._write_csv(python, "test", "0" * 12, "cells", ["a", "b", "c", "d"], rows)
+    cli._write_csv(numpy, "test", "0" * 12, "cells", ["a", "b", "c", "d"], numpy_rows)
+    assert numpy.read_bytes() == python.read_bytes()
+    assert python.read_bytes().endswith(b"true,false,0.5,3\nfalse,true,-0,-1\n")
 
 
 def test_grid_commands_make_no_per_point_forces_exact_calls(tmp_path, monkeypatch):

@@ -185,6 +185,14 @@ def test_design_rejects_inputs_outside_its_domain(d, k_y, band, i_y):
         design_wavenumber(d, k_y, zeta=0.01, band=band, i_y=i_y)
 
 
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf, 0.01 + 0.001j])
+def test_design_rejects_a_zeta_that_is_not_real_and_finite(zeta):
+    # a NaN or infinite zeta used to give candidates flagged non-physical,
+    # and a complex one a raw TypeError from the closed-form ratios
+    with pytest.raises(ValueError, match="zeta"):
+        design_wavenumber(0.1, K_REF, zeta=zeta)
+
+
 def test_design_keeps_the_closed_form_seed_where_refinement_gives_up():
     # at d = 0.15, zeta = 0.02 a Newton step of every physical branch leaves
     # p > 0 or the band, so each candidate is its unrefined seed
@@ -555,6 +563,55 @@ def _ref_refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
     return p0, k_z0, False
 
 
+def _two_beam_refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
+    # the reference: _refine_design with both beams rebuilt and swept on
+    # every iterate
+    p, k_z = p0, k_z0
+    last = math.inf
+
+    def wavenumber(const, x, z, a, b):
+        if const.label != "z":
+            return 0j, 0j
+        s = 1j * z / const.k * (a + b)
+        return 2.0 * z * x * b + s, 2.0 * z * x * a - s
+
+    for _ in range(25):
+        field = ForceField(*equilibria._pair_design(d, k_y, k_z, zeta, p, i_y))
+        ((y1, y2), (z1, z2)), slopes = field.tangent(wavenumber)
+        f1, f2 = y1 + z1, y2 + z2
+        k1, k2 = map(sum, slopes.tolist())
+        det = z1 * k2 - k1 * z2
+        if det == 0.0:
+            return p0, k_z0, False
+        d_p, d_k = p * (k1 * f2 - k2 * f1) / det, (z2 * f1 - z1 * f2) / det
+        size = max(abs(d_p / p), abs(d_k / k_z))
+        if max(abs(f1), abs(f2)) < 1e-13 * i_y and (size <= 4 * math.ulp(1.0) or size > last / 2):
+            return p, k_z, True
+        last = size
+        p_new = p + d_p
+        k_new = k_z + d_k
+        if p_new <= 0 or not (band[0] <= k_new <= band[1]):
+            return p0, k_z0, False
+        p, k_z = p_new, k_new
+    return p0, k_z0, False
+
+
+def test_design_refinement_equals_the_two_beam_loop_bit_for_bit():
+    # y's slope in k_z is 0j, which adds only +-0.0 to the summed slopes, and
+    # tangent solves each mode on its own: solving y once gives the same bits
+    band, outcomes = (1e-9, 4.0 * K_REF), set()
+    for d in (0.06, 0.1, 0.13, 0.15):
+        for zeta in (0.01, 0.02):
+            for seed in design_wavenumber(d, K_REF, zeta=zeta, refine=False):
+                if not seed.physical:
+                    continue
+                args = (d, K_REF, seed.k_z, zeta, seed.p, 1.0, band)
+                got = equilibria._refine_design(*args)
+                assert got == _two_beam_refine_design(*args)
+                outcomes.add(got[2])
+    assert outcomes == {True, False}  # 0.15 at zeta = 0.02 gives up
+
+
 @pytest.mark.parametrize("d", [0.06, 0.1, 0.13])
 def test_design_candidates_match_hand_loops_closely(d):
     # the refinement takes dF/dp exactly and differences k_z alone; a loop
@@ -681,8 +738,10 @@ def test_each_run_prepares_its_modes_once(monkeypatch):
 
 def test_force_jacobian_and_design_refinement_evaluate_once(monkeypatch):
     # the Jacobian is one pass over each mode's sweeps, with no displaced
-    # chains; a refinement iteration is one pass at its own (p, k_z)
+    # chains; a refinement solves the fixed y beam once, and each iteration
+    # is one pass of the z beam alone at its own (p, k_z)
     import lightlattice.forcefield as forcefield
+    import lightlattice.wavecore as wavecore
 
     def refuse(*args):
         raise AssertionError("a derivative reached a force evaluation")
@@ -698,18 +757,30 @@ def test_force_jacobian_and_design_refinement_evaluate_once(monkeypatch):
         assert force_jacobian(chain, symmetric_modes()).shape == (n, n)
         for modes in ([], undriven):
             assert np.array_equal(force_jacobian(chain, modes), np.zeros((n, n)))
-    points = []
+    points, y_points, builds = [], [], []
+    mode_constants = wavecore._mode_constants
 
     def spy(self, positions=None):
-        points.append((self.constants[1].k, self.constants[1].right))
+        for c in self.constants:
+            if c.label == "z":
+                points.append((c.k, c.right))
+            else:
+                y_points.append((c.label, c.k, c.left))
         return pairs(self, positions)
 
+    def build(chain, modes):
+        builds.append([mode.label for mode in modes])
+        return mode_constants(chain, modes)
+
     monkeypatch.setattr(ForceField, "pairs", spy)
+    monkeypatch.setattr(wavecore, "_mode_constants", build)
     p, k_z, refined = equilibria._refine_design(0.15, K_REF, seed.k_z, 0.01, seed.p, 1.0,
                                                 (1e-9, 4.0 * K_REF))
     assert refined and len(points) >= 3
     assert len(set(points)) == len(points)  # one evaluation per iterate
     assert points[0] == (seed.k_z, math.sqrt(2.0 * seed.p)) and points[-1][0] == k_z
+    assert y_points == [("y", K_REF, math.sqrt(2.0))]  # swept once per refinement
+    assert builds == [["y"]] + [["z"]] * len(points)
 
 
 @pytest.mark.parametrize("chain, modes, message", [
