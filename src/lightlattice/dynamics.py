@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import SeparationViolation
 from .forcefield import ForceField
-from .wavecore import Mode, ScattererChain
+from .wavecore import Mode, ScattererChain, check_number
 
 
 @dataclass(frozen=True)
@@ -32,21 +32,13 @@ class DynamicsParams:
     def __post_init__(self):
         if self.regime not in ("overdamped", "newtonian"):
             raise ValueError(f"unknown regime {self.regime!r}")
-        # NaN passes every range check below, and inf would overflow the step count
-        for name in ("dt", "t_end", "friction", "mass", "min_separation", "force_tol"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
-        if self.regime == "overdamped" and self.friction <= 0:
-            raise ValueError("overdamped regime needs friction > 0")
-        if self.regime == "newtonian" and self.mass <= 0:
-            raise ValueError("newtonian regime needs mass > 0")
-        if self.friction < 0:
-            raise ValueError("friction must be non-negative")
-        if self.min_separation < 0:
-            raise ValueError("min_separation must be non-negative")
+        # an overdamped run divides by friction, a newtonian one by mass
+        check_number("dt", self.dt, positive=True)
+        check_number("t_end", self.t_end, positive=True)
+        check_number("friction", self.friction, minimum=0, positive=self.regime == "overdamped")
+        check_number("mass", self.mass, positive=self.regime == "newtonian")
+        check_number("min_separation", self.min_separation, minimum=0)
+        check_number("force_tol", self.force_tol)
 
 
 @dataclass
@@ -157,8 +149,7 @@ def evolve(
     states. On a separation violation the partial trajectory is attached to
     the raised exception. Only a newtonian run takes initial_velocities.
     """
-    if capture_every < 1:
-        raise ValueError("capture_every must be >= 1")
+    check_number("capture_every", capture_every, minimum=1, kind=int)
     if chain.n == 0:
         raise ValueError("cannot evolve an empty chain")
     newtonian = params.regime == "newtonian"

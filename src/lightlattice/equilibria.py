@@ -22,7 +22,7 @@ from .errors import (
     UnstableMode,
 )
 from .forcefield import ForceField, forces_batch
-from .wavecore import Mode, ScattererChain
+from .wavecore import Mode, ScattererChain, check_number
 
 _EIG_TOL = 1e-9
 _NEWTON_TOL = 1e-12
@@ -186,8 +186,8 @@ def pair_stationary_distances(k: float, n_max: int) -> list[tuple[float, str]]:
 
     Odd n are stable, even n unstable (small-zeta symmetric drive).
     """
-    if not 0.0 < k < math.inf:
-        raise ValueError(f"k must be positive and finite, got {k}")
+    check_number("k", k, positive=True)
+    check_number("n_max", n_max, minimum=0, kind=int)
     out = []
     for n in range(n_max + 1):
         d = (2 * n + 1) * math.pi / (4.0 * k)
@@ -244,12 +244,13 @@ def _pair_design(
 ) -> tuple[ScattererChain, list[Mode]]:
     # the pair at (0, d), beam y from the left and beam z = p * y from the right
     chain = ScattererChain((0.0, d), zeta)
-    i_z = p * i_y
-    modes = [
-        Mode("y", k_y, drive_left=math.sqrt(2.0 * i_y), zeta_scale=1.0),
-        Mode("z", k_z, drive_right=math.sqrt(2.0 * abs(i_z)), zeta_scale=k_z / k_y),
-    ]
-    return chain, modes
+    return chain, [Mode("y", k_y, drive_left=math.sqrt(2.0 * i_y), zeta_scale=1.0),
+                   _beam_z(k_y, k_z, p, i_y)]
+
+
+def _beam_z(k_y: float, k_z: float, p: float, i_y: float) -> Mode:
+    # _pair_design's beam z, of intensity p * i_y, alone
+    return Mode("z", k_z, drive_right=math.sqrt(2.0 * abs(p * i_y)), zeta_scale=k_z / k_y)
 
 
 def design_wavenumber(
@@ -268,16 +269,14 @@ def design_wavenumber(
     is polished against the exact forces (Newton in (p, k_z) at fixed d).
     Requires cos(2dk_y) >= -1/3; otherwise NoSolution carries the radicand.
     """
-    if not (0.0 < d < math.inf and 0.0 < k_y < math.inf):
-        raise ValueError("d and k_y must be positive and finite")
-    if isinstance(zeta, complex) or not math.isfinite(zeta):
-        raise ValueError(f"zeta must be real and finite, got {zeta}")
-    if not 0.0 <= i_y < math.inf:
-        raise ValueError("i_y must be finite and non-negative")
+    check_number("d", d, positive=True)
+    check_number("k_y", k_y, positive=True)
+    check_number("zeta", zeta)
+    check_number("i_y", i_y, minimum=0)
     if band is None:
         band = (1e-9, 4.0 * k_y)
-    if not all(map(math.isfinite, band)):
-        raise ValueError("band edges must be finite")
+    for edge in band:
+        check_number("band", edge)
     if not band[0] < band[1]:
         raise ValueError(f"band {band} is not an increasing range")
     c2 = math.cos(2.0 * d * k_y)
@@ -360,8 +359,7 @@ def _refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
     chain, (y, _) = _pair_design(d, k_y, k_z, zeta, p, i_y)
     ((y1, y2),), _ = ForceField(chain, [y]).tangent(wavenumber)
     for _ in range(25):
-        z = _pair_design(d, k_y, k_z, zeta, p, i_y)[1][1]
-        ((z1, z2),), slopes = ForceField(chain, [z]).tangent(wavenumber)
+        ((z1, z2),), slopes = ForceField(chain, [_beam_z(k_y, k_z, p, i_y)]).tangent(wavenumber)
         f1, f2 = y1 + z1, y2 + z2
         k1, k2 = map(sum, slopes.tolist())
         # Newton step in (p, k_z); the z force is linear in p, so z / p is its slope
@@ -411,8 +409,7 @@ def linearize_pair_in_lattice(scenario, mass: float = 1.0) -> LinearizedModel:
     Raises InconsistentLinearization when the constant lattice terms do not
     vanish, i.e. the scenario is not at its equilibrium.
     """
-    if not 0.0 < mass < math.inf:
-        raise ValueError(f"mass must be positive and finite, got {mass}")
+    check_number("mass", mass, positive=True)
     chain = scenario.chain()
     if chain.n != 2:
         raise ValueError("linearization is defined for exactly two scatterers")

@@ -7,13 +7,13 @@ for analysis and design work. Positive force points toward +x.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 from .errors import SingularBoundary, WavenumberMismatch
-from .wavecore import ChainSweeps, FieldSolution, Mode, ScattererChain, check_amplitudes
+from .wavecore import (ChainSweeps, FieldSolution, Mode, ScattererChain, check_amplitudes,
+                       check_number)
 
 # rows per block of forces_batch: about 0.5 MB of working set. At 1024 rows
 # (1.6 MB) a block outgrew what the zerolines CSV rows take and raised the
@@ -227,16 +227,11 @@ class PairForceParams:
     i_y: float = 1.0
 
     def __post_init__(self):
-        for name in ("p", "k_y", "k_z", "zeta", "i_y"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.p < 0 or self.i_y < 0:
-            raise ValueError("intensities must be non-negative")
-        for name in ("k_y", "k_z"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if isinstance(self.zeta, complex):
-            raise ValueError("closed forms hold for real zeta only")
+        check_number("p", self.p, minimum=0)
+        check_number("k_y", self.k_y, positive=True)
+        check_number("k_z", self.k_z, positive=True)
+        check_number("zeta", self.zeta)  # the closed forms hold for real zeta only
+        check_number("i_y", self.i_y, minimum=0)
         if abs(self.zeta) > 0.2:
             warnings.warn(
                 f"|zeta| = {abs(self.zeta)} above 0.2; O(zeta^3) truncation is poor",

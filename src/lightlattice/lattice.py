@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .equilibria import find_equilibrium
 from .errors import NoConvergence, NoLattice, NoTrap, SingularDenominator
 from .forcefield import ForceProfile, forces_exact
-from .wavecore import K_REF, Mode, ScattererChain
+from .wavecore import K_REF, Mode, ScattererChain, check_number
 
 
 def lattice_constant(zeta: float, asymmetry: float, k: float = K_REF) -> float:
@@ -27,13 +27,9 @@ def lattice_constant(zeta: float, asymmetry: float, k: float = K_REF) -> float:
     beyond that the pair cannot balance and NoLattice is raised. At A = 0
     the spacing approaches lambda/2 from below as zeta -> 0.
     """
-    if isinstance(zeta, complex):
-        raise ValueError("lattice constant is defined for real zeta")
-    for name, value in (("zeta", zeta), ("asymmetry", asymmetry)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if not 0.0 < k < math.inf:
-        raise ValueError(f"k must be positive and finite, got {k}")
+    check_number("zeta", zeta)
+    check_number("asymmetry", asymmetry)
+    check_number("k", k, positive=True)
     z2 = zeta * zeta
     a2 = asymmetry * asymmetry
     rad = 4.0 - z2 * a2
@@ -179,20 +175,15 @@ def build_lattice(
     is raised when none gives one. i_p, k_p attach a one-sided perturbation
     drive; its coupling defaults to the wavenumber-scaled lattice coupling.
     """
-    if n < 2:
-        raise ValueError("a lattice needs at least two scatterers")
-    positive = [("i_l", i_l), ("i_r", i_r), ("k", k)]
+    check_number("n", n, minimum=2, kind=int)
+    for name, value in (("i_l", i_l), ("i_r", i_r), ("k", k)):
+        check_number(name, value, positive=True)
     if k_p is not None:
-        positive.append(("k_p", k_p))
-    for name, value in positive:
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if isinstance(zeta, complex) or not math.isfinite(zeta):
-        raise ValueError(f"zeta must be real and finite, got {zeta!r}")
-    if not (math.isfinite(i_p) and i_p >= 0):
-        raise ValueError(f"i_p must be finite and non-negative, got {i_p!r}")
-    if zeta_p is not None and not cmath.isfinite(zeta_p):
-        raise ValueError(f"zeta_p must be finite, got {zeta_p!r}")
+        check_number("k_p", k_p, positive=True)
+    check_number("zeta", zeta)
+    check_number("i_p", i_p, minimum=0)
+    if zeta_p is not None:
+        check_number("zeta_p", zeta_p, kind=complex)
     asym = (i_l - i_r) / math.sqrt(i_l * i_r)
     d_sw = lattice_constant(zeta, asym, k)
     r, t = pair_rt_closed_form(d_sw, k, zeta)
@@ -342,6 +333,5 @@ def build_perturbation_scenarios(kind: str, i_p_scale: float = 1.0) -> dict:
         raise ValueError(
             f"unknown scenario kind {kind!r}; known: {', '.join(perturbation_scenario_kinds())}"
         ) from None
-    if not (math.isfinite(i_p_scale) and i_p_scale >= 0):
-        raise ValueError("i_p_scale must be finite and non-negative")
+    check_number("i_p_scale", i_p_scale, minimum=0)
     return builder(i_p_scale)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,6 +41,32 @@ K_REF = 2.0 * math.pi
 _SINGULAR_M22 = 1e-14
 # past this |m22| the unnormalised sweep's squared amplitudes overflow
 _OVERFLOW_M22 = 1e154
+
+# per slot kind: what it must be, its abstract type, and the built-in types tried first (faster)
+_KINDS = {
+    int: ("an integer", numbers.Integral, int),
+    float: ("a real number", numbers.Real, (int, float)),
+    complex: ("a number", numbers.Complex, (int, float, complex)),
+}
+
+
+def check_number(name: str, value, minimum=None, positive=False, kind=float) -> None:
+    """Raise ValueError("{name} must be ..., got {value!r}") unless value is a finite number.
+
+    kind (int, float or complex) is the slot's type; positive and minimum bound a real slot.
+    """
+    what, abstract, builtin = _KINDS[kind]
+    if not (isinstance(value, builtin) or isinstance(value, abstract)):
+        condition = what
+    elif not (isinstance(value, int) or cmath.isfinite(value)):
+        condition = "finite"
+    elif positive and not value > 0:
+        condition = "positive"
+    elif minimum is not None and not value >= minimum:
+        condition = f"at least {minimum}"
+    else:
+        return
+    raise ValueError(f"{name} must be {condition}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -112,14 +139,13 @@ class Mode:
     zeta_override: complex | None = None
 
     def __post_init__(self):
-        if not (0 < self.k < math.inf):
-            raise ValueError(f"mode {self.label!r}: k must be positive and finite, got {self.k}")
-        if self.zeta_scale is not None and not (0 < self.zeta_scale < math.inf):
-            raise ValueError(f"mode {self.label!r}: zeta_scale must be positive and finite")
+        at = f"mode {self.label!r}: "
+        check_number(at + "k", self.k, positive=True)
+        if self.zeta_scale is not None:
+            check_number(at + "zeta_scale", self.zeta_scale, positive=True)
         for name in ("drive_left", "drive_right", "zeta_override"):
-            v = getattr(self, name)
-            if v is not None and not cmath.isfinite(complex(v)):
-                raise ValueError(f"mode {self.label!r}: {name} not finite")
+            if getattr(self, name) is not None:
+                check_number(at + name, getattr(self, name), kind=complex)
 
     @property
     def effective_scale(self) -> float:
@@ -156,23 +182,19 @@ class ScattererChain:
     allow_gain: bool = False
 
     def __init__(self, positions, zeta_base, allow_gain: bool = False):
+        positions = tuple(positions)
+        for x in positions:
+            check_number("positions", x)
         positions = _increasing_floats(positions)
-        try:
-            zetas = (complex(zeta_base),) * len(positions)
-        except TypeError:
-            zetas = tuple(complex(z) for z in zeta_base)
-            if len(zetas) != len(positions):
-                raise ValueError(
-                    f"got {len(zetas)} couplings for {len(positions)} scatterers"
-                )
-        # ordering already rejects NaN between two scatterers; the ends
-        # also catch a lone NaN and an infinite first or last position
-        for end in positions[:1] + positions[-1:]:
-            if not math.isfinite(end):
-                raise ValueError(f"position {end} is not finite")
+        if isinstance(zeta_base, (numbers.Number, str)):
+            zeta_base = (zeta_base,) * len(positions)
+        zetas = tuple(zeta_base)
+        if len(zetas) != len(positions):
+            raise ValueError(f"got {len(zetas)} couplings for {len(positions)} scatterers")
         for z in zetas:
-            if not cmath.isfinite(z):
-                raise ValueError(f"zeta {z} is not finite")
+            check_number("zeta_base", z, kind=complex)
+        zetas = tuple(map(complex, zetas))
+        for z in zetas:
             if z.imag < 0 and not allow_gain:
                 raise ValueError(
                     f"zeta {z} has negative imaginary part (gain); "
@@ -535,8 +557,7 @@ def intensity_profile(solution: FieldSolution, x_samples) -> list[tuple[float, f
     """Sample I(x) per mode and in total (no cross terms); a non-finite x raises ValueError."""
     rows = []
     for x in x_samples:
-        if not math.isfinite(x):
-            raise ValueError(f"sample position {x} is not finite")
+        check_number("x_samples", x)
         per_mode = {}
         for mf in solution.fields:
             e = _mode_field_at(solution.chain, mf, x)

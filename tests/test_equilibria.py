@@ -268,7 +268,7 @@ def test_linearization_couplings_equal_without_perturbation():
 def test_linearization_rejects_a_mass_that_is_not_positive_and_finite(mass):
     # normal_modes would divide by it, take its root or return NaN frequencies
     scenario = build_lattice(2, 1.0, 1.0, 0.1)
-    with pytest.raises(ValueError, match="^mass must be positive and finite, got "):
+    with pytest.raises(ValueError, match="^mass must be (positive|finite), got "):
         linearize_pair_in_lattice(scenario, mass=mass)
 
 

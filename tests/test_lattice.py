@@ -347,7 +347,7 @@ def test_scenario_positions_track_the_scaled_drive():
 @pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
 def test_scenario_scale_must_be_finite_and_non_negative(scale):
     for kind in perturbation_scenario_kinds():
-        with pytest.raises(ValueError, match="finite and non-negative"):
+        with pytest.raises(ValueError, match="^i_p_scale must be (finite|at least 0), got "):
             build_perturbation_scenarios(kind, i_p_scale=scale)
 
 
