@@ -101,9 +101,22 @@ def _write_json(path, command, sha, name, payload):
         fh.write("\n")
 
 
-def _out_path(args, filename) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, filename)
+class _Artifacts:
+    """One run's writer: its output directory, file prefix and header (command, hash, name)."""
+
+    def __init__(self, out: str, prefix: str, command: str, sha: str, name: str):
+        self.out, self.prefix, self.header = out, prefix, (command, sha, name)
+
+    def _path(self, filename: str) -> str:
+        # made on the first write, so a refused run leaves no directory
+        os.makedirs(self.out, exist_ok=True)
+        return os.path.join(self.out, self.prefix + filename)
+
+    def csv(self, filename, columns, rows) -> None:
+        _write_csv(self._path(filename), *self.header, columns, rows)
+
+    def json(self, filename, payload) -> None:
+        _write_json(self._path(filename), *self.header, payload)
 
 
 def _finite(text: str) -> float:
@@ -130,11 +143,6 @@ def _grid(lo, hi, steps, what) -> list[float]:
     if steps < 2 or hi <= lo:
         raise ScenarioError(f"bad {what} grid")
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
-
-
-def _prefix(scn: Scenario) -> str:
-    pref = scn.doc.get("output", {}).get("prefix")
-    return f"{pref}_" if pref else ""
 
 
 # ---------------------------------------------------------------- presets
@@ -238,7 +246,8 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(set(_PRESETS) | set(perturbation_scenario_kinds())))
 
 
-def _load(args) -> Scenario:
+def _load(args) -> tuple[Scenario, _Artifacts]:
+    """The run's scenario, and the writer of its artifacts (named by args.command)."""
     has_file = getattr(args, "scenario", None) is not None
     has_preset = getattr(args, "preset", None) is not None
     if has_file == has_preset:
@@ -251,8 +260,6 @@ def _load(args) -> Scenario:
             "--ip-scale applies only to the presets "
             + ", ".join(perturbation_scenario_kinds())
         )
-    if has_file:
-        return load_scenario(args.scenario)
     if scaled:
         try:
             doc = build_perturbation_scenarios(name, i_p_scale=scale)
@@ -260,17 +267,22 @@ def _load(args) -> Scenario:
             raise ScenarioError(f"--ip-scale: {exc}") from exc
     elif name in _PRESETS:
         doc = _PRESETS[name]()
-    else:
+    elif not has_file:
         raise ScenarioError(
             f"unknown preset {name!r}; known: {', '.join(preset_names())}"
         )
-    return scenario_from_document(doc, name=f"preset:{name}")
+    if has_file:
+        scn = load_scenario(args.scenario)
+    else:
+        scn = scenario_from_document(doc, name=f"preset:{name}")
+    prefix = scn.doc.get("output", {}).get("prefix")
+    return scn, _Artifacts(args.out, f"{prefix}_" if prefix else "", args.command, scn.sha, scn.name)
 
 
 # ------------------------------------------------------------- subcommands
 
 def cmd_fields(args) -> int:
-    scn = _load(args)
+    scn, out = _load(args)
     chain, modes = scn.chain, scn.mode_list()
     if chain.n > 0:
         lo, hi = chain.positions[0] - 1.0, chain.positions[-1] + 1.0
@@ -288,11 +300,7 @@ def cmd_fields(args) -> int:
     rows = [
         [x, total] + [per[lab] for lab in labels] for (x, total, per) in profile
     ]
-    pre = _prefix(scn)
-    _write_csv(
-        _out_path(args, f"{pre}fields.csv"),
-        "fields", scn.sha, scn.name, columns, rows,
-    )
+    out.csv("fields.csv", columns, rows)
     amp_cols = ["mode", "splitter", "x"] + [
         f"{q}_{part}" for q in "abcd" for part in ("re", "im")
     ]
@@ -303,10 +311,7 @@ def cmd_fields(args) -> int:
             for val in quad:
                 row.extend([val.real, val.imag])
             amp_rows.append(row)
-    _write_csv(
-        _out_path(args, f"{pre}amplitudes.csv"),
-        "fields", scn.sha, scn.name, amp_cols, amp_rows,
-    )
+    out.csv("amplitudes.csv", amp_cols, amp_rows)
     summary = {}
     if chain.n > 0:
         for mf in solution.fields:
@@ -317,15 +322,12 @@ def cmd_fields(args) -> int:
                 "reflectance": abs(r) ** 2,
                 "transmittance": abs(t) ** 2,
             }
-    _write_json(
-        _out_path(args, f"{pre}fields_summary.json"),
-        "fields", scn.sha, scn.name, {"modes": summary},
-    )
+    out.json("fields_summary.json", {"modes": summary})
     return 0
 
 
 def cmd_forces(args) -> int:
-    scn = _load(args)
+    scn, out = _load(args)
     chain, modes = scn.chain, scn.mode_list()
     if chain.n != 2:
         raise ScenarioError("forces table needs a two-scatterer chain")
@@ -355,13 +357,7 @@ def cmd_forces(args) -> int:
         else:
             fa1 = fa2 = math.nan
         rows.append([d, f[0], f[1], fa1, fa2])
-    pre = _prefix(scn)
-    _write_csv(
-        _out_path(args, f"{pre}forces.csv"),
-        "forces", scn.sha, scn.name,
-        ["d", "f1_exact", "f2_exact", "f1_approx", "f2_approx"],
-        rows,
-    )
+    out.csv("forces.csv", ["d", "f1_exact", "f2_exact", "f1_approx", "f2_approx"], rows)
     return 0
 
 
@@ -406,19 +402,16 @@ def _evolve_to_end(scn: Scenario, keep_partial: bool):
     return traj, collision, field, gaps, profile.sup, comoving
 
 
-def _run_dynamics(args, command) -> int:
-    scn = _load(args)
+def _run_dynamics(args) -> int:
+    """relax (the overdamped regime only) or evolve, as args.command names."""
+    scn, out = _load(args)
     if scn.dynamics is None:
-        raise ScenarioError(f"{command} needs a dynamics block")
-    if command == "relax" and scn.dynamics.regime != "overdamped":
+        raise ScenarioError(f"{args.command} needs a dynamics block")
+    if args.command == "relax" and scn.dynamics.regime != "overdamped":
         raise ScenarioError("relax requires the overdamped regime")
     traj, collision, field, gaps, residual, comoving = _evolve_to_end(scn, keep_partial=True)
-    pre = _prefix(scn)
     cols, rows = _trajectory_rows(traj, field.chain.n)
-    _write_csv(
-        _out_path(args, f"{pre}trajectory.csv"),
-        command, scn.sha, scn.name, cols, rows,
-    )
+    out.csv("trajectory.csv", cols, rows)
     summary = {
         "termination": traj.termination,
         "diagnostic": collision or traj.diagnostic,
@@ -430,28 +423,13 @@ def _run_dynamics(args, command) -> int:
         "com_velocity": com_velocity(traj) if len(traj.times) >= 2 else 0.0,
         "snapshots": traj.n_snapshots,
     }
-    _write_json(
-        _out_path(args, f"{pre}summary.json"),
-        command, scn.sha, scn.name, summary,
-    )
+    out.json("summary.json", summary)
     return 3 if collision is not None else 0
 
 
-def cmd_relax(args) -> int:
-    return _run_dynamics(args, "relax")
-
-
-def cmd_evolve(args) -> int:
-    return _run_dynamics(args, "evolve")
-
-
-def _sweep_cell(payload):
+def _sweep_cell(scn: Scenario):
     import numpy as np
-    base, assignments = payload
     try:
-        doc = apply_axis_values(base, assignments)
-        doc.pop("sweep", None)
-        scn = scenario_from_document(doc, name="sweep-cell")
         traj, _, field, gaps, residual, comoving = _evolve_to_end(scn, keep_partial=False)
         eigs, stability = classify_stability(field.jacobian(), True)
         dyn = scn.dynamics
@@ -490,25 +468,26 @@ def _thread_count() -> int:
 
 
 def cmd_sweep(args) -> int:
-    scn = _load(args)
+    scn, out = _load(args)
     if scn.sweep_axes is None or not scn.sweep_axes:
         raise ScenarioError("sweep needs a sweep block with at least one axis")
     if scn.dynamics is None:
         raise ScenarioError("sweep needs a dynamics block")
     n = scn.chain.n
     axes = scn.sweep_axes
-    grids = [ax.values() for ax in axes]
+    # every cell is decoded before any runs, so an invalid one refuses the whole sweep
     cells = []
-    for combo in itertools.product(*grids):
-        assignments = [(ax.path, v) for ax, v in zip(axes, combo)]
-        cells.append((combo, (scn.doc, assignments)))
+    for combo in itertools.product(*(ax.values() for ax in axes)):
+        doc = apply_axis_values(scn.doc, [(ax.path, v) for ax, v in zip(axes, combo)])
+        doc.pop("sweep")
+        cells.append((combo, scenario_from_document(doc, name="sweep-cell")))
     threads = _thread_count()
     if threads <= 1 or len(cells) <= 2:
-        results = [_sweep_cell(payload) for _, payload in cells]
+        results = [_sweep_cell(cell) for _, cell in cells]
     else:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_sweep_cell, [p for _, p in cells]))
+            results = list(pool.map(_sweep_cell, [cell for _, cell in cells]))
     axis_cols = [ax.path.replace(".", "_") for ax in axes]
     columns = axis_cols + [f"gap_{j + 1}" for j in range(n - 1)] + [
         "com_velocity", "residual", "comoving_residual", "dt_stiffness", "stability", "error",
@@ -524,11 +503,7 @@ def cmd_sweep(args) -> int:
                 res["dt_stiffness"], res["stability"], "",
             ]
         rows.append(row)
-    pre = _prefix(scn)
-    _write_csv(
-        _out_path(args, f"{pre}sweep.csv"),
-        "sweep", scn.sha, scn.name, columns, rows,
-    )
+    out.csv("sweep.csv", columns, rows)
     return 0
 
 
@@ -539,7 +514,7 @@ def cmd_design(args) -> int:
         d_values = _grid(args.d_min, args.d_max, args.steps, "distance")
     k_y = args.k_y * K_REF
     params_doc = {
-        "command": "design",
+        "command": args.command,
         "d": d_values,
         "k_y": args.k_y,
         "zeta": args.zeta,
@@ -547,7 +522,7 @@ def cmd_design(args) -> int:
         "i_y": args.i_y,
         "refine": not args.no_refine,
     }
-    sha = scenario_hash(params_doc)
+    out = _Artifacts(args.out, "", args.command, scenario_hash(params_doc), "design-parameters")
     columns = [
         "d", "k_z_over_k_y", "k_z", "p", "p1", "p2", "physical",
         "residual_f1", "residual_f2", "stability", "refined", "error",
@@ -576,22 +551,17 @@ def cmd_design(args) -> int:
                 d, c.k_z / k_y, c.k_z / K_REF, c.p, c.p1, c.p2, c.physical,
                 c.residual_f1, c.residual_f2, c.stability, c.refined, "",
             ])
-    _write_csv(
-        _out_path(args, "design.csv"),
-        "design", sha, "design-parameters", columns, rows,
-    )
+    out.csv("design.csv", columns, rows)
     return 0
 
 
 def cmd_modes(args) -> int:
-    scn = _load(args)
+    scn, out = _load(args)
     chain, modes = scn.chain, scn.mode_list()
     if args.mass is not None and scn.dynamics is not None:
         raise ScenarioError("--mass applies only to a scenario without a dynamics block")
     if chain.n != 2:
         raise ScenarioError("mode analysis needs a two-scatterer lattice")
-    if not modes:
-        raise ScenarioError("mode analysis needs a standing-wave mode")
     if len(modes) > 2:
         raise ScenarioError(f"mode analysis takes at most two modes, got {len(modes)}")
     sw = modes[0]
@@ -657,11 +627,7 @@ def cmd_modes(args) -> int:
         },
         "normal_modes": mode_block,
     }
-    pre = _prefix(scn)
-    _write_json(
-        _out_path(args, f"{pre}modes.json"),
-        "modes", scn.sha, scn.name, payload,
-    )
+    out.json("modes.json", payload)
     rows = []
     for ip in ip_values:
         lat = dataclasses.replace(lattice, i_p=ip)
@@ -669,17 +635,13 @@ def cmd_modes(args) -> int:
         rows.append([
             ip, mdl.k_spring, mdl.kappa1, mdl.kappa2, mdl.f_ext,
         ])
-    _write_csv(
-        _out_path(args, f"{pre}coupling_sweep.csv"),
-        "modes", scn.sha, scn.name,
-        ["i_p", "K", "kappa1", "kappa2", "f_ext"], rows,
-    )
+    out.csv("coupling_sweep.csv", ["i_p", "K", "kappa1", "kappa2", "f_ext"], rows)
     return 0
 
 
 def cmd_zerolines(args) -> int:
     import numpy as np
-    scn = _load(args)
+    scn, out = _load(args)
     chain, modes = scn.chain, scn.mode_list()
     if chain.n != 3:
         raise ScenarioError("zero-force map needs a three-scatterer chain")
@@ -692,12 +654,7 @@ def cmd_zerolines(args) -> int:
             for row in np.column_stack(
                 [np.full(n2, a), grid.d2, grid.f1[i], grid.f2[i], grid.f3[i]]
             ).tolist())
-    pre = _prefix(scn)
-    _write_csv(
-        _out_path(args, f"{pre}zerolines.csv"),
-        "zerolines", scn.sha, scn.name,
-        ["d1", "d2", "f1", "f2", "f3"], rows,
-    )
+    out.csv("zerolines.csv", ["d1", "d2", "f1", "f2", "f3"], rows)
     return 0
 
 
@@ -738,11 +695,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("relax", help="overdamped relaxation to steady state")
     _add_common(p)
-    p.set_defaults(func=cmd_relax)
+    p.set_defaults(func=_run_dynamics)
 
     p = subs.add_parser("evolve", help="time evolution in either regime")
     _add_common(p)
-    p.set_defaults(func=cmd_evolve)
+    p.set_defaults(func=_run_dynamics)
 
     p = subs.add_parser("sweep", help="parallel parameter sweep")
     _add_common(p)

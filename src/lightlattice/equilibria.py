@@ -124,16 +124,16 @@ def find_equilibrium(
         return all(pos[j + 1] - pos[j] > 1e-6 for j in range(n - 1))
 
     r = residual_vec(u)
+    # a step is taken only when it lowers the merit, so the iterate is always the best one
     merit = float(np.max(np.abs(r))) if r.size else 0.0
-    best_u, best_merit = u.copy(), merit
     iterations = 0
     while merit >= _NEWTON_TOL:
         if iterations >= _NEWTON_MAX_ITER:
             raise NoConvergence(
                 f"no convergence below {_NEWTON_TOL:g} in {_NEWTON_MAX_ITER} iterations "
-                f"(best sup-residual {best_merit:.3e})",
-                best_positions=positions_from(best_u),
-                best_residual=best_merit,
+                f"(best sup-residual {merit:.3e})",
+                best_positions=positions_from(u),
+                best_residual=merit,
             )
         iterations += 1
         jac = field.jacobian(positions_from(u))
@@ -156,13 +156,11 @@ def find_equilibrium(
                     accepted = True
                     break
             lam *= 0.5
-        if merit < best_merit:
-            best_u, best_merit = u.copy(), merit
         if not accepted:
             raise NoConvergence(
                 f"Newton stalled at sup-residual {merit:.3e} after {iterations} iterations",
-                best_positions=positions_from(best_u),
-                best_residual=best_merit,
+                best_positions=positions_from(u),
+                best_residual=merit,
             )
 
     positions = positions_from(u)

@@ -177,14 +177,14 @@ def _decode_chain(node, path) -> ScattererChain:
     if "positions" in node:
         positions = _numbers(node["positions"], path + ("positions",))
     else:
-        path += ("generator",)
-        gen = _object(node["generator"], path, ("kind",), ("spacing", "start", "positions"))
-        kind = _string(gen["kind"], path + ("kind",), ("equidistant", "explicit"))
+        at = path + ("generator",)
+        gen = _object(node["generator"], at, ("kind",), ("spacing", "start", "positions"))
+        kind = _string(gen["kind"], at + ("kind",), ("equidistant", "explicit"))
         if "spacing" in gen:
-            _number(gen["spacing"], path + ("spacing",), positive=True)
-        start = _number(gen.get("start", 0.0), path + ("start",))
+            _number(gen["spacing"], at + ("spacing",), positive=True)
+        start = _number(gen.get("start", 0.0), at + ("start",))
         if "positions" in gen:
-            positions = _numbers(gen["positions"], path + ("positions",))
+            positions = _numbers(gen["positions"], at + ("positions",))
         if kind == "equidistant":
             if "spacing" not in gen:
                 raise ScenarioError("equidistant generator needs 'spacing'")
@@ -200,7 +200,7 @@ def _decode_chain(node, path) -> ScattererChain:
     try:
         return ScattererChain(tuple(positions), zeta, allow_gain=allow_gain)
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        _fail(path, str(exc))
 
 
 def _decode_mode(node, path) -> Mode:
@@ -225,7 +225,7 @@ def _decode_mode(node, path) -> Mode:
             zeta_override=override,
         )
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        _fail(path, str(exc))
 
 
 def _decode_dynamics(node, path, n: int):
@@ -245,7 +245,7 @@ def _decode_dynamics(node, path, n: int):
             force_tol=_number(node.get("force_tol", 1e-10), path + ("force_tol",), positive=True),
         )
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        _fail(path, str(exc))
     if n == 0:
         raise ScenarioError("a dynamics block needs at least one scatterer")
     if "initial_velocities" not in node:

@@ -188,7 +188,12 @@ class ScattererChain:
         positions = _increasing_floats(positions)
         if isinstance(zeta_base, (numbers.Number, str)):
             zeta_base = (zeta_base,) * len(positions)
-        zetas = tuple(zeta_base)
+        try:
+            zetas = tuple(zeta_base)
+        except TypeError:
+            # neither a sequence nor a number: None, a 0-d array
+            check_number("zeta_base", zeta_base, kind=complex)
+            raise
         if len(zetas) != len(positions):
             raise ValueError(f"got {len(zetas)} couplings for {len(positions)} scatterers")
         for z in zetas:

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from lightlattice import cli, equilibria, forcefield
 from lightlattice.cli import main, preset_names
-from lightlattice.scenario import scenario_from_document
+from lightlattice.scenario import scenario_from_document, scenario_hash
 
 EXACT_CROSSING_HIGH = 0.373400547
 PLAIN_PRESET_HASHES = {
@@ -682,3 +682,95 @@ def test_dynamics_on_an_empty_chain_is_rejected(tmp_path, command, regime):
     out = tmp_path / "out"
     assert main([command, "--scenario", path, "--out", str(out)]) == 2
     assert not out.exists() or not list(out.iterdir())
+
+
+SHORT_RUN = {"regime": "overdamped", "dt": 1.0, "t_end": 2.0}
+STANDING_WAVE = {"label": "sw", "k": 1.0, "intensity_left": 1.0, "intensity_right": 1.0}
+TRIPLE = {"zeta": [0.05, 0.0], "positions": [0.0, 0.3, 0.6]}
+
+
+@pytest.mark.parametrize("command, extra, argv, files", [
+    ("fields", {}, ["--samples", "3"], ["amplitudes.csv", "fields.csv", "fields_summary.json"]),
+    ("forces", {}, ["--steps", "3"], ["forces.csv"]),
+    ("relax", {"dynamics": SHORT_RUN}, [], ["summary.json", "trajectory.csv"]),
+    ("evolve", {"dynamics": SHORT_RUN}, [], ["summary.json", "trajectory.csv"]),
+    ("sweep", {"dynamics": SHORT_RUN, "sweep": {"axes": [
+        {"path": "modes.z.intensity_right", "start": 1.0, "stop": 1.1, "steps": 2}]}},
+     [], ["sweep.csv"]),
+    ("modes", {"modes": [STANDING_WAVE]}, ["--ip-steps", "2"], ["coupling_sweep.csv", "modes.json"]),
+    ("zerolines", {"chain": TRIPLE}, ["--d1-steps", "2", "--d2-steps", "2"], ["zerolines.csv"]),
+])
+def test_every_artifact_carries_the_prefix_and_names_its_subcommand(tmp_path, command, extra,
+                                                                    argv, files):
+    doc = pair_doc(**extra)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", write_doc(tmp_path, doc), "--out", str(out), *argv]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [f"pair_{name}" for name in files]
+    scenario = f"{scenario_hash(doc)} case.json"
+    for name in files:
+        text = (out / f"pair_{name}").read_text()
+        if name.endswith(".json"):
+            assert json.loads(text)["_meta"] == {
+                "tool": f"lightlattice {cli.__version__}", "scenario": scenario, "command": command,
+            }
+        else:
+            assert text.splitlines()[1:3] == [f"# scenario {scenario}", f"# command {command}"]
+
+
+def test_the_design_table_has_no_prefix_and_names_design(tmp_path):
+    out = tmp_path / "out"
+    assert main(["design", "--d", "0.2", "--no-refine", "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["design.csv"]
+    header = (out / "design.csv").read_text().splitlines()
+    assert header[1].endswith(" design-parameters") and header[2] == "# command design"
+
+
+@pytest.mark.parametrize("axis, message", [
+    ({"path": "modes.w.intensity_right", "start": 1.0, "stop": 1.1},
+     "sweep path 'modes.w.intensity_right': no list entry labelled 'w'"),
+    ({"path": "modes.z.intensty_right", "start": 1.0, "stop": 1.1},
+     "invalid scenario at modes/1: unknown key 'intensty_right'"),
+    ({"path": "modes.z.intensity_right", "start": 1.0, "stop": -1.0},
+     "invalid scenario at modes/1/intensity_right: -1.0 is less than 0"),
+], ids=["unknown-label", "misspelt-key", "negative-intensity"])
+def test_an_invalid_sweep_document_exits_2_before_any_cell_runs(tmp_path, capsys, monkeypatch,
+                                                                 axis, message):
+    # these cells used to be written as failed rows, the last after the first cell's run
+    def run(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "_evolve_to_end", run)
+    doc = pair_doc(dynamics=SHORT_RUN, sweep={"axes": [dict(axis, steps=2)]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("modes", {"chain": TRIPLE, "modes": [STANDING_WAVE]},
+     "mode analysis needs a two-scatterer lattice"),
+    ("modes", {}, "the first mode must drive from both sides"),
+    ("modes", {"modes": [STANDING_WAVE, {"label": "p", "k": 1.01, "intensity_right": 0.5}]},
+     "the perturbation mode must drive from the left"),
+    ("zerolines", {}, "zero-force map needs a three-scatterer chain"),
+], ids=["modes-triple", "modes-one-sided", "modes-perturbation-from-right", "zerolines-pair"])
+def test_an_analysis_refuses_a_chain_or_drive_it_does_not_model(tmp_path, capsys, command, extra,
+                                                                message):
+    out = tmp_path / "out"
+    assert main([command, "--scenario", write_doc(tmp_path, pair_doc(**extra)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_modes_on_a_pair_without_a_trap_site_exits_3(tmp_path, capsys):
+    doc = pair_doc(modes=[STANDING_WAVE])
+    doc["chain"]["zeta"] = [0.0, 0.0]
+    out = tmp_path / "out"
+    assert main(["modes", "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: no stable trap site; the four trap seeds gave: "
+        "marginal, marginal, marginal, marginal\n"
+    )
+    assert not out.exists()

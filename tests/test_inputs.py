@@ -12,6 +12,7 @@ import inspect
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -193,3 +194,13 @@ def test_the_table_covers_every_numeric_parameter_of_the_public_names():
                 and _numeric_parameters(getattr(lightlattice, name))]
     assert unlisted == []
     assert set(EXEMPT) <= set(lightlattice.__all__)
+
+
+@pytest.mark.parametrize("zeta_base", [np.array(0.01), None], ids=["0-d-array", "None"])
+def test_a_chain_names_a_coupling_it_cannot_read(zeta_base):
+    # tuple() of either raised a raw TypeError
+    message = f"zeta_base must be a number, got {zeta_base!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScattererChain((0.0, 0.4), zeta_base)
+    for couplings in ([0.01, 0.02], np.array([0.01, 0.02])):
+        assert ScattererChain((0.0, 0.4), couplings).zeta_base == (0.01, 0.02)

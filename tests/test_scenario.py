@@ -143,6 +143,25 @@ def test_unsorted_positions_rejected():
         scenario_from_document(doc)
 
 
+@pytest.mark.parametrize("block, mutate, message", [
+    ("dynamics", lambda doc: doc.update(dynamics={
+        "regime": "overdamped", "dt": 1.0, "t_end": 10.0, "friction": 0.0}),
+     "friction must be positive, got 0.0"),
+    ("chain", lambda doc: doc["chain"].update(positions=[0.4, 0.0]),
+     "positions not strictly increasing: 0.4 !< 0.0"),
+    ("chain", lambda doc: doc.update(chain={
+        "zeta": [0.01, 0.0], "generator": {"kind": "explicit", "positions": [0.4, 0.0]}}),
+     "positions not strictly increasing: 0.4 !< 0.0"),
+    ("chain", lambda doc: doc["chain"].update(zeta=[0.1, -0.01]),
+     "zeta (0.1-0.01j) has negative imaginary part (gain); pass allow_gain=True to permit it"),
+], ids=["friction", "positions", "generator-positions", "gain"])
+def test_a_constructor_error_names_its_block(block, mutate, message):
+    doc = base_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(f'invalid scenario at {block}: {message}')}$"):
+        scenario_from_document(doc)
+
+
 def test_phases_enter_drives():
     doc = base_doc()
     doc["modes"][0]["phase_left"] = math.pi / 2.0
