@@ -67,6 +67,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# the %-spec that prints what _fmt prints, for the exact cell types that have one
+_TEMPLATE_SPECS = {float: "%.17g", str: "%s"}
+
+
 def _write_csv(path, command, sha, name, columns, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# lightlattice {__version__}\n")
@@ -74,17 +78,23 @@ def _write_csv(path, command, sha, name, columns, rows):
         fh.write(f"# command {command}\n")
         fh.write("# columns: " + ",".join(columns) + "\n")
         fh.write(",".join(columns) + "\n")
-        # an all-float row is formatted by one %-template per row length,
-        # which prints what _fmt prints cell by cell
+        # a row of only float and str cells is printed by one %-template per
+        # sequence of cell types, with the bytes _fmt prints cell by cell; a
+        # row holding any other type (bool, int, a numpy scalar) takes _fmt.
+        # The key is unpacked at the row's own length: tuple(map(...)) guesses
+        # a size and shrinks, which parks a spare tuple on the interpreter's
+        # free list for every row written (up to 2000 per row width)
         templates = {}
         for row in rows:
-            if all(type(v) is float for v in row):
-                n = len(row)
-                if n not in templates:
-                    templates[n] = ",".join(["%.17g"] * n) + "\n"
-                fh.write(templates[n] % tuple(row))
-            else:
+            key = (*map(type, row),)
+            if key not in templates:
+                specs = [_TEMPLATE_SPECS.get(t) for t in key]
+                templates[key] = None if None in specs else ",".join(specs) + "\n"
+            template = templates[key]
+            if template is None:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
+            else:
+                fh.write(template % tuple(row))
 
 
 def _write_json(path, command, sha, name, payload):
@@ -138,10 +148,14 @@ def _positive(text: str) -> float:
     return value
 
 
-def _grid(lo, hi, steps, what) -> list[float]:
-    """steps evenly spaced values from lo to hi, both included."""
-    if steps < 2 or hi <= lo:
-        raise ScenarioError(f"bad {what} grid")
+def _grid(lo, hi, steps, axis, steps_flag=None) -> list[float]:
+    """steps evenly spaced values from lo to hi, both included. A refusal names
+    --<axis>-min and --<axis>-max or steps_flag (--<axis>-steps by default) with values."""
+    steps_flag = steps_flag or f"--{axis}-steps"
+    if steps < 2:
+        raise ScenarioError(f"{steps_flag} must be at least 2, got {steps}")
+    if hi <= lo:
+        raise ScenarioError(f"--{axis}-max {hi!r} must exceed --{axis}-min {lo!r}")
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
 
 
@@ -292,7 +306,7 @@ def cmd_fields(args) -> int:
         lo = args.x_min
     if args.x_max is not None:
         hi = args.x_max
-    xs = _grid(lo, hi, args.samples, "x")
+    xs = _grid(lo, hi, args.samples, "x", "--samples")
     solution = solve_fields(chain, modes)
     profile = intensity_profile(solution, xs)
     labels = [m.label for m in modes]
@@ -331,7 +345,7 @@ def cmd_forces(args) -> int:
     chain, modes = scn.chain, scn.mode_list()
     if chain.n != 2:
         raise ScenarioError("forces table needs a two-scatterer chain")
-    d_values = _grid(args.d_min, args.d_max, args.steps, "distance")
+    d_values = _grid(args.d_min, args.d_max, args.steps, "d", "--steps")
     x1 = chain.positions[0]
     zeta = chain.zeta_base[0]
     iy = abs(modes[0].drive_left) ** 2 / 2.0
@@ -511,7 +525,7 @@ def cmd_design(args) -> int:
     if args.d is not None:
         d_values = list(args.d)
     else:
-        d_values = _grid(args.d_min, args.d_max, args.steps, "distance")
+        d_values = _grid(args.d_min, args.d_max, args.steps, "d", "--steps")
     k_y = args.k_y * K_REF
     params_doc = {
         "command": args.command,
@@ -589,7 +603,7 @@ def cmd_modes(args) -> int:
         if abs(p.drive_right) > 0:
             raise ScenarioError("the perturbation mode must drive from the left")
     ip_max = args.ip_max if args.ip_max is not None else (2.0 * i_p if i_p > 0 else 1.0)
-    ip_values = _grid(0.0, ip_max, args.ip_steps, "i_p")
+    ip_values = _grid(0.0, ip_max, args.ip_steps, "ip")
     if scn.dynamics is not None:
         mass = scn.dynamics.mass
     else:
@@ -640,20 +654,20 @@ def cmd_modes(args) -> int:
 
 
 def cmd_zerolines(args) -> int:
-    import numpy as np
     scn, out = _load(args)
     chain, modes = scn.chain, scn.mode_list()
     if chain.n != 3:
         raise ScenarioError("zero-force map needs a three-scatterer chain")
-    d1 = _grid(args.d1_min, args.d1_max, args.d1_steps, "separation")
-    d2 = _grid(args.d2_min, args.d2_max, args.d2_steps, "separation")
+    d1 = _grid(args.d1_min, args.d1_max, args.d1_steps, "d1")
+    d2 = _grid(args.d2_min, args.d2_max, args.d2_steps, "d2")
     grid = zero_force_grid(chain, modes, d1, d2)
-    # streamed one d1 row at a time, as Python floats for the writer's template
-    n2 = len(grid.d2)
-    rows = (row for i, a in enumerate(grid.d1)
-            for row in np.column_stack(
-                [np.full(n2, a), grid.d2, grid.f1[i], grid.f2[i], grid.f3[i]]
-            ).tolist())
+    # each coordinate repeats along a whole row or column, so it is formatted
+    # once; rows stream one d1 at a time, forces as Python floats, and the
+    # writer's (str, str, float, float, float) template prints what _fmt would
+    t1, t2 = [_fmt(a) for a in d1], [_fmt(b) for b in d2]
+    rows = (row for i, a in enumerate(t1)
+            for row in zip(itertools.repeat(a), t2,
+                           grid.f1[i].tolist(), grid.f2[i].tolist(), grid.f3[i].tolist()))
     out.csv("zerolines.csv", ["d1", "d2", "f1", "f2", "f3"], rows)
     return 0
 
@@ -726,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--mass", type=_positive, default=None,
                    help="scatterer mass (default 1) when the scenario has no dynamics block")
-    p.add_argument("--ip-max", type=_finite, default=None)
+    p.add_argument("--ip-max", type=_positive, default=None)
     p.add_argument("--ip-steps", type=int, default=21)
     p.set_defaults(func=cmd_modes)
 

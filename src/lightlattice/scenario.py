@@ -5,10 +5,10 @@ optional dynamics / sweep / output blocks. One decoder reads each field
 once, checks it and builds the Scenario. It is fail-closed: unknown keys
 are rejected so typos cannot silently change a run, every number must be
 finite, integer fields take JSON integers only, and a chain's `n` must
-match its positions. Its errors are ScenarioErrors; a field's own reads
-"invalid scenario at <path>: ...". Lengths are in units of the reference
-wavelength, mode wavenumbers in units of the reference wavenumber;
-complex numbers are [re, im] pairs.
+match its positions. Its errors are ScenarioErrors; one about a field or
+a block reads "invalid scenario at <path>: ...". Lengths are in units of
+the reference wavelength, mode wavenumbers in units of the reference
+wavenumber; complex numbers are [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def _decode(doc) -> dict:
         for i, node in enumerate(_list(doc["modes"], ("modes",), non_empty=True))
     )
     if len({m.label for m in modes}) != len(modes):
-        raise ScenarioError("mode labels must be unique")
+        _fail(("modes",), "mode labels must be unique")
     dynamics = initial_velocities = sweep_axes = None
     if "dynamics" in doc:
         dynamics, initial_velocities = _decode_dynamics(doc["dynamics"], ("dynamics",), chain.n)
@@ -173,7 +173,7 @@ def _decode_chain(node, path) -> ScattererChain:
         _fail(path + ("allow_gain",), f"{allow_gain!r} is not a boolean")
     n = _integer(node["n"], path + ("n",), 0) if "n" in node else None
     if ("positions" in node) == ("generator" in node):
-        raise ScenarioError("chain needs exactly one of 'positions' or 'generator'")
+        _fail(path, "chain needs exactly one of 'positions' or 'generator'")
     if "positions" in node:
         positions = _numbers(node["positions"], path + ("positions",))
     else:
@@ -187,16 +187,16 @@ def _decode_chain(node, path) -> ScattererChain:
             positions = _numbers(gen["positions"], at + ("positions",))
         if kind == "equidistant":
             if "spacing" not in gen:
-                raise ScenarioError("equidistant generator needs 'spacing'")
+                _fail(at, "equidistant generator needs 'spacing'")
             if n is None:
-                raise ScenarioError("equidistant generator needs chain 'n'")
+                _fail(at, "equidistant generator needs chain 'n'")
             if "positions" in gen:
-                raise ScenarioError("equidistant generator takes no 'positions'")
+                _fail(at, "equidistant generator takes no 'positions'")
             positions = [start + j * gen["spacing"] for j in range(n)]
         elif "positions" not in gen:
-            raise ScenarioError("explicit generator needs 'positions'")
+            _fail(at, "explicit generator needs 'positions'")
     if n is not None and n != len(positions):
-        raise ScenarioError(f"chain n={n} does not match {len(positions)} positions")
+        _fail(path, f"chain n={n} does not match {len(positions)} positions")
     try:
         return ScattererChain(tuple(positions), zeta, allow_gain=allow_gain)
     except ValueError as exc:
@@ -247,14 +247,15 @@ def _decode_dynamics(node, path, n: int):
     except ValueError as exc:
         _fail(path, str(exc))
     if n == 0:
-        raise ScenarioError("a dynamics block needs at least one scatterer")
+        _fail(path, "a dynamics block needs at least one scatterer")
     if "initial_velocities" not in node:
         return dynamics, None
     if dynamics.regime == "overdamped":
         _fail(path + ("initial_velocities",), "an overdamped run takes no velocities")
     velocities = _numbers(node["initial_velocities"], path + ("initial_velocities",))
     if len(velocities) != n:
-        raise ScenarioError("initial_velocities length must equal the chain size")
+        _fail(path + ("initial_velocities",),
+              "initial_velocities length must equal the chain size")
     return dynamics, tuple(map(float, velocities))
 
 
@@ -268,7 +269,7 @@ def _decode_axis(node, path) -> SweepAxis:
     )
     leaf = axis.path.rsplit(".", 1)[-1]
     if leaf in ("n", "kind", "label", "regime", "version", "format"):
-        raise ScenarioError(f"sweep axis may not vary structural key {leaf!r}")
+        _fail(path + ("path",), f"sweep axis may not vary structural key {leaf!r}")
     return axis
 
 

@@ -450,8 +450,8 @@ def test_zerolines_writes_the_grid_cell_by_cell(tmp_path):
 
 
 def test_float_tables_never_reach_the_cell_formatter(tmp_path, monkeypatch):
-    # an all-float row takes the writer's %-template; a numpy scalar in it
-    # would fall back to formatting cell by cell
+    # a row of Python floats and strings takes the writer's %-template; a
+    # numpy scalar in it would fall back to formatting cell by cell
     cells = []
     fmt = cli._fmt
 
@@ -470,9 +470,11 @@ def test_float_tables_never_reach_the_cell_formatter(tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     assert main(["forces", "--scenario", pair, "--out", out, "--steps", "9"]) == 0
     assert main(["evolve", "--scenario", pair, "--out", out]) == 0
-    assert main(["zerolines", "--scenario", triple, "--out", out,
-                 "--d1-steps", "3", "--d2-steps", "3"]) == 0
     assert cells == []
+    # zerolines formats each grid coordinate once, never a row's cells
+    assert main(["zerolines", "--scenario", triple, "--out", out,
+                 "--d1-steps", "3", "--d2-steps", "4"]) == 0
+    assert cells == ["float"] * (3 + 4)
     # the spy does see the cells the template path leaves to _fmt
     assert main(["fields", "--scenario", pair, "--out", out, "--samples", "3"]) == 0
     assert "str" in cells and "int" in cells
@@ -493,6 +495,8 @@ _CELLS = st.one_of(
                      max_size=8))
 @example(rows=[[]])
 @example(rows=[[-0.0, math.nan, math.inf, -math.inf], [np.float64(-0.0), np.float64(math.nan)]])
+@example(rows=[["%", -0.0, "%s"], [math.nan, ",", math.inf, ""], ["", -math.inf, "%%s"]])
+@example(rows=[["%s", "%"], [","], [""], [-0.0, "", math.nan]])
 def test_write_csv_matches_formatting_cell_by_cell(tmp_path_factory, rows):
     path = tmp_path_factory.getbasetemp() / "cells.csv"
     cli._write_csv(path, "test", "0" * 12, "cells", ["c"], rows)
@@ -651,6 +655,24 @@ def test_grids_need_two_points_on_an_increasing_range(tmp_path, argv):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["zerolines", "--d1-steps", "1"], "--d1-steps must be at least 2, got 1"),
+    (["zerolines", "--d1-min", "0.9", "--d1-max", "0.1"], "--d1-max 0.1 must exceed --d1-min 0.9"),
+    (["zerolines", "--d2-steps", "1"], "--d2-steps must be at least 2, got 1"),
+    (["zerolines", "--d2-min", "0.9", "--d2-max", "0.1"], "--d2-max 0.1 must exceed --d2-min 0.9"),
+    (["fields", "--samples", "1"], "--samples must be at least 2, got 1"),
+    (["fields", "--x-min", "1", "--x-max", "0"], "--x-max 0.0 must exceed --x-min 1.0"),
+], ids=["d1-steps", "d1-range", "d2-steps", "d2-range", "fields-samples", "fields-range"])
+def test_a_grid_refusal_names_its_options_and_values(tmp_path, capsys, argv, message):
+    doc = pair_doc()
+    if argv[0] == "zerolines":
+        doc["chain"]["positions"] = [0.0, 0.3, 0.6]
+    out = tmp_path / "out"
+    assert main(argv + ["--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_ip_scale_needs_a_perturbation_preset(tmp_path):

@@ -162,6 +162,49 @@ def test_a_constructor_error_names_its_block(block, mutate, message):
         scenario_from_document(doc)
 
 
+_DYNAMICS = {"regime": "newtonian", "dt": 1.0, "t_end": 10.0}
+_AXIS = {"path": "modes.z.k", "start": 0.9, "stop": 1.1, "steps": 2}
+
+
+@pytest.mark.parametrize("where, mutate, message", [
+    ("modes", lambda doc: doc["modes"][1].update(label="y"), "mode labels must be unique"),
+    ("chain", lambda doc: doc["chain"].update(generator={"kind": "explicit", "positions": [0.0]}),
+     "chain needs exactly one of 'positions' or 'generator'"),
+    ("chain", lambda doc: doc["chain"].pop("positions"),
+     "chain needs exactly one of 'positions' or 'generator'"),
+    ("chain/generator", lambda doc: doc.update(chain={
+        "zeta": [0.01, 0.0], "n": 2, "generator": {"kind": "equidistant"}}),
+     "equidistant generator needs 'spacing'"),
+    ("chain/generator", lambda doc: doc.update(chain={
+        "zeta": [0.01, 0.0], "generator": {"kind": "equidistant", "spacing": 0.4}}),
+     "equidistant generator needs chain 'n'"),
+    ("chain/generator", lambda doc: doc.update(chain={
+        "zeta": [0.01, 0.0], "n": 2,
+        "generator": {"kind": "equidistant", "spacing": 0.4, "positions": [0.0, 0.4]}}),
+     "equidistant generator takes no 'positions'"),
+    ("chain/generator", lambda doc: doc.update(chain={
+        "zeta": [0.01, 0.0], "generator": {"kind": "explicit"}}),
+     "explicit generator needs 'positions'"),
+    ("chain", lambda doc: doc["chain"].update(n=5), "chain n=5 does not match 2 positions"),
+    ("dynamics", lambda doc: doc.update(chain={"zeta": [0.01, 0.0], "positions": []},
+                                        dynamics=dict(_DYNAMICS)),
+     "a dynamics block needs at least one scatterer"),
+    ("dynamics/initial_velocities",
+     lambda doc: doc.update(dynamics=dict(_DYNAMICS, initial_velocities=[0.0])),
+     "initial_velocities length must equal the chain size"),
+    ("sweep/axes/1/path",
+     lambda doc: doc.update(sweep={"axes": [_AXIS, dict(_AXIS, path="modes.z.label")]}),
+     "sweep axis may not vary structural key 'label'"),
+], ids=["labels", "positions-and-generator", "no-positions", "no-spacing", "no-n",
+        "equidistant-positions", "explicit-no-positions", "n-mismatch", "empty-dynamics",
+        "velocities-length", "structural-axis"])
+def test_a_document_rule_names_its_block(where, mutate, message):
+    doc = base_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(f'invalid scenario at {where}: {message}')}$"):
+        scenario_from_document(doc)
+
+
 def test_phases_enter_drives():
     doc = base_doc()
     doc["modes"][0]["phase_left"] = math.pi / 2.0
