@@ -10,7 +10,7 @@ scenario-driven command line that emits deterministic CSV/JSON artifacts.
 
 __version__ = "0.1.0"
 
-from .dynamics import DynamicsParams, Trajectory, com_velocity, evolve
+from .dynamics import DynamicsParams, SteadyState, Trajectory, com_velocity, evolve, settle
 from .equilibria import (
     DesignCandidate,
     EquilibriumReport,
@@ -37,14 +37,12 @@ from .errors import (
     SingularBoundary,
     SingularDenominator,
     UnstableMode,
-    WavenumberMismatch,
 )
 from .forcefield import (
     ForceProfile,
     PairForceParams,
     forces_exact,
     forces_from_solution,
-    pair_force_difference,
     pair_forces_approx,
     pair_zero_force_distances,
 )
@@ -54,7 +52,6 @@ from .lattice import (
     build_perturbation_scenarios,
     lattice_constant,
     pair_rt_closed_form,
-    perturbed_lattice_forces,
     stable_com_position,
 )
 from .scenario import Scenario, load_scenario, scenario_from_document
@@ -90,12 +87,13 @@ __all__ = [
     "forces_exact",
     "forces_from_solution",
     "pair_forces_approx",
-    "pair_force_difference",
     "pair_zero_force_distances",
     "DynamicsParams",
     "Trajectory",
     "evolve",
     "com_velocity",
+    "settle",
+    "SteadyState",
     "EquilibriumReport",
     "find_equilibrium",
     "pair_stationary_distances",
@@ -112,7 +110,6 @@ __all__ = [
     "build_perturbation_scenarios",
     "lattice_constant",
     "pair_rt_closed_form",
-    "perturbed_lattice_forces",
     "stable_com_position",
     "Scenario",
     "load_scenario",
@@ -120,7 +117,6 @@ __all__ = [
     "LightLatticeError",
     "NegativeDistance",
     "SingularBoundary",
-    "WavenumberMismatch",
     "NoSolution",
     "SeparationViolation",
     "NoConvergence",

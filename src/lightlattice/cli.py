@@ -22,22 +22,15 @@ import os
 import sys
 
 from . import __version__
-from .dynamics import com_velocity, evolve
+from .dynamics import settle
 from .equilibria import (
-    classify_stability,
     design_wavenumber,
     linearize_pair_in_lattice,
     normal_modes,
     zero_force_grid,
 )
-from .errors import (
-    LightLatticeError,
-    NoSolution,
-    ScenarioError,
-    SeparationViolation,
-    UnstableMode,
-)
-from .forcefield import ForceField, ForceProfile, PairForceParams, forces_batch, pair_forces_approx
+from .errors import LightLatticeError, NoSolution, ScenarioError, UnstableMode
+from .forcefield import PairForceParams, forces_batch, pair_forces_approx
 from .lattice import (
     build_lattice,
     build_perturbation_scenarios,
@@ -388,34 +381,6 @@ def _trajectory_rows(traj, n):
     return cols, rows
 
 
-def _evolve_to_end(scn: Scenario, keep_partial: bool):
-    """(trajectory, collision message or None, force field of the final chain,
-    gaps, sup|F|, co-moving residual sup_j |F_j - <F>|).
-
-    With keep_partial a collision's partial trajectory is measured, not raised.
-    """
-    collision = None
-    try:
-        traj = evolve(
-            scn.chain,
-            scn.mode_list(),
-            scn.dynamics,
-            capture_every=scn.capture_every,
-            initial_velocities=scn.initial_velocities,
-        )
-    except SeparationViolation as exc:
-        if not keep_partial or exc.trajectory is None:
-            raise
-        traj, collision = exc.trajectory, str(exc)
-    final = traj.final_positions()
-    field = ForceField(scn.chain.with_positions(final), scn.mode_list())
-    gaps = [final[j + 1] - final[j] for j in range(len(final) - 1)]
-    profile = ForceProfile(*field.forces())
-    mean = sum(profile.total) / len(final)
-    comoving = max(abs(f - mean) for f in profile.total)
-    return traj, collision, field, gaps, profile.sup, comoving
-
-
 def _run_dynamics(args) -> int:
     """relax (the overdamped regime only) or evolve, as args.command names."""
     scn, out = _load(args)
@@ -423,47 +388,37 @@ def _run_dynamics(args) -> int:
         raise ScenarioError(f"{args.command} needs a dynamics block")
     if args.command == "relax" and scn.dynamics.regime != "overdamped":
         raise ScenarioError("relax requires the overdamped regime")
-    traj, collision, field, gaps, residual, comoving = _evolve_to_end(scn, keep_partial=True)
-    cols, rows = _trajectory_rows(traj, field.chain.n)
+    state = settle(scn)
+    traj, chain = state.trajectory, state.field.chain
+    cols, rows = _trajectory_rows(traj, chain.n)
     out.csv("trajectory.csv", cols, rows)
     summary = {
         "termination": traj.termination,
-        "diagnostic": collision or traj.diagnostic,
-        "partial": collision is not None,
-        "final_positions": list(field.chain.positions),
-        "final_gaps": gaps,
-        "residual_force_sup": residual,
-        "comoving_residual": comoving,
-        "com_velocity": com_velocity(traj) if len(traj.times) >= 2 else 0.0,
+        "diagnostic": state.collision or traj.diagnostic,
+        "partial": state.collision is not None,
+        "final_positions": list(chain.positions),
+        "final_gaps": state.gaps,
+        "residual_force_sup": state.residual,
+        "comoving_residual": state.comoving_residual,
+        "com_velocity": state.com_velocity,
         "snapshots": traj.n_snapshots,
     }
     out.json("summary.json", summary)
-    return 3 if collision is not None else 0
+    return 3 if state.collision is not None else 0
 
 
-def _sweep_cell(scn: Scenario):
-    import numpy as np
+def _sweep_cell(scn: Scenario) -> list:
+    """The cells of scn's sweep row after its axis values: where it settled, or why it failed."""
     try:
-        traj, _, field, gaps, residual, comoving = _evolve_to_end(scn, keep_partial=False)
-        eigs, stability = classify_stability(field.jacobian(), True)
-        dyn = scn.dynamics
-        # the stiffness product shows an explicit step too large for the state
-        # it ended in; a newtonian run's stiffness also depends on the mass
-        stiffness = math.nan
-        if dyn.regime == "overdamped":
-            stiffness = dyn.dt * float(np.abs(eigs).max(initial=0.0)) / dyn.friction
-        return {
-            "gaps": gaps,
-            "com_velocity": com_velocity(traj),
-            "residual": residual,
-            "comoving_residual": comoving,
-            "dt_stiffness": stiffness,
-            # a fixed point of the RK4 map need not be one of the dynamics
-            "stability": "not_stationary" if comoving > dyn.force_tol else stability,
-            "error": "",
-        }
+        state = settle(scn)
+        if state.collision is None:
+            stability, stiffness = state.verdict()
+            return [*state.gaps, state.com_velocity, state.residual, state.comoving_residual,
+                    stiffness, stability, ""]
+        error = f"SeparationViolation: {state.collision}"
     except LightLatticeError as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
+        error = f"{type(exc).__name__}: {exc}"
+    return [math.nan] * (scn.chain.n + 3) + ["failed", error.replace(",", ";")]
 
 
 def _thread_count() -> int:
@@ -506,17 +461,7 @@ def cmd_sweep(args) -> int:
     columns = axis_cols + [f"gap_{j + 1}" for j in range(n - 1)] + [
         "com_velocity", "residual", "comoving_residual", "dt_stiffness", "stability", "error",
     ]
-    rows = []
-    for (combo, _), res in zip(cells, results):
-        row = list(combo)
-        if res.get("error"):
-            row += [math.nan] * (n + 3) + ["failed", res["error"].replace(",", ";")]
-        else:
-            row += res["gaps"] + [
-                res["com_velocity"], res["residual"], res["comoving_residual"],
-                res["dt_stiffness"], res["stability"], "",
-            ]
-        rows.append(row)
+    rows = [[*combo, *tail] for (combo, _), tail in zip(cells, results)]
     out.csv("sweep.csv", columns, rows)
     return 0
 

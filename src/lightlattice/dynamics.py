@@ -6,7 +6,8 @@ Two regimes share one fixed-step RK4 step over a flat state:
   newtonian    m * d2x/dt2 = F(x) - mu * dx/dt    state x followed by v
 
 Scatterer order is enforced after every step; a violation aborts the run
-with the partial trajectory attached to the exception.
+with the partial trajectory attached to the exception. settle runs a
+scenario's dynamics and measures where they ended, collision included.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import SeparationViolation
-from .forcefield import ForceField
+from .forcefield import ForceField, classify_stability
 from .wavecore import Mode, ScattererChain, check_number
 
 
@@ -221,3 +222,77 @@ def com_velocity(trajectory: Trajectory) -> float:
     if denom == 0.0:
         return 0.0
     return sum((t - tbar) * (c - cbar) for t, c in zip(ts, coms)) / denom
+
+
+@dataclass(frozen=True)
+class SteadyState:
+    """Where a scenario's run ended (settle).
+
+    field is the ForceField of the final chain, residual its sup|F| and
+    comoving_residual sup_j |F_j - <F>|. com_velocity is 0.0 for a run with
+    fewer than two snapshots. collision is the SeparationViolation message
+    of a run that collided, whose trajectory is then the partial one.
+    """
+
+    trajectory: Trajectory
+    field: ForceField
+    gaps: tuple[float, ...]
+    residual: float
+    comoving_residual: float
+    com_velocity: float
+    collision: str | None
+    params: DynamicsParams
+
+    def verdict(self) -> tuple[str, float]:
+        """(stability, dt_stiffness) of the final state, from the force Jacobian.
+
+        stability is classify_stability's with the uniform shift projected
+        out, or "not_stationary" while the co-moving residual exceeds
+        force_tol: a fixed point of the RK4 map need not be one of the
+        dynamics. dt_stiffness, dt max|lambda| / friction, shows an explicit
+        step too large for the state; it is NaN for a newtonian run, whose
+        stiffness also depends on the mass.
+        """
+        import numpy as np
+        eigs, stability = classify_stability(self.field.jacobian(), True)
+        params = self.params
+        stiffness = math.nan
+        if params.regime == "overdamped":
+            stiffness = params.dt * float(np.abs(eigs).max(initial=0.0)) / params.friction
+        if self.comoving_residual > params.force_tol:
+            stability = "not_stationary"
+        return stability, stiffness
+
+
+def settle(scenario) -> SteadyState:
+    """Run a scenario.Scenario's dynamics block with evolve and measure where it ended.
+
+    A collision is recorded with its partial trajectory, not raised; a
+    SeparationViolation that carries no trajectory still raises.
+    """
+    if scenario.dynamics is None:
+        raise ValueError("settle needs a scenario with a dynamics block")
+    modes = scenario.mode_list()
+    collision = None
+    try:
+        traj = evolve(scenario.chain, modes, scenario.dynamics,
+                      capture_every=scenario.capture_every,
+                      initial_velocities=scenario.initial_velocities)
+    except SeparationViolation as exc:
+        if exc.trajectory is None:
+            raise
+        traj, collision = exc.trajectory, str(exc)
+    final = traj.final_positions()
+    field = ForceField(scenario.chain.with_positions(final), modes)
+    total = field.forces()[0]
+    mean = sum(total) / len(final)
+    return SteadyState(
+        trajectory=traj,
+        field=field,
+        gaps=tuple(final[j + 1] - final[j] for j in range(len(final) - 1)),
+        residual=max(abs(f) for f in total),
+        comoving_residual=max(abs(f - mean) for f in total),
+        com_velocity=com_velocity(traj) if len(traj.times) >= 2 else 0.0,
+        collision=collision,
+        params=scenario.dynamics,
+    )

@@ -4,10 +4,11 @@ Equilibria are roots of the per-scatterer force map. Every derivative of
 the forces is exact: force_jacobian solves each mode's response to a moved
 scatterer from the mode's two far-side sweeps, and design refinement takes
 its slope in the second wavenumber the same way. Stability is judged from
-the eigenvalues of the force Jacobian: all real parts below -1e-9 is
-stable, any above +1e-9 unstable, otherwise marginal. For scenarios that
-are invariant under rigid translation the Jacobian is projected onto the
-complement of the uniform shift before classification.
+the eigenvalues of the force Jacobian by forcefield.classify_stability
+(imported here): all real parts below -1e-9 is stable, any above +1e-9
+unstable, otherwise marginal. For scenarios that are invariant under rigid
+translation the Jacobian is projected onto the complement of the uniform
+shift before classification.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from .errors import (
     NoSolution,
     UnstableMode,
 )
-from .forcefield import ForceField, forces_batch
+from .forcefield import ForceField, classify_stability, forces_batch
 from .wavecore import Mode, ScattererChain, check_number
 
-_EIG_TOL = 1e-9
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 80
 
@@ -47,34 +47,6 @@ def force_jacobian(chain: ScattererChain, modes: list[Mode]) -> np.ndarray:
     It raises what forces_exact raises, or SingularBoundary when not finite.
     """
     return ForceField(chain, modes).jacobian()
-
-
-def classify_stability(
-    jacobian: np.ndarray, translation_projected: bool
-) -> tuple[np.ndarray, str]:
-    """Eigenvalues of a force Jacobian and the stability they imply.
-
-    With translation_projected the Jacobian is first restricted to the
-    orthonormal complement of the uniform shift. Eigenvalues come back
-    sorted by descending real part; the classification is "stable" when all
-    real parts are below -1e-9, "unstable" when any is above +1e-9, and
-    "marginal" otherwise (also when no eigenvalue is left).
-    """
-    import numpy as np
-    if translation_projected:
-        # normalised Helmert columns: column i is (1, ..., 1, -i, 0, ...) / sqrt(i (i + 1))
-        i = np.arange(1, len(jacobian))
-        rows = np.arange(len(jacobian))[:, None]
-        q = ((rows < i) - (rows == i) * i) / np.sqrt(i * (i + 1.0))
-        jacobian = q.T @ jacobian @ q
-    eigs = np.linalg.eigvals(jacobian)
-    eigs = eigs[np.argsort(eigs.real)[::-1]]
-    top = eigs.real[0] if eigs.size else 0.0
-    if top < -_EIG_TOL:
-        return eigs, "stable"
-    if top > _EIG_TOL:
-        return eigs, "unstable"
-    return eigs, "marginal"
 
 
 def find_equilibrium(

@@ -22,10 +22,6 @@ class SingularBoundary(LightLatticeError):
     """
 
 
-class WavenumberMismatch(LightLatticeError):
-    """An equal-wavenumber closed form was called with k_y != k_z."""
-
-
 class NoSolution(LightLatticeError):
     """A closed-form inverse has no real solution for these parameters."""
 

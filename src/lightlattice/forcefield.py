@@ -1,8 +1,10 @@
 """Time-averaged radiation forces on chain scatterers.
 
-Exact forces come from each solve's (A, B, s) triples; the two-splitter
-closed-form approximations (small real zeta, error O(zeta^3)) are provided
-for analysis and design work. Positive force points toward +x.
+Exact forces come from each solve's (A, B, s) triples, and their exact
+Jacobian from one tangent pass; classify_stability judges a state from
+that Jacobian's eigenvalues. The two-splitter closed-form approximations
+(small real zeta, error O(zeta^3)) are provided for analysis and design
+work. Positive force points toward +x.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import SingularBoundary, WavenumberMismatch
+from .errors import SingularBoundary
 from .wavecore import (ChainSweeps, FieldSolution, Mode, ScattererChain, check_amplitudes,
                        check_number)
 
@@ -21,6 +23,7 @@ from .wavecore import (ChainSweeps, FieldSolution, Mode, ScattererChain, check_a
 _BATCH_ROWS = 256
 # up to this many scatterers a Python loop assembles the Jacobian faster than numpy
 _LOOP_N = 6
+_EIG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,9 @@ def _reduce(solved, n: int) -> tuple[tuple[float, ...], dict[str, tuple[float, .
             check_amplitudes(solved)
             raise SingularBoundary(f"|amplitude|^2 overflows in mode {label!r}")
         per_mode[label] = forces
-    return (tuple(map(sum, zip(*per_mode.values()))) if per_mode else (0.0,) * n), per_mode
+    # unpacked at its exact size: tuple(map(...)) guesses a size and shrinks,
+    # parking a spare tuple on the interpreter's free list per evaluation
+    return ((*map(sum, zip(*per_mode.values())),) if per_mode else (0.0,) * n), per_mode
 
 
 def forces_from_solution(solution: FieldSolution) -> ForceProfile:
@@ -166,6 +171,34 @@ def _shift(const, x, zeta, a, b):
     return 2.0 * const.k * zeta * b, 2.0 * const.k * zeta * a
 
 
+def classify_stability(
+    jacobian: np.ndarray, translation_projected: bool
+) -> tuple[np.ndarray, str]:
+    """Eigenvalues of a force Jacobian and the stability they imply.
+
+    With translation_projected the Jacobian is first restricted to the
+    orthonormal complement of the uniform shift. Eigenvalues come back
+    sorted by descending real part; the classification is "stable" when all
+    real parts are below -1e-9, "unstable" when any is above +1e-9, and
+    "marginal" otherwise (also when no eigenvalue is left).
+    """
+    import numpy as np
+    if translation_projected:
+        # normalised Helmert columns: column i is (1, ..., 1, -i, 0, ...) / sqrt(i (i + 1))
+        i = np.arange(1, len(jacobian))
+        rows = np.arange(len(jacobian))[:, None]
+        q = ((rows < i) - (rows == i) * i) / np.sqrt(i * (i + 1.0))
+        jacobian = q.T @ jacobian @ q
+    eigs = np.linalg.eigvals(jacobian)
+    eigs = eigs[np.argsort(eigs.real)[::-1]]
+    top = eigs.real[0] if eigs.size else 0.0
+    if top < -_EIG_TOL:
+        return eigs, "stable"
+    if top > _EIG_TOL:
+        return eigs, "unstable"
+    return eigs, "marginal"
+
+
 def forces_exact(chain: ScattererChain, modes: list[Mode]) -> ForceProfile:
     # the chain's constructor checked its positions: the field does not again
     return ForceProfile(*ForceField(chain, modes).forces())
@@ -256,21 +289,6 @@ def pair_forces_approx(d: float, p: PairForceParams) -> tuple[float, float]:
     f1 = 2.0 * (iy * z * z * (4.0 * cy2 - 1.0) / den_y - iz * zz * zz / den_z)
     f2 = 2.0 * (iy * z * z / den_y - iz * zz * zz * (4.0 * cz2 - 1.0) / den_z)
     return f1, f2
-
-
-def pair_force_difference(d: float, p: PairForceParams) -> float:
-    """F1 - F2 for equal wavenumbers; vanishes exactly at d = (2n+1)pi/(4k)."""
-    if p.k_y != p.k_z:
-        raise WavenumberMismatch(
-            f"equal-wavenumber form called with k_y={p.k_y}, k_z={p.k_z}"
-        )
-    k = p.k_y
-    z = p.zeta
-    c = math.cos(d * k)
-    return (
-        4.0 * z * z * math.cos(2.0 * d * k) * (p.i_y + p.p * p.i_y)
-        / (1.0 + 4.0 * z * z * c * c)
-    )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 from .equilibria import find_equilibrium
 from .errors import NoConvergence, NoLattice, NoTrap, SingularDenominator
-from .forcefield import ForceProfile, forces_exact
 from .wavecore import K_REF, Mode, ScattererChain, check_number
 
 
@@ -220,19 +219,6 @@ def build_lattice(
             return scenario.with_positions(report.positions)
         outcomes.append(report.classification)
     raise NoLattice(f"no stable trap site; the four trap seeds gave: {', '.join(outcomes)}")
-
-
-def perturbed_lattice_forces(
-    scenario: LatticeScenario, displacements=None
-) -> ForceProfile:
-    """Exact forces on the (optionally displaced) lattice, split by mode."""
-    pos = scenario.positions
-    if displacements is not None:
-        if len(displacements) != len(pos):
-            raise ValueError("one displacement per scatterer")
-        pos = tuple(x + d for x, d in zip(pos, displacements))
-    chain = scenario.chain().with_positions(pos)
-    return forces_exact(chain, scenario.modes())
 
 
 def _correlated_oscillation(i_p_scale: float) -> dict:

@@ -278,13 +278,13 @@ def test_sweep_flags_an_rk4_ghost_state_as_not_stationary(tmp_path, monkeypatch)
 
 
 def test_sweep_propagates_programming_errors(tmp_path, monkeypatch):
-    import lightlattice.cli as cli
+    import lightlattice.dynamics as dynamics
 
     def broken(*args, **kwargs):
         raise RuntimeError("bug in the integrator")
 
     monkeypatch.setenv("LIGHTLATTICE_THREADS", "1")
-    monkeypatch.setattr(cli, "evolve", broken)
+    monkeypatch.setattr(dynamics, "evolve", broken)
     doc = pair_doc(
         dynamics={"regime": "overdamped", "dt": 1.0, "t_end": 10.0},
         sweep={"axes": [{"path": "modes.z.intensity_right",
@@ -761,7 +761,7 @@ def test_an_invalid_sweep_document_exits_2_before_any_cell_runs(tmp_path, capsys
     def run(*args, **kwargs):
         raise AssertionError("a cell ran")
 
-    monkeypatch.setattr(cli, "_evolve_to_end", run)
+    monkeypatch.setattr(cli, "settle", run)
     doc = pair_doc(dynamics=SHORT_RUN, sweep={"axes": [dict(axis, steps=2)]})
     out = tmp_path / "out"
     assert main(["sweep", "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == 2

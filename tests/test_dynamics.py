@@ -6,11 +6,13 @@ from lightlattice.dynamics import (
     DynamicsParams,
     com_velocity,
     evolve,
+    settle,
     step_newtonian,
     step_overdamped,
 )
 from lightlattice.errors import SeparationViolation
 from lightlattice.forcefield import ForceField, forces_exact
+from lightlattice.scenario import scenario_from_document
 from lightlattice.wavecore import K_REF, Mode, ScattererChain
 
 EXACT_CROSSING_HIGH = 0.373400547
@@ -382,3 +384,45 @@ def test_shared_rk4_step_is_bit_identical_to_the_reference():
             break
     assert repr(traj.positions) == repr(ref_x)
     assert repr(step_overdamped(pair, symmetric_modes(), params)) == repr(ref_x[1])
+
+
+def _pair_document(zeta, positions, k_z, i_z, dynamics):
+    return {
+        "version": "1",
+        "chain": {"zeta": zeta, "allow_gain": True, "positions": positions},
+        "modes": [
+            {"label": "y", "k": 1.0, "intensity_left": 1.0},
+            {"label": "z", "k": k_z, "intensity_right": i_z},
+        ],
+        "dynamics": dict(regime="overdamped", **dynamics),
+    }
+
+
+@pytest.mark.parametrize("dt, verdict, gap, past_the_bound", [
+    (0.5, "stable", 0.3176276090, False),
+    (2.0, "not_stationary", 0.3027472698, True),
+])
+def test_settle_gives_a_sweep_cells_verdict_without_the_command_line(dt, verdict, gap,
+                                                                     past_the_bound):
+    # the (k_z, I_z) = (1.2, 2.0) cell of stationary_distance_map: at dt = 2
+    # the pair sits on a fixed point of the RK4 map where F2 - F1 is not zero,
+    # and dt |lambda| / mu is past RK4's real stability interval (-2.79, 0)
+    doc = _pair_document([1.0 / 12.0, -1.0 / 150.0], [0.0, 0.25], 1.2, 2.0,
+                         {"dt": dt, "t_end": 400.0, "force_tol": 1e-11})
+    state = settle(scenario_from_document(doc))
+    stability, stiffness = state.verdict()
+    assert state.collision is None and stability == verdict
+    assert state.gaps[0] == pytest.approx(gap, abs=1e-9)
+    assert (stiffness > 2.79) is past_the_bound
+
+
+def test_settle_records_a_collision_with_its_partial_trajectory():
+    doc = _pair_document([0.1, 0.0], [0.0, 0.06], 1.0, 1.0,
+                         {"dt": 5.0, "t_end": 100000.0, "min_separation": 0.05})
+    state = settle(scenario_from_document(doc))
+    assert state.collision.startswith("step ")
+    assert state.trajectory.termination == "separation_violation"
+    assert state.field.chain.positions == state.trajectory.final_positions()
+    del doc["dynamics"]
+    with pytest.raises(ValueError, match="dynamics block"):
+        settle(scenario_from_document(doc))

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from lightlattice.errors import LightLatticeError, SingularBoundary, WavenumberMismatch
+from lightlattice.equilibria import pair_stationary_distances
+from lightlattice.errors import LightLatticeError, SingularBoundary
 from lightlattice.forcefield import (
     ForceField,
     PairForceParams,
     forces_batch,
     forces_exact,
     forces_from_solution,
-    pair_force_difference,
     pair_forces_approx,
     pair_zero_force_distances,
 )
@@ -117,28 +117,22 @@ def test_exact_crossings_frozen_values():
         assert abs(f2) < 1e-10
 
 
-@given(st.floats(0.02, 0.98), st.floats(0.001, 0.15), st.floats(0.05, 2.5))
-def test_difference_form_matches_f1_minus_f2(d, zeta, p):
-    params = PairForceParams(p=p, k_y=K_REF, k_z=K_REF, zeta=zeta)
-    f1, f2 = pair_forces_approx(d, params)
-    assert pair_force_difference(d, params) == pytest.approx(
-        f1 - f2, rel=1e-12, abs=1e-15
-    )
-
-
-def test_difference_requires_equal_wavenumbers():
-    params = PairForceParams(p=1.0, k_y=K_REF, k_z=1.2 * K_REF, zeta=0.01)
-    with pytest.raises(WavenumberMismatch):
-        pair_force_difference(0.3, params)
+@given(st.integers(0, 3), st.floats(0.001, 0.15), st.floats(0.05, 2.5))
+def test_difference_form_matches_f1_minus_f2(n, zeta, p):
+    # at equal wavenumbers F1 - F2 = 4 zeta^2 cos(2kd) (I_y + I_z) / (1 + 4 zeta^2 cos^2 kd)
+    d = pair_stationary_distances(K_REF, n_max=3)[n][0]
+    f1, f2 = pair_forces_approx(d, PairForceParams(p=p, k_y=K_REF, k_z=K_REF, zeta=zeta))
+    assert f1 - f2 == pytest.approx(0.0, abs=1e-14 * zeta**2 * (1.0 + p))
 
 
 def test_difference_scales_with_total_intensity():
     base = PairForceParams(p=1.0, k_y=K_REF, k_z=K_REF, zeta=0.02, i_y=1.0)
     double = PairForceParams(p=1.0, k_y=K_REF, k_z=K_REF, zeta=0.02, i_y=2.0)
     d = 0.21
-    assert pair_force_difference(d, double) == pytest.approx(
-        2.0 * pair_force_difference(d, base), rel=1e-12
-    )
+    f1, f2 = pair_forces_approx(d, base)
+    g1, g2 = pair_forces_approx(d, double)
+    assert f1 - f2 != 0.0
+    assert g1 - g2 == pytest.approx(2.0 * (f1 - f2), rel=1e-12)
 
 
 @given(st.floats(0.03, 0.47))

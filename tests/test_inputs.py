@@ -104,7 +104,6 @@ EXEMPT = {
     "beam_splitter_matrix": "a closed form of the transfer vocabulary: it maps NaN to NaN",
     "propagation_matrix": "a closed form of the transfer vocabulary: it maps NaN to NaN",
     "pair_forces_approx": "a closed form: it maps NaN to NaN",
-    "pair_force_difference": "a closed form: it maps NaN to NaN",
     "pair_zero_force_distances": "a closed form: it maps NaN to NaN (branch is a choice of sign)",
     "design_intensity_ratio": "a closed form: it maps NaN to NaN and flags what is not physical",
     "pair_rt_closed_form": "a closed form: it maps NaN to NaN",
@@ -113,6 +112,7 @@ EXEMPT = {
     "DesignCandidate": "a result record the library fills from checked inputs",
     "LinearizedModel": "a result record the library fills from checked inputs",
     "NormalModes": "a result record the library fills from checked inputs",
+    "SteadyState": "a result record settle fills from a checked scenario",
     "LatticeScenario": "a result record build_lattice fills from checked inputs",
     "Scenario": "a decoded document: the decoder checks each slot at its path",
 }

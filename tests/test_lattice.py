@@ -16,7 +16,6 @@ from lightlattice.lattice import (
     lattice_constant,
     pair_rt_closed_form,
     perturbation_scenario_kinds,
-    perturbed_lattice_forces,
     stable_com_position,
 )
 from lightlattice.scenario import scenario_from_document
@@ -273,8 +272,8 @@ def test_perturbed_forces_against_direct_solve():
         2, 1.0, 0.7, 0.1, i_p=0.05, k_p=K_REF / 0.99, zeta_p=0.1
     )
     disp = (0.003, -0.002)
-    got = perturbed_lattice_forces(scenario, displacements=disp).total
     pos = tuple(x + s for x, s in zip(scenario.positions, disp))
+    got = forces_exact(scenario.chain().with_positions(pos), scenario.modes()).total
     want = _direct_two_splitter_forces(pos, 0.1, scenario.modes())
     assert got[0] == pytest.approx(want[0], abs=1e-12)
     assert got[1] == pytest.approx(want[1], abs=1e-12)
@@ -283,7 +282,7 @@ def test_perturbed_forces_against_direct_solve():
 def test_perturbed_forces_validates_displacements():
     scenario = build_lattice(2, 1.0, 1.0, 0.1)
     with pytest.raises(ValueError):
-        perturbed_lattice_forces(scenario, displacements=(0.1,))
+        scenario.chain().with_positions((scenario.positions[0] + 0.1,))
 
 
 def test_quarter_ish_spacing_force_pattern():

@@ -107,9 +107,9 @@ SCENARIO = {
 }
 
 
-def _command_line_loads(tmp_path, *argv):
+def _command_line_loads(tmp_path, *argv, scenario=SCENARIO):
     path = tmp_path / "case.json"
-    path.write_text(json.dumps(SCENARIO), encoding="utf-8")
+    path.write_text(json.dumps(scenario), encoding="utf-8")
     argv = [*argv, "--scenario", str(path), "--out", str(tmp_path / "out")]
     return _beyond_the_standard_library(_loaded_modules(
         f"from lightlattice.cli import main; assert main({argv!r}) == 0"))
@@ -117,6 +117,8 @@ def _command_line_loads(tmp_path, *argv):
 
 def test_evolve_and_fields_run_without_numpy(tmp_path):
     assert _command_line_loads(tmp_path, "evolve") == {"lightlattice"}
+    overdamped = dict(SCENARIO, dynamics={"regime": "overdamped", "dt": 0.25, "t_end": 2.0})
+    assert _command_line_loads(tmp_path, "relax", scenario=overdamped) == {"lightlattice"}
     assert _command_line_loads(tmp_path, "fields", "--samples", "3") == {"lightlattice"}
 
 
