@@ -42,7 +42,6 @@ from .forcefield import (
     ForceProfile,
     PairForceParams,
     forces_exact,
-    forces_from_solution,
     pair_forces_approx,
     pair_zero_force_distances,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "ForceProfile",
     "PairForceParams",
     "forces_exact",
-    "forces_from_solution",
     "pair_forces_approx",
     "pair_zero_force_distances",
     "DynamicsParams",

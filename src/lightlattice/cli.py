@@ -438,7 +438,7 @@ def _thread_count() -> int:
 
 def cmd_sweep(args) -> int:
     scn, out = _load(args)
-    if scn.sweep_axes is None or not scn.sweep_axes:
+    if not scn.sweep_axes:
         raise ScenarioError("sweep needs a sweep block with at least one axis")
     if scn.dynamics is None:
         raise ScenarioError("sweep needs a dynamics block")

@@ -84,14 +84,6 @@ def _rhs(field: ForceField, params: DynamicsParams, n: int, newtonian: bool):
     return rhs
 
 
-def _newtonian_state(chain: ScattererChain, velocities) -> tuple[float, ...]:
-    """chain's positions followed by velocities, one per scatterer."""
-    velocities = tuple(velocities)
-    if len(velocities) != chain.n:
-        raise ValueError("initial_velocities length must match chain size")
-    return chain.positions + velocities
-
-
 def _rk4(state, rhs, dt, k1=None):
     """One classical RK4 step; k1, when given, is rhs(state) already evaluated."""
     if k1 is None:
@@ -124,19 +116,6 @@ def step_overdamped(chain: ScattererChain, modes: list[Mode], params: DynamicsPa
     return _advance(chain.positions, rhs, params, chain.n)
 
 
-def step_newtonian(
-    chain: ScattererChain,
-    velocities: tuple[float, ...],
-    modes: list[Mode],
-    params: DynamicsParams,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """One RK4 step of m x'' = F - mu x'; returns (positions, velocities)."""
-    n = chain.n
-    state = _newtonian_state(chain, velocities)
-    new = _advance(state, _rhs(ForceField(chain, modes), params, n, True), params, n)
-    return new[:n], new[n:]
-
-
 def evolve(
     chain: ScattererChain,
     modes: list[Mode],
@@ -157,8 +136,12 @@ def evolve(
     n = chain.n
     if not newtonian and initial_velocities is not None:
         raise ValueError("an overdamped run takes no initial_velocities")
-    v = (0.0,) * n if initial_velocities is None else initial_velocities
-    state = _newtonian_state(chain, v) if newtonian else chain.positions
+    state = chain.positions
+    if newtonian:  # positions followed by velocities, one per scatterer
+        v = (0.0,) * n if initial_velocities is None else tuple(initial_velocities)
+        if len(v) != n:
+            raise ValueError("initial_velocities length must match chain size")
+        state += v
     field = ForceField(chain, modes)
     rhs = _rhs(field, params, n, newtonian)
     traj = Trajectory(velocities=[] if newtonian else None)
@@ -289,7 +272,7 @@ def settle(scenario) -> SteadyState:
     return SteadyState(
         trajectory=traj,
         field=field,
-        gaps=tuple(final[j + 1] - final[j] for j in range(len(final) - 1)),
+        gaps=field.chain.gaps(),
         residual=max(abs(f) for f in total),
         comoving_residual=max(abs(f - mean) for f in total),
         com_velocity=com_velocity(traj) if len(traj.times) >= 2 else 0.0,

@@ -87,7 +87,7 @@ def find_equilibrium(
         return np.array(f)
 
     if relative_only:
-        u = np.array([chain.positions[j + 1] - chain.positions[j] for j in range(n - 1)])
+        u = np.array(chain.gaps())
     else:
         u = np.array(chain.positions)
 

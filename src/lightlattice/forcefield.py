@@ -14,8 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import SingularBoundary
-from .wavecore import (ChainSweeps, FieldSolution, Mode, ScattererChain, check_amplitudes,
-                       check_number)
+from .wavecore import ChainSweeps, Mode, ScattererChain, check_amplitudes, check_number
 
 # rows per block of forces_batch: about 0.5 MB of working set. At 1024 rows
 # (1.6 MB) a block outgrew what the zerolines CSV rows take and raised the
@@ -77,16 +76,12 @@ def _reduce(solved, n: int) -> tuple[tuple[float, ...], dict[str, tuple[float, .
     return ((*map(sum, zip(*per_mode.values())),) if per_mode else (0.0,) * n), per_mode
 
 
-def forces_from_solution(solution: FieldSolution) -> ForceProfile:
-    """Each mode's forces from its ModeFields.sweep, and their sum, as forces_exact gives them."""
-    return ForceProfile(*_reduce([mf.sweep for mf in solution.fields], solution.chain.n))
-
-
 class ForceField(ChainSweeps):
     """Forces and their exact Jacobian at any placement of chain's scatterers under modes.
 
     Build one per chain and mode set: forces_exact, forces_batch (through
-    sweep_batch) and force_jacobian each read one.
+    sweep_batch) and force_jacobian each read one. Its forces read the same
+    sweeps whose scaled amplitudes are solve_fields' ModeFields.quads.
     """
 
     def forces(self, positions=None):

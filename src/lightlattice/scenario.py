@@ -55,11 +55,6 @@ class Scenario:
         return list(self.modes)
 
 
-def validate_document(doc) -> None:
-    """Decode doc and discard the result; raises ScenarioError on any problem."""
-    _decode(doc)
-
-
 def _fail(path: tuple, message: str):
     where = "/".join(map(str, path)) or "(root)"
     raise ScenarioError(f"invalid scenario at {where}: {message}")

@@ -30,7 +30,7 @@ import bisect
 import cmath
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NegativeDistance, SingularBoundary
@@ -153,7 +153,8 @@ class Mode:
 
 
 def _increasing_floats(positions) -> tuple[float, ...]:
-    positions = tuple(map(float, positions))
+    # at its exact size: tuple(map(...)) would park a spare tuple per solve (as _reduce)
+    positions = (*map(float, positions),)
     for a, b in zip(positions, positions[1:]):
         if not (b > a):
             raise ValueError(f"positions not strictly increasing: {a} !< {b}")
@@ -402,9 +403,8 @@ def reflection_transmission(chain: ScattererChain, mode: Mode) -> tuple[complex,
 class ModeFields:
     """Solved amplitudes of one mode: quadruples (A_j, B_j, C_j, D_j) per scatterer.
 
-    sweep is the (constants, triples, w, dn, mirrored) of ChainSweeps.solve that quads
-    were scaled from: triples hold (A_j, B_j, s_j), s_j the scattered wave, so (C_j, D_j) =
-    (A_j + s_j, B_j - s_j). forces_from_solution reduces it, as forces_exact, bit for bit.
+    quads are scaled from the same sweep that ChainSweeps.solve makes at the chain's
+    positions, bit for bit, so forces_exact reads the forces of these fields.
     """
 
     label: str
@@ -414,7 +414,6 @@ class ModeFields:
     t_tot: complex
     drive_left: complex
     drive_right: complex
-    sweep: tuple = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -449,8 +448,7 @@ def solve_fields(chain: ScattererChain, modes: list[Mode]) -> FieldSolution:
     reflections = [_reflection(c, x, passes.get((c.label, True))) for c in consts]
     check_amplitudes(solved)
     return FieldSolution(chain, tuple(
-        ModeFields(c.label, mode.k, _amplitudes(*sweep), r_tot, t_tot, c.left, c.right,
-                   (c, *sweep))
+        ModeFields(c.label, mode.k, _amplitudes(*sweep), r_tot, t_tot, c.left, c.right)
         for mode, (c, *sweep), (r_tot, t_tot) in zip(modes, solved, reflections)
     ))
 
@@ -529,17 +527,6 @@ class ChainSweeps:
                 modes.append((c, triples, c.sides[0]))
                 r += len(c.sides)
             return modes
-
-    def solve_batch(self, positions) -> np.ndarray:
-        """solve_fields' quadruples [M, B, N, 4] at each row of positions [B, N] (sweep_batch)."""
-        import numpy as np
-        with np.errstate(all="ignore"):
-            pos = np.asarray(positions, dtype=float)
-            quads = np.empty((len(self.constants), *pos.shape, 4), dtype=complex)
-            for m, (_, triples, mirrored) in enumerate(self.sweep_batch(pos)):
-                a, b, s = _image(*triples[..., ::-1]) if mirrored else triples
-                quads[m] = np.stack([a, b, a + s, b - s], axis=-1)
-            return quads
 
 
 def _mode_field_at(chain: ScattererChain, mf: ModeFields, x: float) -> complex:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,6 @@ from lightlattice.dynamics import (
     com_velocity,
     evolve,
     settle,
-    step_newtonian,
     step_overdamped,
 )
 from lightlattice.errors import SeparationViolation
@@ -149,14 +149,6 @@ def test_step_functions_match_evolve():
     traj = evolve(chain, modes, params, capture_every=1)
     assert stepped == pytest.approx(traj.positions[1])
 
-    params_n = DynamicsParams(
-        regime="newtonian", dt=0.5, t_end=0.5, friction=0.1, mass=2.0
-    )
-    x, v = step_newtonian(chain, (0.0, 0.0), modes, params_n)
-    traj_n = evolve(chain, modes, params_n, capture_every=1)
-    assert x == pytest.approx(traj_n.positions[1])
-    assert v == pytest.approx(traj_n.velocities[1])
-
 
 def test_capture_cadence():
     chain = ScattererChain((0.0, 0.3), 0.01)
@@ -207,12 +199,12 @@ def test_initial_velocities_validated():
 
 
 @pytest.mark.parametrize("velocities", [(0.0,), (), (0.0, 0.0, 0.0)])
-def test_step_newtonian_refuses_a_wrong_velocity_count(velocities):
+def test_a_one_step_newtonian_run_refuses_a_wrong_velocity_count(velocities):
     # RK4's zip would truncate the state and report a lost ordering instead
     chain = ScattererChain((0.0, 0.4), 0.01)
-    params = DynamicsParams(regime="newtonian", dt=0.1, t_end=1.0)
+    params = DynamicsParams(regime="newtonian", dt=0.1, t_end=0.1)
     with pytest.raises(ValueError, match="^initial_velocities length must match chain size$"):
-        step_newtonian(chain, velocities, symmetric_modes(), params)
+        evolve(chain, symmetric_modes(), params, initial_velocities=velocities)
 
 
 @pytest.mark.parametrize("velocities", [(1.0, 2.0, 3.0), (0.0, 0.0)])
@@ -365,9 +357,10 @@ def test_shared_rk4_step_is_bit_identical_to_the_reference():
     assert repr(traj.velocities) == repr(ref_v)
     assert ref_v[-1] != v0
 
-    moved = chain.with_positions(ref_x[3])
-    stepped = step_newtonian(moved, ref_v[3], modes, params)
-    assert repr(stepped) == repr((ref_x[4], ref_v[4]))
+    # a one-step run from a captured state takes the same step
+    one = replace(params, t_end=params.dt)
+    stepped = evolve(chain.with_positions(ref_x[3]), modes, one, initial_velocities=ref_v[3])
+    assert repr((stepped.positions[-1], stepped.velocities[-1])) == repr((ref_x[4], ref_v[4]))
 
     pair = ScattererChain((0.0, 0.36), 0.05)
     force = _reference_force(pair, symmetric_modes())

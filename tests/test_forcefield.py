@@ -12,13 +12,13 @@ from lightlattice.forcefield import (
     PairForceParams,
     forces_batch,
     forces_exact,
-    forces_from_solution,
     pair_forces_approx,
     pair_zero_force_distances,
 )
-from lightlattice.wavecore import K_REF, ChainSweeps, Mode, ScattererChain, solve_fields
+from lightlattice import wavecore
+from lightlattice.wavecore import K_REF, Mode, ScattererChain, solve_fields
 from mp_reference import reference_forces
-from test_wavecore import THICK_MODES, varied_chains, varied_modes, well_conditioned
+from test_wavecore import THICK_MODES, batch_quads, varied_chains, varied_modes, well_conditioned
 
 # exact zero crossings of the symmetric pair forces at zeta = 0.01,
 # found once by bisection against the exact engine and frozen here
@@ -70,7 +70,7 @@ def test_telescoping_total_force(d, zeta, p):
     chain = ScattererChain((0.0, d), zeta)
     modes = symmetric_modes(i_z=p)
     sol = solve_fields(chain, modes)
-    prof = forces_from_solution(sol)
+    prof = forces_exact(chain, modes)
     boundary = 0.0
     for mf in sol.fields:
         a1, b1, _, _ = mf.quads[0]
@@ -277,12 +277,12 @@ def test_batch_edge_shapes(n, n_rows, mode_set):
     rows = np.asarray(chain.positions) + 0.01 * np.arange(n_rows)[:, None]
     if mode_set == "relabelled":
         # a label names one mode, whatever the number of rows
-        for batch in (lambda: ChainSweeps(chain, modes).solve_batch(rows),
+        for batch in (lambda: batch_quads(chain, modes, rows),
                       lambda: forces_batch(chain, modes, rows)):
             with pytest.raises(ValueError, match="mode label 'y' is repeated"):
                 batch()
         return
-    quads = ChainSweeps(chain, modes).solve_batch(rows)
+    quads = batch_quads(chain, modes, rows)
     forces = forces_batch(chain, modes, rows)
     assert quads.shape == (len(modes), n_rows, n, 4)
     assert forces.shape == (n_rows, n)
@@ -302,7 +302,7 @@ def test_forces_batch_ends_a_gain_pole_in_singular_boundary(zeta, rows, singular
     modes = [Mode("y", K_REF, zeta_scale=1.0, drive_left=1.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        quads = ChainSweeps(chain, modes).solve_batch(rows)
+        quads = batch_quads(chain, modes, rows)
         assert [bool(np.isnan(q).all()) for q in quads[0]] == singular
         assert np.isfinite(quads[0][np.logical_not(singular)]).all()
         with pytest.raises(SingularBoundary) as scalar:
@@ -319,7 +319,7 @@ def test_an_overflowing_m22_ends_in_singular_boundary():
     modes = [Mode("y", K_REF, drive_left=1.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isnan(ChainSweeps(chain, modes).solve_batch([chain.positions])).all()
+        assert np.isnan(batch_quads(chain, modes, [chain.positions])).all()
         with pytest.raises(SingularBoundary, match="overflows") as scalar:
             forces_exact(chain, modes)
         with pytest.raises(SingularBoundary) as batch:
@@ -380,23 +380,31 @@ def test_two_sided_forces_far_from_the_origin_match_mpmath():
 
 
 def _outcome(evaluate):
-    """repr of each total force evaluate() returns, or the error it raises."""
+    """repr of each force or mode's quadruples evaluate() returns, or the error it raises."""
     try:
         return [repr(f) for f in evaluate()]
     except LightLatticeError as exc:
         return type(exc), str(exc)
 
 
+def _swept_amplitudes(field, positions):
+    solved = field.solve(positions)
+    wavecore.check_amplitudes(solved)
+    return [wavecore._amplitudes(*sweep) for _, *sweep in solved]
+
+
 @given(varied_chains(), varied_modes(), st.floats(-1.0, 1.0))
 def test_force_kernel_matches_forces_exact_bit_for_bit(chain, modes, shift):
     # the force kernel is a ForceField: prepared once, it serves every
-    # placement of the same scatterers
+    # placement of the same scatterers; its forces and solve_fields'
+    # amplitudes read one sweep
     field = ForceField(chain, modes)
     for positions in (chain.positions, [x + shift for x in chain.positions]):
         moved = chain.with_positions(positions)
         got = _outcome(lambda: field.forces(moved.positions)[0])
         assert got == _outcome(lambda: forces_exact(moved, modes).total)
-        assert got == _outcome(lambda: forces_from_solution(solve_fields(moved, modes)).total)
+        quads = _outcome(lambda: [mf.quads for mf in solve_fields(moved, modes).fields])
+        assert quads == _outcome(lambda: _swept_amplitudes(field, moved.positions))
 
 
 def _gain_pole(label="y", **coupling):
@@ -425,12 +433,17 @@ def _gain_pole(label="y", **coupling):
         "solve-before-reduce", "repeated-label"])
 def test_force_kernel_raises_what_forces_exact_raises(chain, modes, message):
     with pytest.raises((SingularBoundary, ValueError)) as reference:
-        forces_from_solution(solve_fields(chain, modes))
+        forces_exact(chain, modes)
     with pytest.raises((SingularBoundary, ValueError)) as field:
         ForceField(chain, modes).forces(chain.positions)
     assert message in str(reference.value)
     assert type(field.value) is type(reference.value)
     assert str(field.value) == str(reference.value)
+    if "|amplitude|^2" not in message:  # solve_fields returns amplitudes whose squares overflow
+        with pytest.raises((SingularBoundary, ValueError)) as fields:
+            solve_fields(chain, modes)
+        assert type(fields.value) is type(reference.value)
+        assert str(fields.value) == str(reference.value)
 
 
 def test_force_kernel_rejects_a_repeated_label():

@@ -1,6 +1,6 @@
 """Package layout rules: modules share only public names, import only from
-the layers below them, need nothing beyond numpy at run time, and load numpy
-only where a command uses it."""
+the layers below them, need nothing beyond numpy at run time, load numpy
+only where a command uses it, and export exactly what README lists."""
 
 import ast
 import json
@@ -9,6 +9,8 @@ import pathlib
 import re
 import subprocess
 import sys
+
+import lightlattice
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lightlattice"
@@ -131,3 +133,11 @@ def test_numpy_is_the_only_runtime_dependency():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     deps = text.split("\ndependencies = [", 1)[1].split("]", 1)[0]
     assert re.findall(r'"([A-Za-z0-9_.-]+)', deps) == ["numpy"]
+
+
+def test_readme_lists_every_public_name():
+    # the bullets under README's "Public names" heading, and nothing else
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n### Public names\n", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"`([^`]+)`", section[section.index("\n- "):])
+    assert sorted(listed) == sorted(set(lightlattice.__all__) - {"__version__"})

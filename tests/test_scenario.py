@@ -11,7 +11,6 @@ from lightlattice.scenario import (
     load_scenario,
     scenario_from_document,
     scenario_hash,
-    validate_document,
 )
 from lightlattice.wavecore import K_REF
 
@@ -51,29 +50,29 @@ def test_unknown_keys_rejected_everywhere():
         doc = base_doc()
         mutate(doc)
         with pytest.raises(ScenarioError):
-            validate_document(doc)
+            scenario_from_document(doc)
 
 
 def test_version_and_required_blocks():
     doc = base_doc()
     doc["version"] = "2"
     with pytest.raises(ScenarioError):
-        validate_document(doc)
+        scenario_from_document(doc)
     doc = base_doc()
     del doc["modes"]
     with pytest.raises(ScenarioError):
-        validate_document(doc)
+        scenario_from_document(doc)
 
 
 def test_positions_and_generator_are_exclusive():
     doc = base_doc()
     doc["chain"]["generator"] = {"kind": "equidistant", "spacing": 0.5}
     with pytest.raises(ScenarioError, match="exactly one"):
-        validate_document(doc)
+        scenario_from_document(doc)
     doc = base_doc()
     del doc["chain"]["positions"]
     with pytest.raises(ScenarioError, match="exactly one"):
-        validate_document(doc)
+        scenario_from_document(doc)
 
 
 def test_equidistant_generator():
@@ -88,11 +87,11 @@ def test_equidistant_generator():
     bad = copy.deepcopy(doc)
     del bad["chain"]["n"]
     with pytest.raises(ScenarioError, match="needs chain 'n'"):
-        validate_document(bad)
+        scenario_from_document(bad)
     bad = copy.deepcopy(doc)
     del bad["chain"]["generator"]["spacing"]
     with pytest.raises(ScenarioError, match="needs 'spacing'"):
-        validate_document(bad)
+        scenario_from_document(bad)
 
 
 def test_explicit_generator_and_n_consistency():
@@ -105,18 +104,18 @@ def test_explicit_generator_and_n_consistency():
     bad = base_doc()
     bad["chain"]["n"] = 3
     with pytest.raises(ScenarioError, match="does not match"):
-        validate_document(bad)
+        scenario_from_document(bad)
     bad = copy.deepcopy(doc)
     bad["chain"]["n"] = 5
     with pytest.raises(ScenarioError, match="chain n=5 does not match 2 positions"):
-        validate_document(bad)
+        scenario_from_document(bad)
 
 
 def test_mode_labels_unique():
     doc = base_doc()
     doc["modes"][1]["label"] = "y"
     with pytest.raises(ScenarioError, match="unique"):
-        validate_document(doc)
+        scenario_from_document(doc)
 
 
 def test_zeta_parsing_real_and_complex():
@@ -233,7 +232,7 @@ def test_dynamics_block():
 
     doc["dynamics"]["initial_velocities"] = [0.0]
     with pytest.raises(ScenarioError, match="initial_velocities"):
-        validate_document(doc)
+        scenario_from_document(doc)
 
 
 def test_an_overdamped_block_refuses_initial_velocities():
@@ -259,7 +258,7 @@ def test_sweep_axes_and_structural_leaves():
         bad = copy.deepcopy(doc)
         bad["sweep"]["axes"][0]["path"] = leaf
         with pytest.raises(ScenarioError, match="structural"):
-            validate_document(bad)
+            scenario_from_document(bad)
 
 
 def test_single_step_axis_holds_start():
@@ -318,13 +317,13 @@ def test_load_scenario_from_file(tmp_path):
 def test_units_block_single_key():
     doc = base_doc()
     doc["units"] = {"lambda_ref": 1.55e-6}
-    validate_document(doc)
+    scenario_from_document(doc)
     doc["units"] = {"lambda_ref": 1.0, "k_ref": 1.0}
     with pytest.raises(ScenarioError):
-        validate_document(doc)
+        scenario_from_document(doc)
     doc["units"] = {}
     with pytest.raises(ScenarioError):
-        validate_document(doc)
+        scenario_from_document(doc)
 
 
 def test_empty_chain_is_allowed():
@@ -534,7 +533,7 @@ def test_rejection_table(where, mutate):
 def test_a_document_that_is_not_an_object_is_rejected():
     for doc in ([], "scenario", None):
         with pytest.raises(ScenarioError, match=r"^invalid scenario at \(root\): "):
-            validate_document(doc)
+            scenario_from_document(doc)
 
 
 @pytest.mark.parametrize("where", ["chain/n", "sweep/axes/0/steps", "output/capture_every"])

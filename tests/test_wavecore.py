@@ -415,11 +415,21 @@ def well_conditioned(chain, modes, bound=10.0):
                for m in matrices)
 
 
+def batch_quads(chain, modes, rows):
+    """solve_fields' quadruples [M, B, N, 4] at each row of positions [B, N], from sweep_batch."""
+    rows = np.asarray(rows, dtype=float)
+    quads = np.empty((len(modes), *rows.shape, 4), dtype=complex)
+    for m, (_, triples, mirrored) in enumerate(ChainSweeps(chain, modes).sweep_batch(rows)):
+        a, b, s = wavecore._image(*triples[..., ::-1]) if mirrored else triples
+        quads[m] = np.stack([a, b, a + s, b - s], axis=-1)
+    return quads
+
+
 @given(varied_chains(), varied_modes(), st.floats(-1.0, 1.0))
 def test_batched_solve_matches_solve_fields_closely(chain, modes, shift):
     assume(well_conditioned(chain, modes))
     rows = np.array([chain.positions, [x + shift for x in chain.positions]])
-    quads = ChainSweeps(chain, modes).solve_batch(rows)
+    quads = batch_quads(chain, modes, rows)
     assert quads.shape == (len(modes), 2, chain.n, 4)
     for b, row in enumerate(rows):
         sol = solve_fields(chain.with_positions(row), modes)
@@ -510,7 +520,7 @@ def test_scalar_and_batched_solves_share_one_sweep(monkeypatch):
         forces_exact(chain, modes)
         assert calls == [()] * sweeps
         calls.clear()
-        ChainSweeps(chain, modes).solve_batch(np.array([chain.positions] * 3))
+        ChainSweeps(chain, modes).sweep_batch(np.array([chain.positions] * 3))
         assert calls == [(sweeps, 3)]
 
 
