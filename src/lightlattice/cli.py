@@ -528,6 +528,9 @@ def cmd_modes(args) -> int:
     i_r = abs(sw.drive_right) ** 2 / 2.0
     if i_l <= 0 or i_r <= 0:
         raise ScenarioError("the first mode must drive from both sides")
+    # the lattice reads intensities only, so a drive phase would be dropped
+    if any(drive.imag or drive.real < 0 for drive in (sw.drive_left, sw.drive_right)):
+        raise ScenarioError("mode analysis is defined for a standing wave without drive phases")
     zeta = chain.zeta_base[0]
     override = None if sw.zeta_override is None else complex(sw.zeta_override)
     if zeta.imag != 0.0 or (override is not None and override.imag != 0.0):

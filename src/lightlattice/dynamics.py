@@ -139,6 +139,8 @@ def evolve(
     state = chain.positions
     if newtonian:  # positions followed by velocities, one per scatterer
         v = (0.0,) * n if initial_velocities is None else tuple(initial_velocities)
+        for vi in v:
+            check_number("initial_velocities", vi)
         if len(v) != n:
             raise ValueError("initial_velocities length must match chain size")
         state += v

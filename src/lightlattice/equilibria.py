@@ -278,26 +278,21 @@ def design_wavenumber(
             continue
         ratios = design_intensity_ratio(d, k_y, k_z, zeta)
         p = ratios.p1
-        physical = ratios.p1_physical and ratios.p2_physical
         refined = False
-        if physical and refine:
+        if refine:
             p, k_z, refined = _refine_design(d, k_y, k_z, zeta, p, i_y, band)
-        if physical:
-            field = ForceField(*_pair_design(d, k_y, k_z, zeta, p, i_y))
-            f1, f2 = field.forces()[0]
-            # counter-propagating single-sided drives: rigid translation is
-            # a symmetry, classify the gap coordinate only
-            stab = classify_stability(field.jacobian(), True)[1]
-        else:
-            f1 = f2 = math.nan
-            stab = "n/a"
+        field = ForceField(*_pair_design(d, k_y, k_z, zeta, p, i_y))
+        f1, f2 = field.forces()[0]
+        # counter-propagating single-sided drives: rigid translation is
+        # a symmetry, classify the gap coordinate only
+        stab = classify_stability(field.jacobian(), True)[1]
         candidates.append(
             DesignCandidate(
                 k_z=k_z,
                 p=p,
                 p1=ratios.p1,
                 p2=ratios.p2,
-                physical=physical,
+                physical=ratios.p1_physical and ratios.p2_physical,
                 residual_f1=abs(f1),
                 residual_f2=abs(f2),
                 stability=stab,

@@ -332,18 +332,18 @@ def _image(a, b, s):
     return b - s, a + s, s
 
 
-def _solve_mode(const: _ModeConstants, positions: tuple[float, ...], sweep=_pass):
+def _solve_mode(const: _ModeConstants, positions: tuple[float, ...]):
     """(triples, w, dn, mirrored) of one mode at positions, strictly increasing floats.
 
     The mode's (A, B, s)_j are triples[j] * w / dn, evaluated in that order, or when
     mirrored its image's: its first sweep's frame (_ModeConstants.sides), to which a
-    two-sided mode adds the other sweep, mapped, in the first one's units (sweep: _pass).
+    two-sided mode adds the other sweep, mapped, in the first one's units.
     """
     if not positions:
         return (), 1.0, 1.0, const.sides[0]
-    q1, w1, d1 = sweep(const, positions, const.sides[0])
+    q1, w1, d1 = _pass(const, positions, const.sides[0])
     for side in const.sides[1:]:  # a two-sided mode
-        q2, w2, d2 = sweep(const, positions, side)
+        q2, w2, d2 = _pass(const, positions, side)
         u = (w2 / d2) / (w1 / d1)
         q1 = [(a + u * e, b + u * f, s + u * g) for (a, b, s), (e, f, g)
               in zip(q1, [_image(*t) for t in reversed(q2)])]
@@ -357,11 +357,11 @@ def _amplitudes(triples, w, dn, mirrored):
                   for a, b, s in triples])
 
 
-def _reflection(const: _ModeConstants, positions, image=None) -> tuple[complex, complex]:
-    """r_tot and t_tot, B_1 and C_N = 1 over A_1 of the image's _pass (swept if not given)."""
+def _reflection(const: _ModeConstants, positions) -> tuple[complex, complex]:
+    """r_tot and t_tot, B_1 and C_N = 1 over A_1 of one sweep of the image (_pass)."""
     if not positions:
         return 0j, 1 + 0j
-    image, _, dn = image or _pass(const, positions, True)
+    image, _, dn = _pass(const, positions, True)
     a, _, s = image[-1]  # B_1 of the chain is C_N = A_N + s_N of its image
     return (a + s) / dn, 1.0 / dn
 
@@ -403,8 +403,8 @@ def reflection_transmission(chain: ScattererChain, mode: Mode) -> tuple[complex,
 class ModeFields:
     """Solved amplitudes of one mode: quadruples (A_j, B_j, C_j, D_j) per scatterer.
 
-    quads are scaled from the same sweep that ChainSweeps.solve makes at the chain's
-    positions, bit for bit, so forces_exact reads the forces of these fields.
+    quads are the amplitudes of ChainSweeps.solve at the chain's positions, bit for
+    bit, so forces_exact reads the forces of these fields.
     """
 
     label: str
@@ -431,21 +431,15 @@ class FieldSolution:
 def solve_fields(chain: ScattererChain, modes: list[Mode]) -> FieldSolution:
     """Solve every mode independently against the same chain.
 
-    Per mode, one far-side sweep per driven side (module docstring), scaled
-    by its drive; r_tot and t_tot read the mirror image's, which a mode
-    driven from the right alone sweeps once more. A repeated mode label
-    raises ValueError. SingularBoundary is raised for an m22 outside
-    [1e-14, 1e154) and then, once every mode is solved, for a non-finite amplitude.
+    The amplitudes are those of ChainSweeps(chain, modes).solve(), the sweeps
+    every force reads; r_tot and t_tot read one more sweep of each mode's mirror
+    image. A repeated mode label raises ValueError. SingularBoundary is raised
+    for an m22 outside [1e-14, 1e154) and then, once every mode is solved, for
+    a non-finite amplitude.
     """
-    consts, x = _mode_constants(chain, modes), chain.positions
-    passes = {}  # (label, mirrored): the _pass the solve made
-
-    def keep(const, positions, mirrored):
-        passes[const.label, mirrored] = made = _pass(const, positions, mirrored)
-        return made
-
-    solved = [(c, *_solve_mode(c, x, keep)) for c in consts]
-    reflections = [_reflection(c, x, passes.get((c.label, True))) for c in consts]
+    sweeps = ChainSweeps(chain, modes)
+    solved = sweeps.solve()
+    reflections = [_reflection(c, chain.positions) for c in sweeps.constants]
     check_amplitudes(solved)
     return FieldSolution(chain, tuple(
         ModeFields(c.label, mode.k, _amplitudes(*sweep), r_tot, t_tot, c.left, c.right)
@@ -465,10 +459,11 @@ class ChainSweeps:
         self.constants = _mode_constants(chain, modes)
 
     def solve(self, positions=None):
-        """The sweeps of solve_fields at positions: (constants, triples, w, dn, mirrored) per mode.
+        """Each mode's sweeps at positions: (constants, triples, w, dn, mirrored) per mode.
 
-        Its quadruples are _amplitudes(triples, w, dn, mirrored), bit for bit. It raises
-        what solve_fields raises for m22; check_amplitudes finds non-finite amplitudes.
+        Its quadruples are _amplitudes(triples, w, dn, mirrored), solve_fields' quads.
+        It raises SingularBoundary for an m22 outside [1e-14, 1e154); check_amplitudes
+        finds non-finite amplitudes.
         """
         x = self.chain.positions if positions is None else _placement(positions, self.n)
         return [(c, *_solve_mode(c, x)) for c in self.constants]

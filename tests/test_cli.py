@@ -252,6 +252,26 @@ def test_sweep_records_cell_failures_in_row(tmp_path, monkeypatch):
     assert rows[-1][state_col] != "failed"
 
 
+def test_sweep_records_a_singular_cell_as_failed(tmp_path, monkeypatch):
+    # a gain pole (zeta = -i, m22 = 0) fails the cell's first solve; the row
+    # names the error and the next cells still run
+    monkeypatch.setenv("LIGHTLATTICE_THREADS", "1")
+    doc = {
+        "version": "1",
+        "chain": {"zeta": [0.0, -1.0], "positions": [0.0], "allow_gain": True},
+        "modes": [{"label": "y", "k": 1.0, "intensity_left": 1.0}],
+        "dynamics": {"regime": "overdamped", "dt": 0.1, "t_end": 1.0},
+        "sweep": {"axes": [{"path": "modes.y.intensity_left",
+                            "start": 1.0, "stop": 2.0, "steps": 2}]},
+    }
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == 0
+    _, columns, rows = read_csv(out / "sweep.csv")
+    assert columns[-2:] == ["stability", "error"]
+    assert [row[-2:] for row in rows] == [
+        ["failed", "SingularBoundary: |m22| = 0.000e+00 below 1e-14 for mode 'y'"]] * 2
+
+
 def test_sweep_flags_an_rk4_ghost_state_as_not_stationary(tmp_path, monkeypatch):
     # one cell of stationary_distance_map at two steps: at dt = 2 the pair
     # sits on a fixed point of the RK4 map where F2 - F1 is not zero; at
@@ -371,6 +391,25 @@ def test_modes_report(tmp_path):
     assert len(rows) == 21
 
 
+def test_modes_takes_the_mass_of_a_dynamics_block(tmp_path):
+    doc = {
+        "version": "1",
+        "chain": {"zeta": [0.1, 0.0], "positions": [0.0, 0.468]},
+        "modes": [{"label": "sw", "k": 1.0, "intensity_left": 1.0, "intensity_right": 1.0}],
+    }
+
+    def model(name, doc, argv):
+        out = tmp_path / name
+        path = write_doc(tmp_path, doc, f"{name}.json")
+        assert main(["modes", "--scenario", path, "--out", str(out)] + argv) == 0
+        return json.loads((out / "modes.json").read_text())["model"]
+
+    block = model("block", dict(doc, dynamics={"regime": "newtonian", "dt": 0.5,
+                                               "t_end": 10.0, "mass": 2.5}), [])
+    assert block["mass"] == 2.5
+    assert block == model("flag", doc, ["--mass", "2.5"])
+
+
 def test_modes_honours_a_standing_wave_override(tmp_path):
     # an override of 0.3 on a 0.1 chain is the 0.3 chain without one
     def model(zeta, override):
@@ -399,7 +438,12 @@ def test_modes_honours_a_standing_wave_override(tmp_path):
     {"modes": [{"label": "sw", "k": 1.0, "intensity_left": 1.0, "intensity_right": 1.0},
                {"label": "p", "k": 1.01, "intensity_left": 0.5},
                {"label": "q", "k": 1.2, "intensity_left": 0.5}]},
-], ids=["complex-override", "three-modes"])
+    # the lattice reads the intensities alone: a phase of 1 gave the positions of 0
+    {"chain": {"zeta": [0.1, 0.0], "positions": [0.0, 0.468]},
+     "modes": [{"label": "sw", "k": 1.0, "intensity_left": 1.0, "intensity_right": 1.0,
+                "phase_left": 1.0},
+               {"label": "p", "k": 1.0 / 0.99, "intensity_left": 0.5}]},
+], ids=["complex-override", "three-modes", "phased-standing-wave"])
 def test_modes_refuses_input_it_cannot_honour(tmp_path, extra):
     path = write_doc(tmp_path, pair_doc(**extra))
     out = tmp_path / "out"

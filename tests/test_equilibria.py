@@ -160,6 +160,10 @@ def test_design_out_of_domain_reports_radicand():
     with pytest.raises(NoSolution) as exc_info:
         design_wavenumber(d, K_REF, zeta=0.01)
     assert exc_info.value.radicand is not None
+    # -1/2 < cos(2 d k_y) = -0.4 < -1/3: a balance point whose cos^2(d k_z) is 1.5
+    with pytest.raises(NoSolution, match=r"^squared cosine 1\.5 exceeds 1$") as exc_info:
+        design_wavenumber(math.acos(-0.4) / (4.0 * math.pi), K_REF, zeta=0.01)
+    assert exc_info.value.radicand == pytest.approx(1.5, rel=1e-12)
     with pytest.raises(ValueError):
         design_wavenumber(-0.1, K_REF)
 
@@ -214,6 +218,25 @@ def test_find_equilibrium_reports_a_stalled_line_search():
     best = forces_exact(chain.with_positions(exc.value.best_positions), modes).total
     assert exc.value.best_residual == max(abs(f) for f in best)
     assert exc.value.best_residual < forces_exact(chain, modes).sup
+
+
+def test_find_equilibrium_falls_back_to_least_squares_on_a_singular_jacobian(monkeypatch):
+    # one scatterer in a one-sided beam feels the same force everywhere: its
+    # Jacobian is [[0.]], least squares gives a zero step, and the search stalls
+    calls = []
+
+    def lstsq(*args, _lstsq=np.linalg.lstsq, **kwargs):
+        calls.append(args[0].tolist())
+        return _lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    chain = ScattererChain((0.0,), 0.05)
+    modes = [Mode("y", K_REF, drive_left=1.0)]
+    with pytest.raises(NoConvergence, match="^Newton stalled at sup-residual ") as exc:
+        find_equilibrium(chain, modes)
+    assert calls == [[[0.0]]]
+    assert exc.value.best_positions == chain.positions
+    assert exc.value.best_residual == forces_exact(chain, modes).sup
 
 
 def test_find_equilibrium_stops_at_its_iteration_cap(monkeypatch):

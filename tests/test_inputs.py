@@ -93,9 +93,10 @@ TABLE = {
                           zeta_p=0.1),
     "build_perturbation_scenarios": _row(build_perturbation_scenarios, dict(i_p_scale=R),
                                          kind="correlated_oscillation", i_p_scale=1.0),
-    "evolve": _row(lambda capture_every: evolve(*_pair(), DynamicsParams("newtonian", 0.1, 1.0),
-                                                capture_every=capture_every),
-                   dict(capture_every=I), capture_every=1),
+    "evolve": _row(lambda **kw: evolve(*_pair(), DynamicsParams("newtonian", 0.1, 1.0), **kw),
+                   dict(capture_every=I, initial_velocities=R),
+                   wrap=dict(initial_velocities=lambda v: (0.0, v)),
+                   capture_every=1, initial_velocities=(0.0, 0.0)),
 }
 
 # public callables whose numeric parameters the reader does not check, and why
@@ -109,6 +110,7 @@ EXEMPT = {
     "pair_rt_closed_form": "a closed form: it maps NaN to NaN",
     "stable_com_position": "a closed form: it maps NaN to NaN",
     "EquilibriumReport": "a result record the library fills from checked inputs",
+    "ForceProfile": "a result record the force solve fills from checked inputs",
     "DesignCandidate": "a result record the library fills from checked inputs",
     "LinearizedModel": "a result record the library fills from checked inputs",
     "NormalModes": "a result record the library fills from checked inputs",
@@ -144,8 +146,10 @@ def _bad_values(kind):
 
 
 def _numeric(annotation) -> bool:
+    # a number, or a tuple of numbers: "float | None", "tuple[float, ...] | None"
     text = annotation if isinstance(annotation, str) else getattr(annotation, "__name__", "")
-    return any(part.strip() in ("float", "complex", "int") for part in text.split("|"))
+    return any(re.fullmatch(r"(float|complex|int)|tuple\[(float|complex|int), \.\.\.\]",
+                            part.strip()) for part in text.split("|"))
 
 
 def _numeric_parameters(obj) -> set[str]:

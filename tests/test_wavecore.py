@@ -524,26 +524,45 @@ def test_scalar_and_batched_solves_share_one_sweep(monkeypatch):
         assert calls == [(sweeps, 3)]
 
 
-def test_solve_fields_reads_r_and_t_from_the_mirror_image_it_swept(monkeypatch):
-    # r_tot and t_tot come from the image's sweep; only a mode driven from
-    # the right alone makes none while solving, so it sweeps its image once more
-    calls = []
+def test_solve_fields_sweeps_through_chain_sweeps_alone(monkeypatch):
+    # every mode is solved by one ChainSweeps.solve, the sweeps the forces
+    # read; r_tot and t_tot read one more sweep of each mode's mirror image
+    calls, solves, inside = [], [], []
 
     def spy(*args, _kernel=wavecore._sweep):
         calls.append(args)
         return _kernel(*args)
 
+    def solve(self, positions=None, _solve=ChainSweeps.solve):
+        solves.append(positions)
+        inside.append(self)
+        try:
+            return _solve(self, positions)
+        finally:
+            inside.pop()
+
+    def solve_mode(*args, _solve_mode=wavecore._solve_mode):
+        assert inside, "a mode was solved outside ChainSweeps.solve"
+        return _solve_mode(*args)
+
     monkeypatch.setattr(wavecore, "_sweep", spy)
+    monkeypatch.setattr(ChainSweeps, "solve", solve)
+    monkeypatch.setattr(wavecore, "_solve_mode", solve_mode)
     chain = ScattererChain((0.0, 0.31, 0.9), 0.05 + 0.01j)
     left = Mode("y", K_REF, drive_left=1.0)
     right = Mode("z", 1.3 * K_REF, drive_right=0.5)
     both = Mode("sw", K_REF, drive_left=1.0, drive_right=0.5)
     undriven = Mode("u", K_REF)
-    for modes, sweeps in (([left], 1), ([right], 2), ([both], 2), ([undriven], 1),
-                          ([left, right, both], 5)):
+    for modes, sweeps in (([left], 2), ([right], 2), ([both], 3), ([undriven], 2),
+                          ([left, right, both], 7)):
         calls.clear()
+        solves.clear()
         solution = solve_fields(chain, modes)
+        assert solves == [None]
         assert len(calls) == sweeps
+        field = ChainSweeps(chain, modes)
+        amplitudes = [wavecore._amplitudes(*sweep) for _, *sweep in field.solve()]
+        assert repr([mf.quads for mf in solution.fields]) == repr(amplitudes)
         for mode, mf in zip(modes, solution.fields):
             assert (mf.r_tot, mf.t_tot) == reflection_transmission(chain, mode)
 
