@@ -23,19 +23,7 @@ import sys
 
 from . import __version__
 from .dynamics import settle
-from .equilibria import (
-    design_wavenumber,
-    linearize_pair_in_lattice,
-    normal_modes,
-    zero_force_grid,
-)
 from .errors import LightLatticeError, NoSolution, ScenarioError, UnstableMode
-from .forcefield import PairForceParams, forces_batch, pair_forces_approx
-from .lattice import (
-    build_lattice,
-    build_perturbation_scenarios,
-    perturbation_scenario_kinds,
-)
 from .scenario import (
     Scenario,
     apply_axis_values,
@@ -250,11 +238,13 @@ _PRESETS = {
 
 
 def preset_names() -> tuple[str, ...]:
+    from .lattice import perturbation_scenario_kinds
     return tuple(sorted(set(_PRESETS) | set(perturbation_scenario_kinds())))
 
 
 def _load(args) -> tuple[Scenario, _Artifacts]:
     """The run's scenario, and the writer of its artifacts (named by args.command)."""
+    from .lattice import build_perturbation_scenarios, perturbation_scenario_kinds
     has_file = getattr(args, "scenario", None) is not None
     has_preset = getattr(args, "preset", None) is not None
     if has_file == has_preset:
@@ -334,6 +324,7 @@ def cmd_fields(args) -> int:
 
 
 def cmd_forces(args) -> int:
+    from .forcefield import PairForceParams, forces_batch, pair_forces_approx
     scn, out = _load(args)
     chain, modes = scn.chain, scn.mode_list()
     if chain.n != 2:
@@ -467,6 +458,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_design(args) -> int:
+    from .equilibria import design_wavenumber
     if args.d is not None:
         d_values = list(args.d)
     else:
@@ -515,6 +507,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_modes(args) -> int:
+    from .equilibria import linearize_pair_in_lattice, normal_modes
+    from .lattice import build_lattice
     scn, out = _load(args)
     chain, modes = scn.chain, scn.mode_list()
     if args.mass is not None and scn.dynamics is not None:
@@ -602,6 +596,7 @@ def cmd_modes(args) -> int:
 
 
 def cmd_zerolines(args) -> int:
+    from .equilibria import zero_force_grid
     scn, out = _load(args)
     chain, modes = scn.chain, scn.mode_list()
     if chain.n != 3:

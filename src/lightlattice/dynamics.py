@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import SeparationViolation
-from .forcefield import ForceField, classify_stability
 from .wavecore import Mode, ScattererChain, check_number
 
 
@@ -112,6 +111,7 @@ def _advance(state, rhs, params: DynamicsParams, n: int, k1=None):
 
 def step_overdamped(chain: ScattererChain, modes: list[Mode], params: DynamicsParams) -> tuple[float, ...]:
     """One RK4 step of mu dx/dt = F; returns the new positions."""
+    from .forcefield import ForceField
     rhs = _rhs(ForceField(chain, modes), params, chain.n, False)
     return _advance(chain.positions, rhs, params, chain.n)
 
@@ -129,6 +129,7 @@ def evolve(
     states. On a separation violation the partial trajectory is attached to
     the raised exception. Only a newtonian run takes initial_velocities.
     """
+    from .forcefield import ForceField
     check_number("capture_every", capture_every, minimum=1, kind=int)
     if chain.n == 0:
         raise ValueError("cannot evolve an empty chain")
@@ -239,6 +240,7 @@ class SteadyState:
         stiffness also depends on the mass.
         """
         import numpy as np
+        from .forcefield import classify_stability
         eigs, stability = classify_stability(self.field.jacobian(), True)
         params = self.params
         stiffness = math.nan
@@ -255,6 +257,7 @@ def settle(scenario) -> SteadyState:
     A collision is recorded with its partial trajectory, not raised; a
     SeparationViolation that carries no trajectory still raises.
     """
+    from .forcefield import ForceField
     if scenario.dynamics is None:
         raise ValueError("settle needs a scenario with a dynamics block")
     modes = scenario.mode_list()

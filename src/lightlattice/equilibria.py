@@ -249,6 +249,11 @@ def design_wavenumber(
         check_number("band", edge)
     if not band[0] < band[1]:
         raise ValueError(f"band {band} is not an increasing range")
+    # the closed-form ratios square 2 zeta k_z for every k_z up to band[1]
+    scale = 2.0 * abs(zeta) * max(band[1], 1.0)
+    if not math.isfinite(scale * scale):
+        raise ValueError(f"zeta must keep (2 zeta k_z)^2 finite for k_z up to {band[1]!r}, "
+                         f"got {zeta!r}")
     c2 = math.cos(2.0 * d * k_y)
     lead = 1.0 + 2.0 * c2
     if lead <= 0.0:

@@ -14,7 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .equilibria import find_equilibrium
 from .errors import NoConvergence, NoLattice, NoTrap, SingularDenominator
 from .wavecore import K_REF, Mode, ScattererChain, check_number
 
@@ -174,6 +173,7 @@ def build_lattice(
     is raised when none gives one. i_p, k_p attach a one-sided perturbation
     drive; its coupling defaults to the wavenumber-scaled lattice coupling.
     """
+    from .equilibria import find_equilibrium
     check_number("n", n, minimum=2, kind=int)
     for name, value in (("i_l", i_l), ("i_r", i_r), ("k", k)):
         check_number(name, value, positive=True)
@@ -256,6 +256,7 @@ def _correlated_oscillation(i_p_scale: float) -> dict:
 
 
 def _resonant_transfer(i_p_scale: float) -> dict:
+    from .equilibria import find_equilibrium
     # three-splitter lattice, weak near-resonant drive from the left, the
     # far splitter kicked off equilibrium; energy funnels to splitter 1.
     # each scale relaxes at its own equilibrium before the kick: reusing the

@@ -668,6 +668,7 @@ def test_preset_runs_fields(tmp_path):
     ["design", "--i-y", "-1"],
     ["design", "--i-y", "nan"],
     ["design", "--zeta", "nan"],
+    ["design", "--zeta", "1e200"],
     ["modes", "--ip-steps", "0"],
     ["modes", "--ip-steps", "1"],
     ["modes", "--ip-max", "0"],

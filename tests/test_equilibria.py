@@ -189,11 +189,14 @@ def test_design_rejects_inputs_outside_its_domain(d, k_y, band, i_y):
         design_wavenumber(d, k_y, zeta=0.01, band=band, i_y=i_y)
 
 
-@pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf, 0.01 + 0.001j])
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf, 0.01 + 0.001j,
+                                  1e153, 1e154, 1e200])
 def test_design_rejects_a_zeta_that_is_not_real_and_finite(zeta):
     # a NaN or infinite zeta used to give candidates flagged non-physical,
-    # and a complex one a raw TypeError from the closed-form ratios
-    with pytest.raises(ValueError, match="zeta"):
+    # and a complex one a raw TypeError from the closed-form ratios; those
+    # ratios square 2 zeta k_z, and past the float range they gave a NaN
+    # drive (1e153, 1e154) or a raw OverflowError (1e200)
+    with pytest.raises(ValueError, match="^zeta must"):
         design_wavenumber(0.1, K_REF, zeta=zeta)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lightlattice import lattice
+from lightlattice import equilibria
 from lightlattice.equilibria import find_equilibrium, pair_stationary_distances
 from lightlattice.errors import NoConvergence, NoLattice, NoTrap, SingularDenominator
 from lightlattice.forcefield import PairForceParams, forces_exact
@@ -134,8 +134,9 @@ def test_build_lattice_asymmetric_matches_closed_form_spacing():
 
 def test_build_lattice_moves_to_the_next_seed_when_newton_stalls(monkeypatch):
     # Newton stalls from the first trap seed with two scatterers 8e-5 apart,
-    # and the next seed holds
-    newton = lattice.find_equilibrium
+    # and the next seed holds; build_lattice imports find_equilibrium from
+    # equilibria when it runs, so the spy replaces it there
+    newton = equilibria.find_equilibrium
     outcomes = []
 
     def spy(chain, modes):
@@ -147,7 +148,7 @@ def test_build_lattice_moves_to_the_next_seed_when_newton_stalls(monkeypatch):
         outcomes.append(report.classification)
         return report
 
-    monkeypatch.setattr(lattice, "find_equilibrium", spy)
+    monkeypatch.setattr(equilibria, "find_equilibrium", spy)
     scenario = build_lattice(3, 5.0, 1.0, 0.3)
     assert len(outcomes) == 2 and isinstance(outcomes[0], NoConvergence)
     assert outcomes[1] == "stable"

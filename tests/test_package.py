@@ -1,6 +1,7 @@
 """Package layout rules: modules share only public names, import only from
 the layers below them, need nothing beyond numpy at run time, load numpy
-only where a command uses it, and export exactly what README lists."""
+and each of the package's own modules only where a command uses it, and
+export exactly what README lists."""
 
 import ast
 import json
@@ -9,6 +10,8 @@ import pathlib
 import re
 import subprocess
 import sys
+
+import pytest
 
 import lightlattice
 
@@ -109,12 +112,50 @@ SCENARIO = {
 }
 
 
-def _command_line_loads(tmp_path, *argv, scenario=SCENARIO):
+def _main_loads(tmp_path, *argv, scenario=SCENARIO):
+    """The modules a fresh process holds after main(argv) ran on scenario."""
     path = tmp_path / "case.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
     argv = [*argv, "--scenario", str(path), "--out", str(tmp_path / "out")]
-    return _beyond_the_standard_library(_loaded_modules(
-        f"from lightlattice.cli import main; assert main({argv!r}) == 0"))
+    return _loaded_modules(f"from lightlattice.cli import main; assert main({argv!r}) == 0")
+
+
+def _command_line_loads(tmp_path, *argv, scenario=SCENARIO):
+    return _beyond_the_standard_library(_main_loads(tmp_path, *argv, scenario=scenario))
+
+
+def _own_modules(loaded):
+    return {name.split(".", 1)[1] for name in loaded if name.startswith("lightlattice.")}
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    assert _own_modules(_loaded_modules("import lightlattice")) == set()
+
+
+def test_set_up_loads_only_what_reading_a_scenario_needs(tmp_path):
+    # the benchmark's set-up: import the package and its command line, then
+    # read a document; no force, equilibrium or lattice code is compiled
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(SCENARIO), encoding="utf-8")
+    loaded = _loaded_modules(
+        f"import lightlattice, lightlattice.cli; lightlattice.load_scenario({str(path)!r})")
+    assert _own_modules(loaded) == {"cli", "dynamics", "errors", "scenario", "wavecore"}
+
+
+OVERDAMPED = dict(SCENARIO, dynamics={"regime": "overdamped", "dt": 0.25, "t_end": 2.0})
+PAIR = dict(OVERDAMPED, chain={"zeta": [0.01, 0.0], "positions": [0.0, 0.36]})
+
+
+@pytest.mark.parametrize("argv, scenario", [
+    (["evolve"], SCENARIO),
+    (["relax"], OVERDAMPED),
+    (["fields", "--samples", "3"], SCENARIO),
+    (["forces", "--steps", "3"], PAIR),
+    (["sweep"], dict(PAIR, sweep={"axes": [
+        {"path": "modes.z.intensity_right", "start": 1.0, "stop": 1.1, "steps": 2}]})),
+], ids=["evolve", "relax", "fields", "forces", "sweep"])
+def test_commands_that_seek_no_equilibrium_never_load_equilibria(tmp_path, argv, scenario):
+    assert "lightlattice.equilibria" not in _main_loads(tmp_path, *argv, scenario=scenario)
 
 
 def test_evolve_and_fields_run_without_numpy(tmp_path):
@@ -135,9 +176,49 @@ def test_numpy_is_the_only_runtime_dependency():
     assert re.findall(r'"([A-Za-z0-9_.-]+)', deps) == ["numpy"]
 
 
-def test_readme_lists_every_public_name():
-    # the bullets under README's "Public names" heading, and nothing else
+def _readme_names():
+    """(name, module) for each name in the bullets under README's "Public names"
+    heading, the module being the one its bullet names in parentheses."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("\n### Public names\n", 1)[1].split("\n#", 1)[0]
-    listed = re.findall(r"`([^`]+)`", section[section.index("\n- "):])
+    return [(name, re.search(r"\((\w+)\):", bullet).group(1))
+            for bullet in section.split("\n- ")[1:]
+            for name in re.findall(r"`([^`]+)`", bullet)]
+
+
+def test_readme_lists_every_public_name():
+    listed = [name for name, _ in _readme_names()]
     assert sorted(listed) == sorted(set(lightlattice.__all__) - {"__version__"})
+
+
+def test_every_public_name_resolves_to_its_home_module_object():
+    # in a fresh process, so each name goes through the package's lazy lookup
+    _loaded_modules(
+        "import importlib, lightlattice; "
+        f"wrong = [name for name, module in {_readme_names()!r} "
+        "if getattr(lightlattice, name) is not "
+        "getattr(importlib.import_module('lightlattice.' + module), name)]; "
+        "assert wrong == [], wrong")
+
+
+def test_dir_and_star_import_cover_the_public_names():
+    # in a fresh process, where no name is bound before its first use
+    _loaded_modules(
+        "import lightlattice; listed = set(dir(lightlattice)); "
+        "assert set(lightlattice.__all__) | {'cli', 'equilibria', 'wavecore'} <= listed; "
+        "namespace = {}; exec('from lightlattice import *', namespace); "
+        "assert set(lightlattice.__all__) <= set(namespace)")
+
+
+def test_a_module_resolves_as_a_package_attribute_without_an_import():
+    loaded = _loaded_modules(
+        "import sys, lightlattice; "
+        "assert lightlattice.equilibria is sys.modules['lightlattice.equilibria']; "
+        "lightlattice.equilibria.force_jacobian")
+    assert "lightlattice.equilibria" in loaded
+
+
+def test_an_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        lightlattice.no_such_name
+    assert not hasattr(lightlattice, "force_jacobian")  # a module name, not a package one
