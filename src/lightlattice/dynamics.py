@@ -232,21 +232,22 @@ class SteadyState:
     def verdict(self) -> tuple[str, float]:
         """(stability, dt_stiffness) of the final state, from the force Jacobian.
 
-        stability is classify_stability's with the uniform shift projected
-        out, or "not_stationary" while the co-moving residual exceeds
-        force_tol: a fixed point of the RK4 map need not be one of the
-        dynamics. dt_stiffness, dt max|lambda| / friction, shows an explicit
-        step too large for the state; it is NaN for a newtonian run, whose
-        stiffness also depends on the mass.
+        stability is ForceField.stability's, in the field's own frame, or
+        "not_stationary" while the residual in that frame exceeds force_tol:
+        the co-moving residual for a translation-invariant field, sup|F| for
+        one that pins the chain. A fixed point of the RK4 map need not be one
+        of the dynamics. dt_stiffness, dt max|lambda| / friction, shows an
+        explicit step too large for the state; it is NaN for a newtonian run,
+        whose stiffness also depends on the mass.
         """
         import numpy as np
-        from .forcefield import classify_stability
-        eigs, stability = classify_stability(self.field.jacobian(), True)
+        _, eigs, stability = self.field.stability()
         params = self.params
         stiffness = math.nan
         if params.regime == "overdamped":
             stiffness = params.dt * float(np.abs(eigs).max(initial=0.0)) / params.friction
-        if self.comoving_residual > params.force_tol:
+        invariant = self.field.translation_invariant
+        if (self.comoving_residual if invariant else self.residual) > params.force_tol:
             stability = "not_stationary"
         return stability, stiffness
 

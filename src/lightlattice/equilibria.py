@@ -4,11 +4,11 @@ Equilibria are roots of the per-scatterer force map. Every derivative of
 the forces is exact: force_jacobian solves each mode's response to a moved
 scatterer from the mode's two far-side sweeps, and design refinement takes
 its slope in the second wavenumber the same way. Stability is judged from
-the eigenvalues of the force Jacobian by forcefield.classify_stability
-(imported here): all real parts below -1e-9 is stable, any above +1e-9
-unstable, otherwise marginal. For scenarios that are invariant under rigid
-translation the Jacobian is projected onto the complement of the uniform
-shift before classification.
+the eigenvalues of the force Jacobian by ForceField.stability: all real
+parts below -1e-9 is stable, any above +1e-9 unstable, otherwise marginal.
+A field with no mode driven from both sides is invariant under rigid
+translation (ForceField.translation_invariant), and its Jacobian is
+projected onto the complement of the uniform shift before classification.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     NoSolution,
     UnstableMode,
 )
-from .forcefield import ForceField, classify_stability, forces_batch
+from .forcefield import ForceField, forces_batch
 from .wavecore import Mode, ScattererChain, check_number
 
 _NEWTON_TOL = 1e-12
@@ -58,8 +58,10 @@ def find_equilibrium(
 
     relative_only solves for the gaps with the first position held fixed,
     zeroing neighbour force differences instead of the forces themselves;
-    use it for translation-invariant scenarios that drift as a whole.
-    Raises NoConvergence with the best iterate attached.
+    use it for translation-invariant fields that drift as a whole. A field
+    with a mode driven from both sides pins the chain, and relative_only
+    raises ValueError naming that mode. The state is judged by
+    ForceField.stability. Raises NoConvergence with the best iterate attached.
     """
     import numpy as np
     n = chain.n
@@ -79,6 +81,10 @@ def find_equilibrium(
         return tuple(out)
 
     field = ForceField(chain, modes)
+    if relative_only and not field.translation_invariant:
+        label = next(c.label for c in field.constants if len(c.sides) > 1)
+        raise ValueError(f"relative_only needs a translation-invariant field; "
+                         f"mode {label!r} is driven from both sides")
 
     def residual_vec(u: np.ndarray) -> np.ndarray:
         f = field.forces(positions_from(u))[0]
@@ -137,8 +143,7 @@ def find_equilibrium(
 
     positions = positions_from(u)
     com_force = sum(field.forces(positions)[0]) / n
-    jac_full = field.jacobian(positions)
-    eigs, classification = classify_stability(jac_full, relative_only)
+    jac_full, eigs, classification = field.stability(positions)
     return EquilibriumReport(
         positions=positions,
         residual=merit,
@@ -146,7 +151,7 @@ def find_equilibrium(
         eigenvalues=eigs,
         classification=classification,
         com_force=com_force,
-        translation_projected=relative_only,
+        translation_projected=field.translation_invariant,
         iterations=iterations,
     )
 
@@ -177,14 +182,17 @@ def design_intensity_ratio(d: float, k_y: float, k_z: float, zeta: float) -> Des
     """Intensity ratios p = I_z/I_y that zero F1 (p1) or F2 (p2) at distance d.
 
     Small-zeta closed forms; each force is linear in p so the ratio is exact
-    within the approximation. Non-physical values (negative or infinite) are
-    returned flagged, never raised.
+    within the approximation. Non-physical values (negative, infinite or NaN,
+    as when a square overflows) are returned flagged, never raised.
     """
     cy2 = math.cos(d * k_y) ** 2
     cz2 = math.cos(d * k_z) ** 2
-    shared = (k_y ** 2 + 4.0 * k_z ** 2 * zeta ** 2 * cz2) / (
-        k_z ** 2 * (1.0 + 4.0 * zeta ** 2 * cy2)
-    )
+    try:
+        shared = (k_y ** 2 + 4.0 * k_z ** 2 * zeta ** 2 * cz2) / (
+            k_z ** 2 * (1.0 + 4.0 * zeta ** 2 * cy2)
+        )
+    except OverflowError:  # float ** 2 raises past the largest double
+        shared = math.nan
     p1 = (4.0 * cy2 - 1.0) * shared
     den2 = 4.0 * cz2 - 1.0
     p2 = shared / den2 if den2 != 0.0 else math.inf
@@ -288,9 +296,7 @@ def design_wavenumber(
             p, k_z, refined = _refine_design(d, k_y, k_z, zeta, p, i_y, band)
         field = ForceField(*_pair_design(d, k_y, k_z, zeta, p, i_y))
         f1, f2 = field.forces()[0]
-        # counter-propagating single-sided drives: rigid translation is
-        # a symmetry, classify the gap coordinate only
-        stab = classify_stability(field.jacobian(), True)[1]
+        stab = field.stability()[2]
         candidates.append(
             DesignCandidate(
                 k_z=k_z,

@@ -1,10 +1,11 @@
 """Time-averaged radiation forces on chain scatterers.
 
 Exact forces come from each solve's (A, B, s) triples, and their exact
-Jacobian from one tangent pass; classify_stability judges a state from
-that Jacobian's eigenvalues. The two-splitter closed-form approximations
-(small real zeta, error O(zeta^3)) are provided for analysis and design
-work. Positive force points toward +x.
+Jacobian from one tangent pass; ForceField.stability judges a state from
+that Jacobian's eigenvalues, projecting out the uniform shift exactly when
+the field is translation invariant. The two-splitter closed-form
+approximations (small real zeta, error O(zeta^3)) are provided for
+analysis and design work. Positive force points toward +x.
 """
 
 from __future__ import annotations
@@ -159,39 +160,39 @@ class ForceField(ChainSweeps):
             raise SingularBoundary("the force Jacobian is not finite")
         return jac
 
+    @property
+    def translation_invariant(self) -> bool:
+        """True when no mode is driven from both sides: a uniform shift then only rotates phases."""
+        return all(len(c.sides) == 1 for c in self.constants)
+
+    def stability(self, positions=None):
+        """(jacobian, eigenvalues, classification) of the forces at positions.
+
+        A translation-invariant field's Jacobian is first restricted to the
+        orthonormal complement of the uniform shift. Eigenvalues come back
+        sorted by descending real part; the classification is "stable" when all
+        real parts are below -1e-9, "unstable" when any is above +1e-9, and
+        "marginal" otherwise (also when no eigenvalue is left).
+        """
+        import numpy as np
+        jacobian = matrix = self.jacobian(positions)
+        if self.translation_invariant:
+            # normalised Helmert columns: column i is (1, ..., 1, -i, 0, ...) / sqrt(i (i + 1))
+            i = np.arange(1, self.n)
+            rows = np.arange(self.n)[:, None]
+            q = ((rows < i) - (rows == i) * i) / np.sqrt(i * (i + 1.0))
+            matrix = q.T @ jacobian @ q
+        eigs = np.linalg.eigvals(matrix)
+        eigs = eigs[np.argsort(eigs.real)[::-1]]
+        top = eigs.real[0] if eigs.size else 0.0
+        label = "stable" if top < -_EIG_TOL else "unstable" if top > _EIG_TOL else "marginal"
+        return jacobian, eigs, label
+
 
 def _shift(const, x, zeta, a, b):
     # moving scatterer k by dx turns its splitter S into D(-dx) S D(dx),
     # D = diag(e^{ik dx}, e^{-ik dx}), and leaves the drives' A_1 and D_N
     return 2.0 * const.k * zeta * b, 2.0 * const.k * zeta * a
-
-
-def classify_stability(
-    jacobian: np.ndarray, translation_projected: bool
-) -> tuple[np.ndarray, str]:
-    """Eigenvalues of a force Jacobian and the stability they imply.
-
-    With translation_projected the Jacobian is first restricted to the
-    orthonormal complement of the uniform shift. Eigenvalues come back
-    sorted by descending real part; the classification is "stable" when all
-    real parts are below -1e-9, "unstable" when any is above +1e-9, and
-    "marginal" otherwise (also when no eigenvalue is left).
-    """
-    import numpy as np
-    if translation_projected:
-        # normalised Helmert columns: column i is (1, ..., 1, -i, 0, ...) / sqrt(i (i + 1))
-        i = np.arange(1, len(jacobian))
-        rows = np.arange(len(jacobian))[:, None]
-        q = ((rows < i) - (rows == i) * i) / np.sqrt(i * (i + 1.0))
-        jacobian = q.T @ jacobian @ q
-    eigs = np.linalg.eigvals(jacobian)
-    eigs = eigs[np.argsort(eigs.real)[::-1]]
-    top = eigs.real[0] if eigs.size else 0.0
-    if top < -_EIG_TOL:
-        return eigs, "stable"
-    if top > _EIG_TOL:
-        return eigs, "unstable"
-    return eigs, "marginal"
 
 
 def forces_exact(chain: ScattererChain, modes: list[Mode]) -> ForceProfile:

@@ -22,8 +22,9 @@ def lattice_constant(zeta: float, asymmetry: float, k: float = K_REF) -> float:
     """Equilibrium pair spacing in the asymmetric standing wave.
 
     asymmetry A = (i_l - i_r)/sqrt(i_l i_r); valid while zeta^2 A^2 <= 4,
-    beyond that the pair cannot balance and NoLattice is raised. At A = 0
-    the spacing approaches lambda/2 from below as zeta -> 0.
+    beyond that the pair cannot balance and NoLattice is raised, as it is
+    for a spacing that rounds to 0 (|zeta| of 1e8 and more at A = 0). At
+    A = 0 the spacing approaches lambda/2 from below as zeta -> 0.
     """
     check_number("zeta", zeta)
     check_number("asymmetry", asymmetry)
@@ -39,7 +40,10 @@ def lattice_constant(zeta: float, asymmetry: float, k: float = K_REF) -> float:
     arg = (-z2 * math.sqrt(4.0 + a2) + math.sqrt(rad)) / (2.0 * (1.0 + z2))
     arg = min(1.0, max(-1.0, arg))
     lam = 2.0 * math.pi / k
-    return 0.5 * lam * (1.0 - math.acos(arg) / math.pi)
+    spacing = 0.5 * lam * (1.0 - math.acos(arg) / math.pi)
+    if not spacing > 0.0:
+        raise NoLattice(f"the balanced spacing at zeta = {zeta!r} is {spacing!r}, not positive")
+    return spacing
 
 
 def pair_rt_closed_form(d: float, k: float, zeta: float) -> tuple[complex, complex]:

@@ -419,3 +419,36 @@ def test_settle_records_a_collision_with_its_partial_trajectory():
     del doc["dynamics"]
     with pytest.raises(ValueError, match="dynamics block"):
         settle(scenario_from_document(doc))
+
+
+def _standing_wave_document(positions, dt, friction):
+    return {
+        "version": "1",
+        "chain": {"zeta": [0.05, 0.0], "positions": list(positions)},
+        "modes": [{"label": "sw", "k": 1.0, "intensity_left": 1.0, "intensity_right": 1.0}],
+        "dynamics": {"regime": "overdamped", "dt": dt, "t_end": dt, "friction": friction},
+    }
+
+
+def test_a_standing_wave_is_judged_without_projecting_out_the_shift():
+    # the pair at its unstable root near (-0.242049, 0.0): eigenvalues +-2.5133.
+    # Projecting out the uniform shift, no symmetry of a standing wave, left
+    # only their mean and read "marginal"
+    from lightlattice.equilibria import find_equilibrium
+    sw = [Mode("sw", K_REF, drive_left=math.sqrt(2.0), drive_right=math.sqrt(2.0))]
+    root = find_equilibrium(ScattererChain((-0.242049, 0.0), 0.05), sw)
+    assert root.classification == "unstable" and not root.translation_projected
+    state = settle(scenario_from_document(
+        _standing_wave_document(map(float, root.positions), dt=0.01, friction=2.0)))
+    assert state.trajectory.termination == "force_tol"
+    stability, stiffness = state.verdict()
+    assert stability == "unstable"
+    assert stiffness == pytest.approx(0.01 * 2.5133 / 2.0, rel=1e-4)
+
+
+def test_a_scatterer_sliding_in_a_standing_wave_is_not_stationary():
+    # one scatterer has no gap, so its co-moving residual is 0; the standing
+    # wave pins it, and its residual is sup|F|
+    state = settle(scenario_from_document(_standing_wave_document([0.1], dt=0.01, friction=1.0)))
+    assert state.comoving_residual == 0.0 and state.residual == pytest.approx(0.18822, abs=1e-5)
+    assert state.verdict()[0] == "not_stationary"

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from lightlattice import equilibria
 from lightlattice.equilibria import (
     LinearizedModel,
-    classify_stability,
     design_intensity_ratio,
     design_wavenumber,
     find_equilibrium,
@@ -30,7 +29,7 @@ from lightlattice.forcefield import ForceField, forces_batch, forces_exact
 from lightlattice.lattice import build_lattice
 from lightlattice.wavecore import K_REF, Mode, ScattererChain, mode_zetas
 from mp_reference import mp_forces, mp_jacobian, mp_k_slope, mp_pair_forces
-from test_wavecore import varied_chains, varied_modes
+from test_wavecore import drives, varied_chains, varied_modes
 
 EXACT_CROSSING_LOW = 0.123416461
 EXACT_CROSSING_HIGH = 0.373400547
@@ -467,7 +466,7 @@ def test_find_equilibrium_matches_hand_loops_closely(relative_only, positions, m
     assert np.max(np.abs(report.jacobian - ref_jac)) <= fd_noise(ref_jac)
     ref_eigs = _ref_eigenvalues(ref_jac, relative_only)
     assert np.max(np.abs(report.eigenvalues - ref_eigs)) <= fd_noise(ref_jac)
-    assert report.classification == classify_stability(ref_jac, relative_only)[1]
+    assert report.classification == ForceField(chain, modes).stability(ref_positions)[2]
 
 
 def test_find_equilibrium_matches_gap_loop_closely():
@@ -480,8 +479,7 @@ def test_find_equilibrium_matches_gap_loop_closely():
     ref_positions, ref_iterations = _ref_newton_positions(chain, modes, True, fd_step=1e-7)
     assert np.max(np.abs(np.subtract(report.positions, ref_positions))) <= 1e-12
     assert report.iterations == ref_iterations
-    ref_jac = _ref_force_jacobian(chain.with_positions(ref_positions), modes, h=1e-7)
-    assert report.classification == classify_stability(ref_jac, True)[1]
+    assert report.classification == ForceField(chain, modes).stability(ref_positions)[2]
 
 
 def _ref_linearization(scenario, h=1e-6):
@@ -861,9 +859,19 @@ def one_sided_modes(draw):
 
 @given(varied_chains(), one_sided_modes())
 def test_one_sided_force_jacobian_rows_sum_to_zero(chain, modes):
-    # a one-sided drive moves with the chain: translation leaves the forces
-    jac = force_jacobian(chain, modes)
+    # a one-sided drive moves with the chain: translation leaves the forces,
+    # and the field says so; undriven modes and drive phases change neither
+    field = ForceField(chain, modes)
+    assert field.translation_invariant
+    jac = field.jacobian()
     assert np.max(np.abs(jac.sum(axis=1))) <= 1e-13 * max(1.0, np.max(np.abs(jac)))
+
+
+@given(varied_chains(), varied_modes(), drives.filter(bool), drives.filter(bool))
+def test_a_mode_driven_from_both_sides_breaks_translation_invariance(chain, modes, left, right):
+    # a standing wave pins the chain, whatever else drives it or leaves it dark
+    modes = [*modes, Mode("sw", K_REF, drive_left=left, drive_right=right)]
+    assert not ForceField(chain, modes).translation_invariant
 
 
 @pytest.mark.parametrize("d", [0.15, 0.35])
@@ -890,8 +898,24 @@ def test_design_roots_match_mpmath(d):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_helmert_projection_matches_the_qr_basis(n):
-    jac = np.random.default_rng(n).normal(size=(n, n))
-    eigs, _ = classify_stability(jac, True)
+    # an invariant field: beams from opposite sides at different wavenumbers
+    chain = ScattererChain(tuple(0.1 + 0.37 * j for j in range(n)), 0.05)
+    field = ForceField(chain, symmetric_modes(i_z=1.2, k_z=1.1 * K_REF))
+    assert field.translation_invariant
+    jac, eigs, _ = field.stability()
     ref = _ref_eigenvalues(jac, True)
     assert eigs.shape == ref.shape == (n - 1,)
+    assert (np.diff(eigs.real) <= 0).all()
+    # a conjugate pair shares its real part, so either may come first
+    eigs, ref = np.sort_complex(eigs), np.sort_complex(ref)
     assert np.max(np.abs(eigs - ref), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(ref), initial=0.0))
+
+
+def test_relative_newton_refuses_a_field_that_pins_the_chain():
+    # gaps whose neighbour forces balance while the standing wave pushes the
+    # whole pair would be no equilibrium
+    modes = [Mode("y", K_REF, drive_left=1.0),
+             Mode("sw", K_REF, drive_left=math.sqrt(2.0), drive_right=math.sqrt(2.0))]
+    with pytest.raises(ValueError, match="^relative_only needs a translation-invariant field; "
+                                         "mode 'sw' is driven from both sides$"):
+        find_equilibrium(ScattererChain((-0.242049, 0.0), 0.05), modes, relative_only=True)

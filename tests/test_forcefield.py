@@ -470,3 +470,22 @@ def test_force_kernel_rejects_a_repeated_label():
     for mode in apart:
         assert both.per_mode[mode.label] == forces_exact(chain, [mode]).total
     assert both.total == pytest.approx(np.add(both.per_mode["y"], both.per_mode["z"]))
+
+
+@pytest.mark.parametrize("drives, invariant", [
+    ([], True),
+    ([(0j, 0j)], True),
+    ([(cmath.exp(0.7j), 0j)], True),
+    ([(0j, 0.5j), (1.0, 0j)], True),
+    ([(1.0, cmath.exp(2.0j))], False),
+    ([(0j, 0j), (1.0, 0j), (cmath.exp(1.0j), 0.3)], False),
+], ids=["no-modes", "undriven", "left-with-phase", "opposite-beams", "standing-wave", "mixed"])
+def test_a_field_is_translation_invariant_unless_a_mode_is_driven_from_both_sides(drives,
+                                                                                invariant):
+    modes = [Mode(f"m{i}", (1.0 + 0.1 * i) * K_REF, drive_left=left, drive_right=right)
+             for i, (left, right) in enumerate(drives)]
+    field = ForceField(ScattererChain((0.0, 0.3, 0.7), 0.05), modes)
+    assert field.translation_invariant is invariant
+    # a shift by 0.13 wavelengths moves a standing wave's forces, not the others'
+    moved = np.subtract(field.forces((0.13, 0.43, 0.83))[0], field.forces()[0])
+    assert bool(np.max(np.abs(moved)) <= 1e-13) is invariant

@@ -25,6 +25,7 @@ from lightlattice import (
     ScattererChain,
     build_lattice,
     build_perturbation_scenarios,
+    design_intensity_ratio,
     design_wavenumber,
     evolve,
     intensity_profile,
@@ -208,3 +209,18 @@ def test_a_chain_names_a_coupling_it_cannot_read(zeta_base):
         ScattererChain((0.0, 0.4), zeta_base)
     for couplings in ([0.01, 0.02], np.array([0.01, 0.02])):
         assert ScattererChain((0.0, 0.4), couplings).zeta_base == (0.01, 0.02)
+
+
+def _flagged_nan(ratios) -> bool:
+    return (math.isnan(ratios.p1) and math.isnan(ratios.p2)
+            and not ratios.p1_physical and not ratios.p2_physical)
+
+
+# exempt closed forms: what they return where a value has no meaning
+@pytest.mark.parametrize("call, returned", [
+    (lambda: design_intensity_ratio(math.nan, K_REF, K_REF, 0.01), _flagged_nan),
+    # zeta ** 2 leaked OverflowError above |zeta| of about 1.34e154
+    (lambda: design_intensity_ratio(0.1, K_REF, K_REF, 1e200), _flagged_nan),
+], ids=["design_intensity_ratio-nan-d", "design_intensity_ratio-zeta-1e200"])
+def test_a_closed_form_maps_what_it_cannot_evaluate_to_a_flagged_nan(call, returned):
+    assert returned(call())

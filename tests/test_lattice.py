@@ -59,6 +59,19 @@ def test_lattice_constant_shrinks_with_asymmetry():
     assert all(b < a for a, b in zip(d_values, d_values[1:]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: lattice_constant(1e8, 0.0),
+    lambda: lattice_constant(1e200, 0.0),
+    lambda: build_lattice(2, 1.0, 1.0, 1e8),
+], ids=["lattice_constant-1e8", "lattice_constant-1e200", "build_lattice-1e8"])
+def test_a_spacing_that_rounds_to_zero_is_no_lattice(call):
+    # the spacing was 0.0, and build_lattice raised a bare ValueError from
+    # ScattererChain: positions not strictly increasing: 0.0 !< 0.0
+    with pytest.raises(NoLattice, match=r"^the balanced spacing at zeta = \S+ is 0\.0, "
+                                        r"not positive$"):
+        call()
+
+
 def test_lattice_constant_domain():
     with pytest.raises(NoLattice):
         lattice_constant(0.1, 21.0)  # zeta^2 A^2 > 4
