@@ -10,7 +10,7 @@ counterphase.
 import argparse
 import sys
 
-from lightlattice import build_perturbation_scenarios, scenario_from_document
+from lightlattice import preset_document, scenario_from_document
 from lightlattice.forcefield import forces_exact
 
 
@@ -19,7 +19,7 @@ def main(argv=None) -> int:
     ap.add_argument("--scale", type=float, default=1.0, help="drive intensity factor")
     args = ap.parse_args(argv)
 
-    doc = build_perturbation_scenarios("correlated_oscillation", i_p_scale=args.scale)
+    doc = preset_document("correlated_oscillation", i_p_scale=args.scale)
     scenario = scenario_from_document(doc, name="pinned-pattern")
     profile = forces_exact(scenario.chain, scenario.mode_list())
 

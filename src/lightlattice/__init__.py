@@ -26,13 +26,13 @@ _NAMES = {
                    "design_intensity_ratio", "design_wavenumber", "DesignCandidate",
                    "LinearizedModel", "NormalModes", "linearize_pair_in_lattice",
                    "normal_modes", "zero_force_grid"),
-    "lattice": ("LatticeScenario", "build_lattice", "build_perturbation_scenarios",
-                "lattice_constant", "pair_rt_closed_form", "stable_com_position"),
+    "lattice": ("LatticeScenario", "build_lattice", "lattice_constant", "pair_rt_closed_form",
+                "stable_com_position"),
     "scenario": ("Scenario", "load_scenario", "scenario_from_document"),
     "errors": ("LightLatticeError", "NegativeDistance", "SingularBoundary", "NoSolution",
                "SeparationViolation", "NoConvergence", "InconsistentLinearization",
                "UnstableMode", "NoLattice", "NoTrap", "SingularDenominator", "ScenarioError"),
-    "cli": (),
+    "cli": ("preset_document",),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}
 

@@ -31,7 +31,7 @@ from .scenario import (
     scenario_from_document,
     scenario_hash,
 )
-from .wavecore import K_REF, intensity_profile, solve_fields
+from .wavecore import K_REF, check_number, intensity_profile, solve_fields
 
 
 def _fmt(x) -> str:
@@ -228,50 +228,134 @@ def _preset_gap_vs_intensity() -> dict:
     return doc
 
 
+def _preset_correlated_oscillation(i_p_scale: float) -> dict:
+    from .lattice import pair_rt_closed_form, stable_com_position
+    # four splitters pinned at 0.23 of the perturbation wavelength apart at
+    # every scale, shifted so the trap center of an isolated pair sits at
+    # the origin
+    k = K_REF
+    zeta = 0.1
+    d0 = 0.23
+    r, t = pair_rt_closed_form(d0, k, zeta)
+    x0 = stable_com_position(1.0, 1.0, r, t, k)
+    positions = [i * d0 - x0 for i in (1, 2, 3, 4)]
+    return {
+        "version": "1",
+        "units": {"lambda_ref": 1.0},
+        "chain": {"zeta": [zeta, 0.0], "positions": positions},
+        "modes": [
+            {"label": "sw", "k": 1.0, "intensity_left": 1.0, "intensity_right": 1.0},
+            {
+                "label": "p",
+                "k": 1.0,
+                "intensity_left": 1.0 * i_p_scale,
+                "intensity_right": 0.0,
+                "zeta_override": [0.1, 0.0],
+            },
+        ],
+        "dynamics": {
+            "regime": "newtonian",
+            "mass": 1.0,
+            "friction": 0.01,
+            "dt": 0.5,
+            "t_end": 2000.0,
+        },
+        "output": {"capture_every": 4},
+    }
+
+
+def _preset_resonant_transfer(i_p_scale: float) -> dict:
+    from .equilibria import find_equilibrium
+    from .lattice import build_lattice
+    # three-splitter lattice, weak near-resonant drive from the left, the
+    # far splitter kicked off equilibrium; energy funnels to splitter 1.
+    # each scale relaxes at its own equilibrium before the kick: reusing the
+    # full-drive positions at scale 0 rides a global transient that swamps
+    # the splitter-1 signal
+    k = K_REF
+    zeta = 0.01
+    k_p = k / 0.99
+    i_p = 0.05 * i_p_scale
+    scenario = build_lattice(3, 1.0, 1.0, zeta, k=k, i_p=i_p, k_p=k_p, zeta_p=0.1)
+    chain = scenario.chain()
+    report = find_equilibrium(chain, scenario.modes())
+    pos = list(report.positions)
+    pos[2] += 0.02
+    return {
+        "version": "1",
+        "units": {"lambda_ref": 1.0},
+        "chain": {"zeta": [zeta, 0.0], "positions": pos},
+        "modes": [
+            {"label": "sw", "k": 1.0, "intensity_left": 1.0, "intensity_right": 1.0},
+            {
+                "label": "p",
+                "k": 1.0 / 0.99,
+                "intensity_left": i_p,
+                "intensity_right": 0.0,
+                "zeta_override": [0.1, 0.0],
+            },
+        ],
+        "dynamics": {
+            "regime": "newtonian",
+            "mass": 1.0,
+            "friction": 0.01,
+            "dt": 0.5,
+            "t_end": 1500.0,
+        },
+        "output": {"capture_every": 2},
+    }
+
+
+# every built-in scenario: name -> (builder, whether it takes --ip-scale,
+# which is then its one argument)
 _PRESETS = {
-    "self_ordering": _preset_self_ordering,
-    "drift_intensity": _preset_drift_intensity,
-    "drift_wavenumber": _preset_drift_wavenumber,
-    "stationary_distance_map": _preset_stationary_distance_map,
-    "gap_vs_intensity": _preset_gap_vs_intensity,
+    "self_ordering": (_preset_self_ordering, False),
+    "drift_intensity": (_preset_drift_intensity, False),
+    "drift_wavenumber": (_preset_drift_wavenumber, False),
+    "stationary_distance_map": (_preset_stationary_distance_map, False),
+    "gap_vs_intensity": (_preset_gap_vs_intensity, False),
+    "correlated_oscillation": (_preset_correlated_oscillation, True),
+    "resonant_transfer": (_preset_resonant_transfer, True),
 }
 
 
 def preset_names() -> tuple[str, ...]:
-    from .lattice import perturbation_scenario_kinds
-    return tuple(sorted(set(_PRESETS) | set(perturbation_scenario_kinds())))
+    return tuple(sorted(_PRESETS))
+
+
+def preset_document(name: str, i_p_scale: float = 1.0) -> dict:
+    """The scenario document of the built-in scenario name.
+
+    i_p_scale rescales the perturbation intensity of the presets whose
+    table entry takes it; each builder says what the scale does to its
+    starting positions. An unknown name, or a scale other than 1 for a
+    preset that takes none, raises ScenarioError; a scale that is not a
+    finite number of at least 0 raises ValueError.
+    """
+    builder, scaled = _PRESETS.get(name, (None, False))
+    if i_p_scale != 1.0 and not scaled:
+        raise ScenarioError("--ip-scale applies only to the presets " + ", ".join(
+            preset for preset in preset_names() if _PRESETS[preset][1]))
+    if builder is None:
+        raise ScenarioError(f"unknown preset {name!r}; known: {', '.join(preset_names())}")
+    if not scaled:
+        return builder()
+    check_number("i_p_scale", i_p_scale, minimum=0)
+    return builder(i_p_scale)
 
 
 def _load(args) -> tuple[Scenario, _Artifacts]:
     """The run's scenario, and the writer of its artifacts (named by args.command)."""
-    from .lattice import build_perturbation_scenarios, perturbation_scenario_kinds
-    has_file = getattr(args, "scenario", None) is not None
-    has_preset = getattr(args, "preset", None) is not None
-    if has_file == has_preset:
+    if (args.scenario is None) == (args.preset is None):
         raise ScenarioError("give exactly one of --scenario or --preset")
-    name = args.preset
-    scale = getattr(args, "ip_scale", 1.0)
-    scaled = name in perturbation_scenario_kinds()
-    if scale != 1.0 and not scaled:
-        raise ScenarioError(
-            "--ip-scale applies only to the presets "
-            + ", ".join(perturbation_scenario_kinds())
-        )
-    if scaled:
+    if args.preset is None and args.ip_scale == 1.0:
+        scn = load_scenario(args.scenario)
+    else:  # a preset, or a file with an --ip-scale, which preset_document(None) refuses
         try:
-            doc = build_perturbation_scenarios(name, i_p_scale=scale)
+            doc = preset_document(args.preset, i_p_scale=args.ip_scale)
         except ValueError as exc:
             raise ScenarioError(f"--ip-scale: {exc}") from exc
-    elif name in _PRESETS:
-        doc = _PRESETS[name]()
-    elif not has_file:
-        raise ScenarioError(
-            f"unknown preset {name!r}; known: {', '.join(preset_names())}"
-        )
-    if has_file:
-        scn = load_scenario(args.scenario)
-    else:
-        scn = scenario_from_document(doc, name=f"preset:{name}")
+        scn = scenario_from_document(doc, name=f"preset:{args.preset}")
     prefix = scn.doc.get("output", {}).get("prefix")
     return scn, _Artifacts(args.out, f"{prefix}_" if prefix else "", args.command, scn.sha, scn.name)
 

@@ -183,16 +183,19 @@ def design_intensity_ratio(d: float, k_y: float, k_z: float, zeta: float) -> Des
 
     Small-zeta closed forms; each force is linear in p so the ratio is exact
     within the approximation. Non-physical values (negative, infinite or NaN,
-    as when a square overflows) are returned flagged, never raised.
+    as when a square overflows, k_z is 0 or a phase is infinite) are
+    returned flagged, never raised.
     """
-    cy2 = math.cos(d * k_y) ** 2
-    cz2 = math.cos(d * k_z) ** 2
     try:
+        cy2 = math.cos(d * k_y) ** 2
+        cz2 = math.cos(d * k_z) ** 2
         shared = (k_y ** 2 + 4.0 * k_z ** 2 * zeta ** 2 * cz2) / (
             k_z ** 2 * (1.0 + 4.0 * zeta ** 2 * cy2)
         )
-    except OverflowError:  # float ** 2 raises past the largest double
-        shared = math.nan
+    except (ArithmeticError, ValueError):
+        # math.cos raises ValueError at an infinite phase, float ** 2
+        # OverflowError past the largest double, and k_z = 0 ZeroDivisionError
+        return DesignRatios(math.nan, math.nan, False, False)
     p1 = (4.0 * cy2 - 1.0) * shared
     den2 = 4.0 * cz2 - 1.0
     p2 = shared / den2 if den2 != 0.0 else math.inf

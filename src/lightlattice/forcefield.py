@@ -278,8 +278,11 @@ def pair_forces_approx(d: float, p: PairForceParams) -> tuple[float, float]:
     zz = (p.k_z / p.k_y) * z
     iy = p.i_y
     iz = p.p * p.i_y
-    cy2 = math.cos(d * p.k_y) ** 2
-    cz2 = math.cos(d * p.k_z) ** 2
+    try:
+        cy2 = math.cos(d * p.k_y) ** 2
+        cz2 = math.cos(d * p.k_z) ** 2
+    except ValueError:  # math.cos of an infinite phase
+        return math.nan, math.nan
     den_y = 1.0 + 4.0 * z * z * cy2
     den_z = 1.0 + 4.0 * zz * zz * cz2
     f1 = 2.0 * (iy * z * z * (4.0 * cy2 - 1.0) / den_y - iz * zz * zz / den_z)
@@ -305,14 +308,19 @@ def pair_zero_force_distances(p: PairForceParams, branch: int = -1, n: int = 0) 
 
     branch picks the sign in front of the arccos argument (+1 or -1); n the
     period index. Out-of-domain arguments are reported, not raised: the
-    corresponding distance does not exist physically.
+    corresponding distance does not exist physically. Where a wavenumber's
+    square overflows, both distances are NaN.
     """
     if branch not in (-1, 1):
         raise ValueError("branch must be +1 or -1")
     iy = p.i_y
     iz = p.p * p.i_y
     z2 = p.zeta * p.zeta
-    num = p.k_y ** 2 * iy + p.k_z ** 2 * iz
+    try:
+        num = p.k_y ** 2 * iy + p.k_z ** 2 * iz
+        ratio2 = (p.k_z / p.k_y) ** 2
+    except OverflowError:  # float ** 2 raises past the largest double
+        return PairZeroDistances(math.nan, math.nan, {})
     notes: dict = {}
 
     def solve(k_pref: float, den: float, key: str) -> float | None:
@@ -325,6 +333,6 @@ def pair_zero_force_distances(p: PairForceParams, branch: int = -1, n: int = 0) 
             return None
         return (math.acos(arg) + n * math.pi) / k_pref
 
-    d1 = solve(p.k_y, iy + (p.k_z / p.k_y) ** 2 * z2 * (iy - iz), "d1")
+    d1 = solve(p.k_y, iy + ratio2 * z2 * (iy - iz), "d1")
     d2 = solve(p.k_z, iz - z2 * (iy - iz), "d2")
     return PairZeroDistances(d1, d2, notes)

@@ -4,7 +4,7 @@ A lattice scenario is a chain held by one standing-wave mode (left and
 right drives of intensities i_l, i_r at wavenumber k) plus an optional
 one-sided perturbation mode at k_p. The closed forms below give the
 asymmetry-dependent lattice constant, the pair reflection/transmission,
-and the trapped center-of-mass position; builders polish the closed-form
+and the trapped center-of-mass position; build_lattice polishes the closed-form
 seeds against the exact forces.
 """
 
@@ -70,10 +70,13 @@ def stable_com_position(
 
     Exact for i_l = i_r; for asymmetric drives it is a seed the equilibrium
     polish tightens. Raises NoTrap when the interference term vanishes or
-    the argument leaves the arccos domain.
+    the argument leaves the arccos domain; a NaN or infinite argument
+    gives NaN.
     """
     if i_l <= 0 or i_r <= 0:
         raise NoTrap("both drives must be positive to form a trap")
+    if not all(map(cmath.isfinite, (i_l, i_r, r, t, k))):
+        return math.nan
     imrt = (r * t.conjugate()).imag
     if imrt == 0.0:
         raise NoTrap("Im(r t*) = 0: no position dependence to trap on")
@@ -224,105 +227,3 @@ def build_lattice(
         outcomes.append(report.classification)
     raise NoLattice(f"no stable trap site; the four trap seeds gave: {', '.join(outcomes)}")
 
-
-def _correlated_oscillation(i_p_scale: float) -> dict:
-    # four splitters pinned at 0.23 of the perturbation wavelength apart,
-    # shifted so the trap center of an isolated pair sits at the origin
-    k = K_REF
-    zeta = 0.1
-    d0 = 0.23
-    r, t = pair_rt_closed_form(d0, k, zeta)
-    x0 = stable_com_position(1.0, 1.0, r, t, k)
-    positions = [i * d0 - x0 for i in (1, 2, 3, 4)]
-    return {
-        "version": "1",
-        "units": {"lambda_ref": 1.0},
-        "chain": {"zeta": [zeta, 0.0], "positions": positions},
-        "modes": [
-            {"label": "sw", "k": 1.0, "intensity_left": 1.0, "intensity_right": 1.0},
-            {
-                "label": "p",
-                "k": 1.0,
-                "intensity_left": 1.0 * i_p_scale,
-                "intensity_right": 0.0,
-                "zeta_override": [0.1, 0.0],
-            },
-        ],
-        "dynamics": {
-            "regime": "newtonian",
-            "mass": 1.0,
-            "friction": 0.01,
-            "dt": 0.5,
-            "t_end": 2000.0,
-        },
-        "output": {"capture_every": 4},
-    }
-
-
-def _resonant_transfer(i_p_scale: float) -> dict:
-    from .equilibria import find_equilibrium
-    # three-splitter lattice, weak near-resonant drive from the left, the
-    # far splitter kicked off equilibrium; energy funnels to splitter 1.
-    # each scale relaxes at its own equilibrium before the kick: reusing the
-    # full-drive positions at scale 0 rides a global transient that swamps
-    # the splitter-1 signal
-    k = K_REF
-    zeta = 0.01
-    k_p = k / 0.99
-    i_p = 0.05 * i_p_scale
-    scenario = build_lattice(3, 1.0, 1.0, zeta, k=k, i_p=i_p, k_p=k_p, zeta_p=0.1)
-    chain = scenario.chain()
-    report = find_equilibrium(chain, scenario.modes())
-    pos = list(report.positions)
-    pos[2] += 0.02
-    return {
-        "version": "1",
-        "units": {"lambda_ref": 1.0},
-        "chain": {"zeta": [zeta, 0.0], "positions": pos},
-        "modes": [
-            {"label": "sw", "k": 1.0, "intensity_left": 1.0, "intensity_right": 1.0},
-            {
-                "label": "p",
-                "k": 1.0 / 0.99,
-                "intensity_left": i_p,
-                "intensity_right": 0.0,
-                "zeta_override": [0.1, 0.0],
-            },
-        ],
-        "dynamics": {
-            "regime": "newtonian",
-            "mass": 1.0,
-            "friction": 0.01,
-            "dt": 0.5,
-            "t_end": 1500.0,
-        },
-        "output": {"capture_every": 2},
-    }
-
-
-_PERTURBATION_KINDS = {
-    "correlated_oscillation": _correlated_oscillation,
-    "resonant_transfer": _resonant_transfer,
-}
-
-
-def perturbation_scenario_kinds() -> tuple[str, ...]:
-    return tuple(sorted(_PERTURBATION_KINDS))
-
-
-def build_perturbation_scenarios(kind: str, i_p_scale: float = 1.0) -> dict:
-    """Canned perturbation-response scenarios as plain scenario documents.
-
-    i_p_scale rescales the perturbation intensity. correlated_oscillation
-    keeps its prescribed positions at every scale; resonant_transfer
-    relaxes to the equilibrium of the scaled drive before its kick, so its
-    zero-scale document starts from the undriven equilibrium.
-    """
-    try:
-        builder = _PERTURBATION_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario kind {kind!r}; known: {', '.join(perturbation_scenario_kinds())}"
-        ) from None
-    check_number("i_p_scale", i_p_scale, minimum=0)
-    return builder(i_p_scale)

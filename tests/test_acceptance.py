@@ -14,16 +14,12 @@ import time
 import numpy as np
 import pytest
 
-from lightlattice.cli import main
+from lightlattice.cli import main, preset_document
 from lightlattice.dynamics import DynamicsParams, com_velocity, evolve
 from lightlattice.errors import SeparationViolation
 from lightlattice.equilibria import design_wavenumber, find_equilibrium, normal_modes, linearize_pair_in_lattice
 from lightlattice.forcefield import PairForceParams, forces_exact, pair_forces_approx
-from lightlattice.lattice import (
-    build_lattice,
-    build_perturbation_scenarios,
-    lattice_constant,
-)
+from lightlattice.lattice import build_lattice, lattice_constant
 from lightlattice.scenario import scenario_from_document
 from lightlattice.wavecore import (
     K_REF,
@@ -357,7 +353,7 @@ def test_c08_perturbation_force_pattern():
 
 
 def run_preset_trajectory(kind, i_p_scale):
-    doc = build_perturbation_scenarios(kind, i_p_scale=i_p_scale)
+    doc = preset_document(kind, i_p_scale=i_p_scale)
     scenario = scenario_from_document(doc, name=kind)
     return scenario, evolve(
         scenario.chain,

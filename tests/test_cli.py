@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lightlattice import cli, equilibria, forcefield
-from lightlattice.cli import main, preset_names
+from lightlattice.cli import main, preset_document, preset_names
 from lightlattice.scenario import scenario_from_document, scenario_hash
 
 EXACT_CROSSING_HIGH = 0.373400547
@@ -18,6 +18,9 @@ PLAIN_PRESET_HASHES = {
     "self_ordering": "e5c032f26f11",
     "stationary_distance_map": "acbf15444f30",
 }
+# correlated_oscillation's positions are closed forms, so its hash is pinned
+# too, at each perturbation scale the run reads
+CORRELATED_OSCILLATION_HASHES = {1.0: "6c35638ce884", 0.0: "05d638d0f8e8"}
 
 
 def write_doc(tmp_path, doc, name="case.json"):
@@ -627,6 +630,16 @@ def test_plain_presets_keep_their_scenario_hashes(tmp_path):
                      "--out", str(out)]) == 0
         header, _, _ = read_csv(out / "fields.csv")
         assert f"# scenario {sha} preset:{name}" in header
+
+
+def test_correlated_oscillation_keeps_its_scenario_hashes(tmp_path):
+    for scale, sha in CORRELATED_OSCILLATION_HASHES.items():
+        assert scenario_hash(preset_document("correlated_oscillation", i_p_scale=scale)) == sha
+        out = tmp_path / str(scale)
+        assert main(["fields", "--preset", "correlated_oscillation", "--ip-scale", str(scale),
+                     "--samples", "2", "--out", str(out)]) == 0
+        header, _, _ = read_csv(out / "fields.csv")
+        assert f"# scenario {sha} preset:correlated_oscillation" in header
 
 
 def test_fields_honours_a_lone_x_bound(tmp_path):

@@ -7,6 +7,8 @@ callable's numeric slots; a completeness check keeps every numeric parameter of
 the package's public names in it or on a named exemption list.
 """
 
+import cmath
+import dataclasses
 import functools
 import inspect
 import math
@@ -21,18 +23,26 @@ from lightlattice import (
     K_REF,
     DynamicsParams,
     Mode,
+    NegativeDistance,
+    NoTrap,
     PairForceParams,
     ScattererChain,
+    beam_splitter_matrix,
     build_lattice,
-    build_perturbation_scenarios,
     design_intensity_ratio,
     design_wavenumber,
     evolve,
     intensity_profile,
     lattice_constant,
     linearize_pair_in_lattice,
+    pair_forces_approx,
+    pair_rt_closed_form,
     pair_stationary_distances,
+    pair_zero_force_distances,
+    preset_document,
+    propagation_matrix,
     solve_fields,
+    stable_com_position,
 )
 
 
@@ -92,8 +102,8 @@ TABLE = {
                           dict(n=I, i_l=R, i_r=R, zeta=R, k=R, i_p=R, k_p=R, zeta_p=C),
                           n=2, i_l=1.0, i_r=1.0, zeta=0.1, k=K_REF, i_p=0.1, k_p=K_REF,
                           zeta_p=0.1),
-    "build_perturbation_scenarios": _row(build_perturbation_scenarios, dict(i_p_scale=R),
-                                         kind="correlated_oscillation", i_p_scale=1.0),
+    "preset_document": _row(preset_document, dict(i_p_scale=R),
+                            name="correlated_oscillation", i_p_scale=1.0),
     "evolve": _row(lambda **kw: evolve(*_pair(), DynamicsParams("newtonian", 0.1, 1.0), **kw),
                    dict(capture_every=I, initial_velocities=R),
                    wrap=dict(initial_velocities=lambda v: (0.0, v)),
@@ -221,6 +231,61 @@ def _flagged_nan(ratios) -> bool:
     (lambda: design_intensity_ratio(math.nan, K_REF, K_REF, 0.01), _flagged_nan),
     # zeta ** 2 leaked OverflowError above |zeta| of about 1.34e154
     (lambda: design_intensity_ratio(0.1, K_REF, K_REF, 1e200), _flagged_nan),
-], ids=["design_intensity_ratio-nan-d", "design_intensity_ratio-zeta-1e200"])
+    # k_z = 0 leaked ZeroDivisionError, an infinite phase d k_y math.cos's ValueError
+    (lambda: design_intensity_ratio(0.1, K_REF, 0.0, 0.01), _flagged_nan),
+    (lambda: design_intensity_ratio(1e308, 10.0, K_REF, 0.01), _flagged_nan),
+], ids=["design_intensity_ratio-nan-d", "design_intensity_ratio-zeta-1e200",
+        "design_intensity_ratio-zero-k_z", "design_intensity_ratio-d-1e308"])
 def test_a_closed_form_maps_what_it_cannot_evaluate_to_a_flagged_nan(call, returned):
     assert returned(call())
+
+
+PAIR_PARAMS = PairForceParams(1.0, K_REF, K_REF, 0.01)
+
+# each exempt closed form as a function of its numeric arguments, and valid values of them
+CLOSED_FORMS = {
+    "beam_splitter_matrix": (beam_splitter_matrix, dict(zeta=0.1)),
+    "propagation_matrix": (propagation_matrix, dict(k=K_REF, d=0.3)),
+    "pair_forces_approx": (lambda d: pair_forces_approx(d, PAIR_PARAMS), dict(d=0.3)),
+    "pair_zero_force_distances": (lambda n: pair_zero_force_distances(PAIR_PARAMS, n=n),
+                                  dict(n=0)),
+    "design_intensity_ratio": (design_intensity_ratio,
+                               dict(d=0.1, k_y=K_REF, k_z=K_REF, zeta=0.01)),
+    "pair_rt_closed_form": (pair_rt_closed_form, dict(d=0.3, k=K_REF, zeta=0.1)),
+    "stable_com_position": (stable_com_position,
+                            dict(i_l=1.0, i_r=1.0, r=0.1 + 0.1j, t=0.9 + 0.2j, k=K_REF)),
+}
+
+
+def _non_finite_calls():
+    for name, (function, valid) in CLOSED_FORMS.items():
+        for slot in valid:
+            for value in (math.nan, math.inf, -math.inf):
+                yield pytest.param(functools.partial(function, **{**valid, slot: value}),
+                                   id=f"{name}-{slot}-{value}")
+    # k_z ** 2 leaked OverflowError
+    yield pytest.param(
+        lambda: pair_zero_force_distances(PairForceParams(1.0, K_REF, 1e300, 0.01)),
+        id="pair_zero_force_distances-k_z-1e300")
+
+
+def _numbers(result) -> list:
+    """The float and complex values in a closed form's result; flags, None and notes left out."""
+    if isinstance(result, (float, complex)):
+        return [result]
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, field.name) for field in dataclasses.fields(result)]
+    if isinstance(result, (tuple, list)):
+        return [x for item in result for x in _numbers(item)]
+    return []
+
+
+@pytest.mark.parametrize("call", _non_finite_calls())
+def test_a_closed_form_maps_a_non_finite_input_to_a_result_that_is_not_all_finite(call):
+    # pair_forces_approx and design_intensity_ratio leaked math.cos's ValueError
+    # at an infinite phase; stable_com_position returned a finite position
+    try:
+        result = call()
+    except (NegativeDistance, NoTrap):  # the refusals each closed form documents
+        return
+    assert not all(map(cmath.isfinite, _numbers(result))), result

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lightlattice import equilibria
+from lightlattice.cli import preset_document, preset_names
 from lightlattice.equilibria import find_equilibrium, pair_stationary_distances
-from lightlattice.errors import NoConvergence, NoLattice, NoTrap, SingularDenominator
+from lightlattice.errors import NoConvergence, NoLattice, NoTrap, ScenarioError, SingularDenominator
 from lightlattice.forcefield import PairForceParams, forces_exact
 from lightlattice.lattice import (
     LatticeScenario,
     build_lattice,
-    build_perturbation_scenarios,
     lattice_constant,
     pair_rt_closed_form,
-    perturbation_scenario_kinds,
     stable_com_position,
 )
 from lightlattice.scenario import scenario_from_document
@@ -324,11 +323,18 @@ def test_one_sided_perturbation_force_is_translation_invariant():
     assert f0 == pytest.approx(f1, abs=1e-12)
 
 
+# the presets that drive a lattice with a perturbation beam of scalable intensity
+PERTURBATION_PRESETS = ("correlated_oscillation", "resonant_transfer")
+
+
 def test_scenario_kinds_round_trip():
-    kinds = perturbation_scenario_kinds()
-    assert set(kinds) == {"correlated_oscillation", "resonant_transfer"}
-    for kind in kinds:
-        doc = build_perturbation_scenarios(kind)
+    # every other preset refuses a perturbation scale, naming exactly these
+    for name in set(preset_names()) - set(PERTURBATION_PRESETS):
+        with pytest.raises(ScenarioError, match="^--ip-scale applies only to the presets "
+                                                "correlated_oscillation, resonant_transfer$"):
+            preset_document(name, i_p_scale=2.0)
+    for kind in PERTURBATION_PRESETS:
+        doc = preset_document(kind)
         scenario = scenario_from_document(doc, name=kind)
         assert scenario.dynamics is not None
         assert scenario.dynamics.regime == "newtonian"
@@ -340,12 +346,12 @@ def test_scenario_positions_track_the_scaled_drive():
     # the pinned-pattern scenario keeps its prescribed positions; the
     # transfer scenario relaxes at the scaled drive, so switching the
     # perturbation off moves its start to the undriven equilibrium
-    full = build_perturbation_scenarios("correlated_oscillation", i_p_scale=1.0)
-    off = build_perturbation_scenarios("correlated_oscillation", i_p_scale=0.0)
+    full = preset_document("correlated_oscillation", i_p_scale=1.0)
+    off = preset_document("correlated_oscillation", i_p_scale=0.0)
     assert full["chain"]["positions"] == off["chain"]["positions"]
 
-    full = build_perturbation_scenarios("resonant_transfer", i_p_scale=1.0)
-    off = build_perturbation_scenarios("resonant_transfer", i_p_scale=0.0)
+    full = preset_document("resonant_transfer", i_p_scale=1.0)
+    off = preset_document("resonant_transfer", i_p_scale=0.0)
     assert full["chain"]["positions"] != off["chain"]["positions"]
     # both starts carry the same kick on the far splitter, so the gap
     # structure stays comparable even though the anchor shifted
@@ -353,15 +359,15 @@ def test_scenario_positions_track_the_scaled_drive():
     gaps_off = [b - a for a, b in zip(off["chain"]["positions"], off["chain"]["positions"][1:])]
     for gf, go in zip(gaps_full, gaps_off):
         assert abs(gf - go) < 0.05
-    with pytest.raises(ValueError):
-        build_perturbation_scenarios("unknown_kind")
+    with pytest.raises(ScenarioError, match="^unknown preset 'unknown_kind'; known: "):
+        preset_document("unknown_kind")
 
 
 @pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
 def test_scenario_scale_must_be_finite_and_non_negative(scale):
-    for kind in perturbation_scenario_kinds():
+    for kind in PERTURBATION_PRESETS:
         with pytest.raises(ValueError, match="^i_p_scale must be (finite|at least 0), got "):
-            build_perturbation_scenarios(kind, i_p_scale=scale)
+            preset_document(kind, i_p_scale=scale)
 
 
 def test_lattice_scenario_with_positions():

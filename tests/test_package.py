@@ -155,7 +155,14 @@ PAIR = dict(OVERDAMPED, chain={"zeta": [0.01, 0.0], "positions": [0.0, 0.36]})
         {"path": "modes.z.intensity_right", "start": 1.0, "stop": 1.1, "steps": 2}]})),
 ], ids=["evolve", "relax", "fields", "forces", "sweep"])
 def test_commands_that_seek_no_equilibrium_never_load_equilibria(tmp_path, argv, scenario):
-    assert "lightlattice.equilibria" not in _main_loads(tmp_path, *argv, scenario=scenario)
+    loaded = _main_loads(tmp_path, *argv, scenario=scenario)
+    assert not {"lightlattice.equilibria", "lightlattice.lattice"} & loaded
+
+
+def test_building_the_parser_loads_only_the_set_up_modules():
+    # the --preset help lists every preset without building one
+    loaded = _loaded_modules("from lightlattice.cli import build_parser; build_parser()")
+    assert _own_modules(loaded) == {"cli", "dynamics", "errors", "scenario", "wavecore"}
 
 
 def test_evolve_and_fields_run_without_numpy(tmp_path):
