@@ -240,12 +240,11 @@ class SteadyState:
         explicit step too large for the state; it is NaN for a newtonian run,
         whose stiffness also depends on the mass.
         """
-        import numpy as np
         _, eigs, stability = self.field.stability()
         params = self.params
         stiffness = math.nan
         if params.regime == "overdamped":
-            stiffness = params.dt * float(np.abs(eigs).max(initial=0.0)) / params.friction
+            stiffness = params.dt * float(max(map(abs, eigs), default=0.0)) / params.friction
         invariant = self.field.translation_invariant
         if (self.comoving_residual if invariant else self.residual) > params.force_tol:
             stability = "not_stationary"

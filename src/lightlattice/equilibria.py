@@ -27,6 +27,8 @@ from .wavecore import Mode, ScattererChain, check_number
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAX_ITER = 80
+# design_wavenumber enumerates two branches per period of k_z d up to band[1] d
+_DESIGN_MAX_PERIODS = 10_000
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,8 @@ def find_equilibrium(
     return EquilibriumReport(
         positions=positions,
         residual=merit,
-        jacobian=jac_full,
-        eigenvalues=eigs,
+        jacobian=np.asarray(jac_full),
+        eigenvalues=np.asarray(eigs),
         classification=classification,
         com_force=com_force,
         translation_projected=field.translation_invariant,
@@ -260,6 +262,11 @@ def design_wavenumber(
         check_number("band", edge)
     if not band[0] < band[1]:
         raise ValueError(f"band {band} is not an increasing range")
+    periods = band[1] * d / math.pi
+    if not (math.isfinite(2.0 * d * k_y) and periods <= _DESIGN_MAX_PERIODS):
+        raise ValueError(f"d = {d!r}, k_y = {k_y!r} and band = {band!r} need a finite 2 d k_y "
+                         f"and at most {_DESIGN_MAX_PERIODS} periods of k_z d in the band, "
+                         f"got {periods!r}")
     # the closed-form ratios square 2 zeta k_z for every k_z up to band[1]
     scale = 2.0 * abs(zeta) * max(band[1], 1.0)
     if not math.isfinite(scale * scale):
@@ -340,7 +347,7 @@ def _refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
     for _ in range(25):
         ((z1, z2),), slopes = ForceField(chain, [_beam_z(k_y, k_z, p, i_y)]).tangent(wavenumber)
         f1, f2 = y1 + z1, y2 + z2
-        k1, k2 = map(sum, slopes.tolist())
+        k1, k2 = map(sum, slopes)
         # Newton step in (p, k_z); the z force is linear in p, so z / p is its slope
         det = z1 * k2 - k1 * z2
         if det == 0.0:
@@ -399,12 +406,12 @@ def linearize_pair_in_lattice(scenario, mass: float = 1.0) -> LinearizedModel:
     # F2 in (dx2, Delta): dx2 moves both, Delta moves x1 by -Delta
     lattice = ForceField(chain, lat_modes)
     a, u = lattice.forces()[0]
-    (j11, j12), (j21, j22) = lattice.jacobian().tolist()
+    (j11, j12), (j21, j22) = lattice._jacobian()
     b, c, v, w = j11 + j12, j12, j21 + j22, -j21
     if pert_modes:
         perturbation = ForceField(chain, pert_modes)
         k1p, k3p = perturbation.forces()[0]
-        (_, k2p), (p21, _) = perturbation.jacobian().tolist()
+        (_, k2p), (p21, _) = perturbation._jacobian()
         k4p = -p21
     else:
         k1p = k2p = k3p = k4p = 0.0

@@ -10,6 +10,7 @@ analysis and design work. Positive force points toward +x.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -98,9 +99,9 @@ class ForceField(ChainSweeps):
         there are (A_k, B_k). The drives fix A_1 and D_N, so psi changes by
         rho_k * right on j < k and by gamma_k * left on j > k, where rho_k
         and gamma_k make the jump. Returns (forces per mode, matrix), whose
-        [j, k] sums Re(conj(psi_j) . dpsi_j), the change of F_j, over modes.
+        [j, k] sums Re(conj(psi_j) . dpsi_j), the change of F_j, over modes:
+        a list of rows up to _LOOP_N scatterers, an ndarray beyond.
         """
-        import numpy as np
         x, pairs = self.pairs(positions)
         n, forces, rows = self.n, [], []
         for const, (rq, rw, rd), (lq, lw, ld) in pairs:
@@ -130,7 +131,8 @@ class ForceField(ChainSweeps):
                 for j, (y, z, _, _, diagonal), row in zip(range(n), block, matrix):
                     for k, (_, _, rho, gamma, _) in enumerate(block):
                         row[k] += (rho * y if j < k else gamma * z if j > k else diagonal).real
-            return forces, np.array(matrix)
+            return forces, matrix
+        import numpy as np
         y, z, rho, gamma, diagonal = np.array(rows, dtype=complex).T.reshape(5, len(pairs), n)
 
         def response(psi_dot, amplitude):  # sum over modes of Re(psi_dot[m, j] * amplitude[m, k])
@@ -142,6 +144,19 @@ class ForceField(ChainSweeps):
         matrix[np.diag_indices(n)] = diagonal.real.sum(axis=0)
         return forces, matrix
 
+    def _jacobian(self, positions=None):
+        """jacobian's matrix as tangent gives it: rows up to _LOOP_N scatterers."""
+        jac = self.tangent(_shift, positions)[1] if self.n else []
+        if self.n > _LOOP_N:
+            import numpy as np
+            finite = np.isfinite(jac).all()
+        else:  # a finite sum needs finite entries; only an overflowing one is checked entry by entry
+            finite = math.isfinite(sum(map(sum, jac))) or all(map(math.isfinite, sum(jac, [])))
+        if not finite:
+            self.forces(positions)
+            raise SingularBoundary("the force Jacobian is not finite")
+        return jac
+
     def jacobian(self, positions=None) -> np.ndarray:
         """Exact Jacobian dF_j/dx_k of the forces at positions.
 
@@ -152,13 +167,7 @@ class ForceField(ChainSweeps):
         finite, with the error forces raises when it has one.
         """
         import numpy as np
-        if not self.n:
-            return np.zeros((0, 0))
-        jac = self.tangent(_shift, positions)[1]
-        if not np.isfinite(jac).all():
-            self.forces(positions)
-            raise SingularBoundary("the force Jacobian is not finite")
-        return jac
+        return np.asarray(self._jacobian(positions)).reshape(self.n, self.n)
 
     @property
     def translation_invariant(self) -> bool:
@@ -172,21 +181,43 @@ class ForceField(ChainSweeps):
         orthonormal complement of the uniform shift. Eigenvalues come back
         sorted by descending real part; the classification is "stable" when all
         real parts are below -1e-9, "unstable" when any is above +1e-9, and
-        "marginal" otherwise (also when no eigenvalue is left).
+        "marginal" otherwise (also when no eigenvalue is left). Up to 2x2 after
+        restriction, they are closed-form and come back as lists, as does the
+        Jacobian; beyond, numpy's eigvals gives them, and both are ndarrays.
         """
-        import numpy as np
-        jacobian = matrix = self.jacobian(positions)
-        if self.translation_invariant:
-            # normalised Helmert columns: column i is (1, ..., 1, -i, 0, ...) / sqrt(i (i + 1))
-            i = np.arange(1, self.n)
-            rows = np.arange(self.n)[:, None]
-            q = ((rows < i) - (rows == i) * i) / np.sqrt(i * (i + 1.0))
-            matrix = q.T @ jacobian @ q
-        eigs = np.linalg.eigvals(matrix)
-        eigs = eigs[np.argsort(eigs.real)[::-1]]
-        top = eigs.real[0] if eigs.size else 0.0
+        jacobian = matrix = self._jacobian(positions)
+        invariant = self.translation_invariant
+        if self.n - invariant <= 2:
+            if invariant:  # normalised Helmert columns: (1, ..., 1, -i, 0, ...) / sqrt(i (i + 1))
+                q = [[((r < i) - (r == i) * i) / math.sqrt(i * (i + 1.0)) for r in range(self.n)]
+                     for i in range(1, self.n)]
+                jq = [[sum(x * y for x, y in zip(row, col)) for row in jacobian] for col in q]
+                matrix = [[sum(x * y for x, y in zip(left, right)) for right in jq] for left in q]
+            eigs = _eigenvalues(matrix)
+        else:
+            import numpy as np
+            jacobian = matrix = np.asarray(jacobian)
+            if invariant:  # the same columns
+                i = np.arange(1, self.n)
+                rows = np.arange(self.n)[:, None]
+                q = ((rows < i) - (rows == i) * i) / np.sqrt(i * (i + 1.0))
+                matrix = q.T @ jacobian @ q
+            eigs = np.linalg.eigvals(matrix)
+            eigs = eigs[np.argsort(eigs.real)[::-1]]
+        top = eigs[0].real if len(eigs) else 0.0
         label = "stable" if top < -_EIG_TOL else "unstable" if top > _EIG_TOL else "marginal"
         return jacobian, eigs, label
+
+
+def _eigenvalues(matrix) -> list:
+    """Closed-form eigenvalues of a matrix (rows) of at most 2x2, in stability's order: real
+    ones larger first, a complex pair as numpy leaves it (negative imaginary part first)."""
+    if len(matrix) < 2:
+        return [row[0] for row in matrix]
+    (a, b), (c, d) = matrix
+    h, e = (a + d) / 2.0, (a - d) / 2.0
+    r = cmath.sqrt(e * e + b * c)
+    return [h + r.real, h - r.real] if not r.imag else [h - r, h + r]
 
 
 def _shift(const, x, zeta, a, b):

@@ -715,6 +715,18 @@ def test_grids_need_two_points_on_an_increasing_range(tmp_path, argv):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("argv", [["--d", "1e308", "--k-y", "10"], ["--d", "1250.000001"]],
+                         ids=["infinite-phase", "past-the-cap"])
+def test_design_refuses_a_distance_past_its_branch_cap(tmp_path, capsys, argv):
+    # at --k-y 1 the default band holds 8 d periods of k_z d, at most 10,000
+    out = tmp_path / "out"
+    assert main(["design", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: design: d = {float(argv[1])!r}, k_y = ")
+    assert " and band = (1e-09, " in err and " at most 10000 periods of k_z d in the band" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize("argv, message", [
     (["zerolines", "--d1-steps", "1"], "--d1-steps must be at least 2, got 1"),
     (["zerolines", "--d1-min", "0.9", "--d1-max", "0.1"], "--d1-max 0.1 must exceed --d1-min 0.9"),

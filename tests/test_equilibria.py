@@ -188,6 +188,29 @@ def test_design_rejects_inputs_outside_its_domain(d, k_y, band, i_y):
         design_wavenumber(d, k_y, zeta=0.01, band=band, i_y=i_y)
 
 
+# the distance whose band, (1e-9, 4 K_REF) by default, holds the 10,000 periods of k_z d allowed
+_D_CAP = 10_000 * math.pi / (4.0 * K_REF)
+
+
+@pytest.mark.parametrize("d, k_y", [(1e308, 10.0 * K_REF), (_D_CAP * (1.0 + 1e-12), K_REF)],
+                         ids=["infinite-phase", "past-the-cap"])
+def test_design_refuses_a_distance_past_its_branch_cap(d, k_y):
+    # 2 d k_y = inf made math.cos raise a bare "math domain error", and the
+    # branch search of d = 1e300 grew without bound; both are refused before
+    # any branch is enumerated
+    band = (1e-9, 4.0 * k_y)
+    with pytest.raises(ValueError) as caught:
+        design_wavenumber(d, k_y, zeta=0.01, refine=False)
+    assert str(caught.value).startswith(f"d = {d!r}, k_y = {k_y!r} and band = {band!r} need ")
+
+
+def test_design_searches_up_to_its_branch_cap():
+    # a narrow band at the cap's edge keeps the candidates few
+    band = (3.999 * K_REF, 4.0 * K_REF)
+    cands = design_wavenumber(_D_CAP * (1.0 - 1e-12), K_REF, zeta=0.01, band=band, refine=False)
+    assert cands and all(band[0] <= c.k_z <= band[1] for c in cands)
+
+
 @pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf, 0.01 + 0.001j,
                                   1e153, 1e154, 1e200])
 def test_design_rejects_a_zeta_that_is_not_real_and_finite(zeta):
@@ -603,7 +626,7 @@ def _two_beam_refine_design(d, k_y, k_z0, zeta, p0, i_y, band):
         field = ForceField(*equilibria._pair_design(d, k_y, k_z, zeta, p, i_y))
         ((y1, y2), (z1, z2)), slopes = field.tangent(wavenumber)
         f1, f2 = y1 + z1, y2 + z2
-        k1, k2 = map(sum, slopes.tolist())
+        k1, k2 = map(sum, slopes)  # tangent's rows of a pair
         det = z1 * k2 - k1 * z2
         if det == 0.0:
             return p0, k_z0, False
@@ -686,18 +709,19 @@ def test_force_jacobian_matches_mpmath(n, zeta, spacing):
 
 def test_every_position_derivative_reads_force_jacobian(monkeypatch):
     # force_jacobian is ForceField.jacobian, which Newton and the pair
-    # analyses read on their prepared fields
+    # analyses read on their prepared fields; it and ForceField.stability
+    # both read ForceField._jacobian, the one derivative entry
     import lightlattice.equilibria as equilibria
 
     calls = []
-    jacobian = ForceField.jacobian
+    jacobian = ForceField._jacobian
 
     def spy(self, positions=None):
         calls.append(self.chain.n)
         return jacobian(self, positions)
 
     lattice = build_lattice(2, 1.0, 1.0, 0.1, i_p=0.5, k_p=K_REF / 0.99, zeta_p=0.1)
-    monkeypatch.setattr(ForceField, "jacobian", spy)
+    monkeypatch.setattr(ForceField, "_jacobian", spy)
     modes = symmetric_modes()
     runs = {
         "newton relative": lambda: equilibria.find_equilibrium(
@@ -902,13 +926,96 @@ def test_helmert_projection_matches_the_qr_basis(n):
     chain = ScattererChain(tuple(0.1 + 0.37 * j for j in range(n)), 0.05)
     field = ForceField(chain, symmetric_modes(i_z=1.2, k_z=1.1 * K_REF))
     assert field.translation_invariant
-    jac, eigs, _ = field.stability()
-    ref = _ref_eigenvalues(jac, True)
-    assert eigs.shape == ref.shape == (n - 1,)
-    assert (np.diff(eigs.real) <= 0).all()
+    jac, eigs, _ = field.stability()  # lists up to n = 3, whose restriction is 2x2
+    ref = _ref_eigenvalues(np.asarray(jac), True)
+    assert np.shape(eigs) == ref.shape == (n - 1,)
+    assert (np.diff(np.real(eigs)) <= 0).all()
     # a conjugate pair shares its real part, so either may come first
     eigs, ref = np.sort_complex(eigs), np.sort_complex(ref)
     assert np.max(np.abs(eigs - ref), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(ref), initial=0.0))
+
+
+def _numpy_stability(jacobian, invariant):
+    # ForceField.stability's numpy path: Helmert restriction, eigvals, sort
+    matrix = jacobian = np.asarray(jacobian)
+    n = len(jacobian)
+    if invariant:
+        i = np.arange(1, n)
+        rows = np.arange(n)[:, None]
+        q = ((rows < i) - (rows == i) * i) / np.sqrt(i * (i + 1.0))
+        matrix = q.T @ jacobian @ q
+    eigs = np.linalg.eigvals(matrix)
+    eigs = eigs[np.argsort(eigs.real)[::-1]]
+    top = eigs.real[0] if eigs.size else 0.0
+    return eigs, "stable" if top < -1e-9 else "unstable" if top > 1e-9 else "marginal"
+
+
+_EDGES = [math.nextafter(t, t + side) for t in (-1e-9, 1e-9) for side in (-1.0, 0.0, 1.0)]
+_SMALL_MATRICES = {
+    "zero-1x1": [[0.0]],
+    "distinct-real": [[1.5, 0.25], [-0.5, -2.0]],
+    "complex-pair": [[0.3, -2.0], [1.5, 0.1]],
+    "repeated-diagonal": [[-0.7, 0.0], [0.0, -0.7]],
+    "repeated-jordan": [[0.2, 1.0], [0.0, 0.2]],
+    "zero-2x2": [[0.0, 0.0], [0.0, 0.0]],
+    "scaled-real": [[1e8, 3e-8], [2e7, -1e-8]],
+    "scaled-complex": [[1e-8, -1e8], [1e8, 1e-8]],
+    "scaled-small": [[1e-8, 2e-8], [-3e-8, 1e-8]],
+    "scaled-mixed": [[-1e8, 1e-8], [1e8, 1e-8]],
+    **{f"1x1-at-{t!r}": [[t]] for t in _EDGES},
+    **{f"repeated-at-{t!r}": [[t, 0.0], [0.0, t]] for t in _EDGES},
+    **{f"complex-at-{t!r}": [[t, -1.0], [1.0, t]] for t in _EDGES},
+    **{f"jordan-at-{t!r}": [[t, 5.0], [0.0, t]] for t in _EDGES},
+}
+
+
+@pytest.mark.parametrize("matrix", _SMALL_MATRICES.values(), ids=_SMALL_MATRICES)
+def test_closed_form_eigenvalues_match_numpy(monkeypatch, matrix):
+    # a field pinned by a standing wave judges the matrix itself; its
+    # Jacobian is replaced by the case's matrix
+    n = len(matrix)
+    field = ForceField(ScattererChain(tuple(0.37 * j for j in range(n)), 0.05),
+                       [Mode("sw", K_REF, drive_left=1.0, drive_right=1.0)])
+    monkeypatch.setattr(ForceField, "_jacobian", lambda self, positions=None: matrix)
+    _, eigs, label = field.stability()
+    ref, ref_label = _numpy_stability(matrix, False)
+    assert isinstance(eigs, list) and np.iscomplexobj(eigs) == np.iscomplexobj(ref)
+    # the same order: descending real part, a conjugate pair as numpy leaves it
+    assert np.max(np.abs(np.asarray(eigs) - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+    assert label == ref_label
+
+
+def _invariant_or_pinned(n, invariant):
+    chain = ScattererChain(tuple(0.1 + 0.37 * j for j in range(n)), 0.05)
+    if invariant:
+        return ForceField(chain, symmetric_modes(i_z=1.2, k_z=1.1 * K_REF))
+    return ForceField(chain, [Mode("y", K_REF, drive_left=1.0),
+                              Mode("sw", 1.1 * K_REF, drive_left=1.0, drive_right=0.8)])
+
+
+@pytest.mark.parametrize("n, invariant", [(2, True), (3, True), (1, False), (2, False)])
+def test_closed_form_verdict_matches_the_numpy_path(n, invariant):
+    from lightlattice.dynamics import SteadyState, Trajectory
+    field = _invariant_or_pinned(n, invariant)
+    assert field.translation_invariant is invariant
+    jac, eigs, label = field.stability()
+    ref, ref_label = _numpy_stability(jac, invariant)
+    assert isinstance(eigs, list) and len(eigs) == n - invariant and label == ref_label
+    params = DynamicsParams("overdamped", dt=0.3, t_end=1.0, friction=0.7)
+    state = SteadyState(Trajectory(), field, field.chain.gaps(), 0.0, 0.0, 0.0, None, params)
+    stability, stiffness = state.verdict()
+    assert stability == ref_label
+    assert stiffness == pytest.approx(0.3 * float(np.abs(ref).max()) / 0.7, rel=1e-14, abs=0.0)
+
+
+def test_stability_takes_numpy_past_a_two_by_two_and_keeps_its_bits():
+    # a restricted matrix larger than 2x2 is numpy's, Jacobian and all
+    for n, invariant in [(4, True), (3, False), (7, True), (8, False)]:
+        field = _invariant_or_pinned(n, invariant)
+        jac, eigs, label = field.stability()
+        ref, ref_label = _numpy_stability(field.jacobian(), invariant)
+        assert isinstance(jac, np.ndarray) and np.array_equal(jac, field.jacobian())
+        assert isinstance(eigs, np.ndarray) and np.array_equal(eigs, ref) and label == ref_label
 
 
 def test_relative_newton_refuses_a_field_that_pins_the_chain():

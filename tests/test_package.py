@@ -113,10 +113,13 @@ SCENARIO = {
 
 
 def _main_loads(tmp_path, *argv, scenario=SCENARIO):
-    """The modules a fresh process holds after main(argv) ran on scenario."""
-    path = tmp_path / "case.json"
-    path.write_text(json.dumps(scenario), encoding="utf-8")
-    argv = [*argv, "--scenario", str(path), "--out", str(tmp_path / "out")]
+    """The modules a fresh process holds after main(argv) ran on scenario, or on no
+    document when scenario is None."""
+    if scenario is not None:
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        argv = [*argv, "--scenario", str(path)]
+    argv = [*argv, "--out", str(tmp_path / "out")]
     return _loaded_modules(f"from lightlattice.cli import main; assert main({argv!r}) == 0")
 
 
@@ -144,6 +147,8 @@ def test_set_up_loads_only_what_reading_a_scenario_needs(tmp_path):
 
 OVERDAMPED = dict(SCENARIO, dynamics={"regime": "overdamped", "dt": 0.25, "t_end": 2.0})
 PAIR = dict(OVERDAMPED, chain={"zeta": [0.01, 0.0], "positions": [0.0, 0.36]})
+PAIR_SWEEP = dict(PAIR, sweep={"axes": [
+    {"path": "modes.z.intensity_right", "start": 1.0, "stop": 1.1, "steps": 2}]})
 
 
 @pytest.mark.parametrize("argv, scenario", [
@@ -151,8 +156,7 @@ PAIR = dict(OVERDAMPED, chain={"zeta": [0.01, 0.0], "positions": [0.0, 0.36]})
     (["relax"], OVERDAMPED),
     (["fields", "--samples", "3"], SCENARIO),
     (["forces", "--steps", "3"], PAIR),
-    (["sweep"], dict(PAIR, sweep={"axes": [
-        {"path": "modes.z.intensity_right", "start": 1.0, "stop": 1.1, "steps": 2}]})),
+    (["sweep"], PAIR_SWEEP),
 ], ids=["evolve", "relax", "fields", "forces", "sweep"])
 def test_commands_that_seek_no_equilibrium_never_load_equilibria(tmp_path, argv, scenario):
     loaded = _main_loads(tmp_path, *argv, scenario=scenario)
@@ -175,6 +179,16 @@ def test_evolve_and_fields_run_without_numpy(tmp_path):
 def test_zerolines_loads_only_numpy_beyond_the_standard_library(tmp_path):
     argv = ["zerolines", "--d1-steps", "3", "--d2-steps", "3"]
     assert _command_line_loads(tmp_path, *argv) == {"lightlattice", "numpy"}
+
+
+def test_a_pair_sweep_judges_stability_without_numpy(tmp_path):
+    # a pair's Jacobian restricted to the complement of the uniform shift is
+    # 1x1, so its eigenvalue is its one entry
+    assert _command_line_loads(tmp_path, "sweep", scenario=PAIR_SWEEP) == {"lightlattice"}
+
+
+def test_design_runs_without_numpy(tmp_path):
+    assert _command_line_loads(tmp_path, "design", "--steps", "3", scenario=None) == {"lightlattice"}
 
 
 def test_numpy_is_the_only_runtime_dependency():
